@@ -122,10 +122,12 @@ def _cgf_value(a: float, b: float, lam: float, mu: float, nu: float, gamma: floa
 def cgf_limit(params: ProcessParams, p: CgfPoint) -> float:
     """Limiting normalized CGF Lambda(lam, mu, nu, gamma).
 
-    Returns +inf when mu >= b^2/8 or nu >= (a-2)^2/8 (the boundary itself is
-    mapped to +inf); otherwise the piecewise closed form.  Total function:
-    never raises.
+    Returns nan when any coordinate is nan; otherwise +inf when
+    mu >= b^2/8 or nu >= (a-2)^2/8 (the boundary itself is mapped to +inf),
+    and the piecewise closed form inside.  Total function: never raises.
     """
+    if any(math.isnan(v) for v in (p.lam, p.mu, p.nu, p.gamma)):
+        return math.nan
     return _cgf_value(params.a, params.b, p.lam, p.mu, p.nu, p.gamma)
 
 

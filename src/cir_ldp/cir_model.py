@@ -11,8 +11,9 @@ Contents:
 * parameter validation and the stationary Gamma law,
 * conditional moments and the transition density (log-space, via a modified
   Bessel function of the first kind),
-* exact transition sampling (Poisson-mixed Gamma) for scalars, stored paths,
-  and large path ensembles reduced on the fly to time averages,
+* one exact transition step, X' = c (chi^2_{a-1} + (Z + sqrt(lambda))^2),
+  shared by the scalar draw, the stored path and large path ensembles reduced
+  on the fly to time averages,
 * deterministic substream derivation so ensembles are reproducible for a
   given seed regardless of worker count.
 """
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _special
 
+from ._io import write_text_atomic
 from .errors import DomainError, RegimeError
 
 __all__ = [
@@ -299,18 +301,37 @@ def transition_density(params: ProcessParams, t: float, x: float, y: float) -> f
 # ---------------------------------------------------------------------------
 
 
+def _step_constants(params: ProcessParams, dt: float) -> tuple[float, float, float]:
+    # Scale c, noncentrality per unit of state e^{b dt}/c and Gamma shape
+    # (a-1)/2 of one transition over dt.
+    k = transition_kernel(params, dt, 1.0)
+    return k.scale, k.noncentrality, 0.5 * (params.a - 1.0)
+
+
+def _step(x, g, z, c: float, rate: float, sqrt=math.sqrt):
+    # One exact transition from x, given G ~ Gamma((a-1)/2) and Z ~ N(0, 1):
+    # c chi^2_a(lam) = c (chi^2_{a-1} + (Z + sqrt(lam))^2) with lam = rate x,
+    # exact for a > 1.  Floats take math.sqrt, arrays np.sqrt; both are
+    # correctly rounded, so the two forms give the same bits.
+    u = z + sqrt(x * rate)
+    return c * (2.0 * g + u * u)
+
+
 def sample_transition(
     params: ProcessParams, t: float, x: float, rng: np.random.Generator
 ) -> float:
     """One exact draw of X_{s+t} given X_s = x.
 
-    The noncentral chi-squared transition with non-integer degrees of freedom
-    a is sampled as 2 * scale * Gamma(a/2 + J) with J ~ Poisson(noncentrality/2),
-    which is exact for every real a > 0.  The result is strictly positive.
+    The transition is scale * chi^2_a(lam) (see transition_kernel).  For
+    a > 1 it splits exactly as chi^2_{a-1} + (Z + sqrt(lam))^2, so the draw
+    takes G ~ Gamma((a-1)/2), then Z ~ N(0, 1), from ``rng`` and returns
+    scale * (2 G + (Z + sqrt(lam))^2), which is strictly positive.
     """
-    kern = transition_kernel(params, t, x)
-    j = rng.poisson(0.5 * kern.noncentrality)
-    return 2.0 * kern.scale * float(rng.standard_gamma(0.5 * params.a + j))
+    if x <= 0.0:
+        raise DomainError(f"state x must be positive, got {x}")
+    c, rate, shape = _step_constants(params, t)
+    g = float(rng.standard_gamma(shape))
+    return _step(x, g, float(rng.standard_normal()), c, rate)
 
 
 @dataclass
@@ -359,28 +380,22 @@ def simulate_path(
 ) -> Trajectory:
     """Exact skeleton on the uniform grid {0, T/n, ..., T} by chained transitions.
 
-    Deterministic for a given generator state; every sampled state is
-    strictly positive.
+    Draws all n_steps Gamma variates from ``rng``, then all n_steps normals,
+    and chains the transition step of sample_transition through them, so the
+    result is a deterministic function of the generator state.
     """
     if T <= 0.0:
         raise DomainError(f"horizon T must be positive, got {T}")
     if n_steps < 1:
         raise DomainError(f"n_steps must be at least 1, got {n_steps}")
-    dt = T / n_steps
-    a, b, x0 = params.a, params.b, params.x0
-    ebt = math.exp(b * dt)
-    c = math.expm1(b * dt) / b
-    half_rate = ebt / (2.0 * c)
-    half_a = 0.5 * a
-    values = np.empty(n_steps + 1)
-    values[0] = x0
-    x = x0
-    for k in range(1, n_steps + 1):
-        j = rng.poisson(x * half_rate)
-        x = 2.0 * c * float(rng.standard_gamma(half_a + j))
-        values[k] = x
+    c, rate, shape = _step_constants(params, T / n_steps)
+    g = rng.standard_gamma(shape, n_steps).tolist()
+    z = rng.standard_normal(n_steps).tolist()
+    values = [params.x0]
+    for gk, zk in zip(g, z):
+        values.append(_step(values[-1], gk, zk, c, rate))
     times = np.linspace(0.0, T, n_steps + 1)
-    return Trajectory(times=times, values=values, params=params)
+    return Trajectory(times=times, values=np.array(values), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +416,7 @@ def _coerce_seed(rng: int | np.random.Generator) -> int:
 
 def _substream(master_seed: int, namespace: int, index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(namespace, index))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
@@ -411,14 +426,10 @@ def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
 
 def default_workers() -> int:
     """Worker count from the CIR_LDP_THREADS environment variable (default 1)."""
-    raw = os.environ.get("CIR_LDP_THREADS", "").strip()
-    if not raw:
-        return 1
     try:
-        n = int(raw)
+        return max(1, int(os.environ.get("CIR_LDP_THREADS", "")))
     except ValueError:
         return 1
-    return max(1, n)
 
 
 @dataclass
@@ -443,18 +454,13 @@ def _simulate_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = _substream(seed, 0, block)
     dt = T / n_steps
-    b = params.b
-    ebt = math.exp(b * dt)
-    c = math.expm1(b * dt) / b
-    half_rate = ebt / (2.0 * c)
-    half_a = 0.5 * params.a
-    two_c = 2.0 * c
+    c, rate, shape = _step_constants(params, dt)
     x = np.full(size, params.x0)
     acc_x = 0.5 * x
     acc_inv = 0.5 / x
     for k in range(1, n_steps + 1):
-        j = rng.poisson(x * half_rate)
-        x = two_c * rng.standard_gamma(half_a + j)
+        g = rng.standard_gamma(shape, size)
+        x = _step(x, g, rng.standard_normal(size), c, rate, np.sqrt)
         if k < n_steps:
             acc_x += x
             acc_inv += np.reciprocal(x)
@@ -463,10 +469,6 @@ def _simulate_block(
             acc_inv += 0.5 * np.reciprocal(x)
     w = dt / T
     return x, acc_x * w, acc_inv * w
-
-
-def _simulate_block_star(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _simulate_block(*args)
 
 
 def simulate_ensemble(
@@ -480,10 +482,12 @@ def simulate_ensemble(
     """Simulate n_paths exact paths, reduced on the fly to (X_T, S_T, Sigma_T).
 
     Paths are partitioned into fixed blocks of BLOCK_SIZE; block j draws from
-    its own Philox substream keyed by (master seed, j), so the output is a
-    deterministic function of the seed alone.  ``n_workers`` (default: the
-    CIR_LDP_THREADS environment variable, else 1) only controls how many
-    blocks run concurrently, never the result.
+    its own PCG64DXSM substream keyed by (master seed, j), so the output is a
+    deterministic function of the seed alone.  A block advances one step at a
+    time: its Gamma variates, then its normals, then the transition step of
+    sample_transition.  ``n_workers`` (default: the CIR_LDP_THREADS
+    environment variable, else 1) only controls how many blocks run
+    concurrently, never the result.
     """
     if T <= 0.0:
         raise DomainError(f"horizon T must be positive, got {T}")
@@ -494,20 +498,16 @@ def simulate_ensemble(
     seed = _coerce_seed(rng)
     if n_workers is None:
         n_workers = default_workers()
-    sizes = [
-        min(BLOCK_SIZE, n_paths - start) for start in range(0, n_paths, BLOCK_SIZE)
-    ]
     jobs = [
-        (params, T, n_steps, size, seed, block) for block, size in enumerate(sizes)
+        (params, T, n_steps, min(BLOCK_SIZE, n_paths - start), seed, start // BLOCK_SIZE)
+        for start in range(0, n_paths, BLOCK_SIZE)
     ]
     if n_workers <= 1 or len(jobs) == 1:
-        parts = [_simulate_block_star(job) for job in jobs]
+        parts = [_simulate_block(*job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
-            parts = list(pool.map(_simulate_block_star, jobs))
-    x_T = np.concatenate([p[0] for p in parts])
-    S = np.concatenate([p[1] for p in parts])
-    Sigma = np.concatenate([p[2] for p in parts])
+            parts = list(pool.map(_simulate_block, *zip(*jobs)))
+    x_T, S, Sigma = (np.concatenate(column) for column in zip(*parts))
     return EnsembleSummary(x_T=x_T, S=S, Sigma=Sigma, T=float(T), n_steps=n_steps)
 
 
@@ -517,11 +517,9 @@ def simulate_ensemble(
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Write the skeleton as CSV with header ``t,x`` at full float precision."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x\n")
-        for t, x in zip(traj.times, traj.values):
-            fh.write(f"{float(t)!r},{float(x)!r}\n")
+    """Write the skeleton, atomically, as CSV with header ``t,x`` at full precision."""
+    rows = zip(traj.times.tolist(), traj.values.tolist())
+    write_text_atomic(path, "t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in rows))
 
 
 def read_trajectory_csv(path: str, params: ProcessParams) -> Trajectory:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._io import write_text_atomic
 from .cgf import (
     CgfPoint,
     cgf_finite_T_mc,
@@ -339,7 +340,7 @@ def _emit_report(cfg: RunConfig, name: str, payload: dict) -> None:
     text = _report_text(payload)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text, encoding="utf-8")
+    write_text_atomic(out_dir / name, text)
     sys.stdout.write(text)
 
 
@@ -434,7 +435,7 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "estimates.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
     payload = {
         "experiment": "estimate",
         "params": _param_block(cfg),
@@ -516,7 +517,7 @@ def _cmd_rate(cfg: RunConfig) -> int:
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"rate_{which}_grid.csv"
-        csv_path.write_text(grid.to_csv(), encoding="utf-8")
+        write_text_atomic(csv_path, grid.to_csv())
         payload = {
             "experiment": "rate_grid",
             "params": _param_block(cfg),
@@ -827,7 +828,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
         which = "J" if fig == 1 else "K"
         grid = surface_grid(cfg.params, which=which)
         csv_path = out_dir / f"fig{fig}.csv"
-        csv_path.write_text(grid.to_csv(), encoding="utf-8")
+        write_text_atomic(csv_path, grid.to_csv())
         metrics = {
             "file": str(csv_path),
             "rows": grid.J.size,
@@ -837,7 +838,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
     elif fig == 3:
         curves = profile_curves(cfg.params)
         csv_path = out_dir / "fig3.csv"
-        csv_path.write_text(curves.to_csv(), encoding="utf-8")
+        write_text_atomic(csv_path, curves.to_csv())
         metrics = {"file": str(csv_path), "rows": len(curves.v)}
     else:
         raise ConfigError(f"config key 'fig' must be 1, 2, or 3, got {fig}")

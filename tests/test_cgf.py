@@ -36,6 +36,15 @@ class TestCgfLimit:
         assert cgf_limit(params44, CgfPoint(0, 0, (a - 2.0) ** 2 / 8.0, 0)) == INF
         assert cgf_limit(params44, CgfPoint(0, 1.0, 0, 0)) == INF
 
+    def test_nan_in_any_coordinate_gives_nan(self, params44):
+        # Inside the domain, out of it (mu and nu past their bounds) and at
+        # the origin: a nan coordinate never yields a number or +inf.
+        for base in ((0.0, 0.0, 0.0, 0.0), (-1.0, 5.0, 5.0, 1.0), (0.5, -0.3, -0.2, -0.4)):
+            for i in range(4):
+                coords = list(base)
+                coords[i] = math.nan
+                assert math.isnan(cgf_limit(params44, CgfPoint(*coords))), coords
+
     def test_quadratic_terms_by_sector(self, params44):
         b = params44.b
         dv = dual_vars(params44, -0.5, -0.5)

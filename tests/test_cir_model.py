@@ -28,6 +28,7 @@ from cir_ldp import (
     validate_params,
     write_trajectory_csv,
 )
+from cir_ldp import cir_model
 from cir_ldp.functionals import compute_functionals
 
 
@@ -196,6 +197,16 @@ class TestSampling:
         res = stats.kstest(draws / k.scale, lambda q: stats.ncx2.cdf(q, params44.a, k.noncentrality))
         assert res.pvalue > 0.01
 
+    def test_ks_at_non_integer_dimension(self):
+        # a = 2.3 leaves 1.3 degrees of freedom to the central chi-squared part.
+        p = ProcessParams(2.3, -0.8)
+        rng = np.random.default_rng(13)
+        t, x = 0.6, 1.1
+        k = transition_kernel(p, t, x)
+        draws = np.array([sample_transition(p, t, x, rng) for _ in range(4000)])
+        res = stats.kstest(draws / k.scale, stats.ncx2(p.a, k.noncentrality).cdf)
+        assert res.pvalue > 0.01
+
     def test_chained_steps_preserve_terminal_law(self, params44):
         # The scheme is exact, so the law of X_T cannot depend on the grid.
         T, n = 2.0, 3000
@@ -207,6 +218,31 @@ class TestSampling:
         ])
         res = stats.ks_2samp(coarse, fine)
         assert res.pvalue > 0.01
+
+
+class TestSharedStep:
+    def test_scalar_and_array_forms_are_bit_identical(self, params44):
+        c, rate, shape = cir_model._step_constants(params44, 0.05)
+        rng = np.random.default_rng(5)
+        x = rng.gamma(2.0, 2.0, 2000)
+        g = rng.standard_gamma(shape, x.size)
+        z = rng.standard_normal(x.size)
+        array_form = cir_model._step(x, g, z, c, rate, np.sqrt)
+        scalar_form = [
+            cir_model._step(xi, gi, zi, c, rate)
+            for xi, gi, zi in zip(x.tolist(), g.tolist(), z.tolist())
+        ]
+        np.testing.assert_array_equal(array_form, np.array(scalar_form))
+
+    def test_callers_agree_on_one_step(self, params44):
+        # One step from x0 draws one G, then one Z, in every caller; from the
+        # ensemble's first substream all three land on the same bits.
+        T, seed = 0.7, 19
+        ens = simulate_ensemble(params44, T, 1, 1, seed)
+        path = simulate_path(params44, T, 1, cir_model._substream(seed, 0, 0))
+        rng = cir_model._substream(seed, 0, 0)
+        draw = sample_transition(params44, T, params44.x0, rng)
+        assert ens.x_T[0] == path.values[-1] == draw
 
 
 class TestSimulatePath:
@@ -252,6 +288,13 @@ class TestEnsemble:
         mean, var = conditional_moments(params44, T, params44.x0)
         assert abs(ens.x_T.mean() - mean) < 5.0 * math.sqrt(var / 4000)
 
+    def test_one_step_law_is_noncentral_chi_squared(self, params44):
+        T, n = 0.8, 5000
+        k = transition_kernel(params44, T, params44.x0)
+        ens = simulate_ensemble(params44, T, 1, n, 31)
+        res = stats.kstest(ens.x_T / k.scale, stats.ncx2(params44.a, k.noncentrality).cdf)
+        assert res.pvalue > 0.01
+
     def test_quadrature_matches_functionals_module(self, params44):
         # The on-the-fly (S, Sigma) reduction must agree with the trapezoid
         # rule applied to a stored trajectory with the same states.
@@ -294,6 +337,16 @@ class TestTrajectoryValidation:
         back = read_trajectory_csv(str(path), params44)
         np.testing.assert_array_equal(traj.times, back.times)
         np.testing.assert_array_equal(traj.values, back.values)
+
+    def test_csv_bytes_and_no_temporary_file(self, params44, tmp_path):
+        traj = simulate_path(params44, 1.0, 40, path_rng(8, 3))
+        path = tmp_path / "traj.csv"
+        path.write_text("stale\n")
+        write_trajectory_csv(traj, str(path))
+        rows = zip(traj.times, traj.values)
+        expected = "t,x\n" + "".join(f"{float(t)!r},{float(x)!r}\n" for t, x in rows)
+        assert path.read_bytes() == expected.encode("ascii")
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
 
     def test_csv_header_check(self, params44, tmp_path):
         path = tmp_path / "bad.csv"

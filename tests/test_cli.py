@@ -97,6 +97,28 @@ class TestCgfCommand:
         assert "estimate" in payload["metrics"]
 
 
+class TestAtomicArtifacts:
+    def test_artifact_bytes_and_no_temporary_files(self, capsys, tmp_path):
+        rc, out, _ = run(
+            capsys, "cgf", "--a", "4", "--b", "-1", "--mc", "--T", "1",
+            "--paths", "50", "--seed", "2", "--n-steps", "50", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        assert (tmp_path / "cgf_mc_report.json").read_bytes() == out.encode("utf-8")
+        rc, _, _ = run(
+            capsys, "simulate", "--a", "4", "--b", "-1", "--T", "1", "--n-steps", "20",
+            "--paths", "1", "--seed", "2", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        rc, _, _ = run(
+            capsys, "rate", "--which", "K", "--grid", "--a", "4", "--b", "-1",
+            "--n-alpha", "3", "--n-beta", "2", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["cgf_mc_report.json", "rate_K_grid.csv", "traj_00000.csv"]
+
+
 class TestConfigHandling:
     def test_regime_rejection(self, capsys):
         rc, _, err = run(capsys, "rate", "--which", "J", "--alpha", "2", "--beta", "0", "--a", "1", "--b", "-1")
