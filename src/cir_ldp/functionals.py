@@ -5,12 +5,17 @@ observables: the terminal state, the time averages of X_t and 1/X_t, and the
 terminal log.  This module reduces a trajectory to those observables
 (trapezoidal quadrature on the uniform grid) and evaluates the maximum
 likelihood estimator of (a, b) together with its simplified variants.
+
+Every formula is elementwise: the observables and the estimates are floats
+for one path, or equal-length arrays for an ensemble, and ``ESTIMATORS``
+names the four couples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -18,6 +23,7 @@ from .cir_model import Trajectory
 from .errors import DegenerateError, GridError
 
 __all__ = [
+    "ESTIMATORS",
     "EstimatePair",
     "PathFunctionals",
     "compute_functionals",
@@ -32,10 +38,25 @@ __all__ = [
 #: Degeneracy threshold on V before any estimator division.
 EPS_V = 1e-12
 
+# libm's log, elementwise.  numpy's SIMD log differs from it by 1 ulp on some
+# inputs, and the per-path and ensemble results must agree to the bit.
+_libm_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _log(x):
+    if isinstance(x, np.ndarray):
+        return _libm_log(x).astype(float)
+    return math.log(x)
+
+
+def _select(mask, if_true, if_false):
+    # np.where, but a scalar mask gives a scalar rather than a 0-d array.
+    return np.where(mask, if_true, if_false)[()]
+
 
 @dataclass(frozen=True)
 class PathFunctionals:
-    """Observables of one path over the horizon T.
+    """Observables over the horizon T of one path (floats) or many (arrays).
 
     Attributes
     ----------
@@ -68,28 +89,23 @@ class PathFunctionals:
     V: float
 
 
-def functionals_from_summary(
-    T: float, x0: float, x_T: float, S: float, Sigma: float
-) -> PathFunctionals:
+def functionals_from_summary(T: float, x0: float, x_T, S, Sigma) -> PathFunctionals:
     """Assemble PathFunctionals from already-reduced path quantities.
 
     Used by streaming simulation drivers that never materialize the path;
     (S, Sigma) must come from the same trapezoid rule compute_functionals
-    applies to stored trajectories.
+    applies to stored trajectories.  x_T, S and Sigma are floats for one
+    path or equal-length arrays for an ensemble (``EnsembleSummary`` fields).
     """
-    log_xT = math.log(x_T)
-    if x_T < 1.0:
-        curly = -math.sqrt(-log_xT / T)
-    else:
-        curly = log_xT / T
+    log_xT = _log(x_T)
     return PathFunctionals(
         T=T,
         xT_over_T=x_T / T,
-        sqrt_xT_over_T=math.sqrt(x_T / T),
+        sqrt_xT_over_T=np.sqrt(x_T / T),
         S=S,
         Sigma=Sigma,
         L=(log_xT - math.log(x0)) / T,
-        curlyL=curly,
+        curlyL=_select(x_T < 1.0, -np.sqrt(np.abs(log_xT) / T), log_xT / T),
         V=S * Sigma - 1.0,
     )
 
@@ -133,17 +149,19 @@ def ito_log_integral(pf: PathFunctionals) -> float:
 
 @dataclass(frozen=True)
 class EstimatePair:
-    """A candidate (alpha, beta) point in parameter space."""
+    """A candidate (alpha, beta) point in parameter space, or one per path."""
 
     alpha: float
     beta: float
 
 
-def _checked_v(pf: PathFunctionals, eps_v: float) -> float:
-    if pf.V <= eps_v:
+def _checked_v(pf: PathFunctionals, eps_v: float):
+    # A NaN V is not below the threshold, so it passes.
+    low = pf.V <= eps_v
+    if np.any(low):
         raise DegenerateError(
-            f"V={pf.V} is below the degeneracy threshold {eps_v}; "
-            "the path is (numerically) constant"
+            f"V={np.nanmin(pf.V)} is below the degeneracy threshold {eps_v} on "
+            f"{np.count_nonzero(low)} path(s); such a path is (numerically) constant"
         )
     return pf.V
 
@@ -154,7 +172,7 @@ def estimate_mle(pf: PathFunctionals, eps_v: float = EPS_V) -> EstimatePair:
     Raises
     ------
     DegenerateError
-        If V <= eps_v.
+        If V <= eps_v on any path.
     """
     v = _checked_v(pf, eps_v)
     alpha = (pf.S * (2.0 * pf.Sigma + pf.L) - pf.xT_over_T) / v
@@ -179,7 +197,20 @@ def estimate_check(pf: PathFunctionals, eps_v: float = EPS_V) -> EstimatePair:
 
 
 def estimate_combined(pf: PathFunctionals, eps_v: float = EPS_V) -> EstimatePair:
-    """Tilde estimator when X_T >= 1, check estimator otherwise."""
-    if pf.xT_over_T * pf.T >= 1.0:
-        return estimate_tilde(pf, eps_v)
-    return estimate_check(pf, eps_v)
+    """Tilde estimator where X_T >= 1, check estimator elsewhere."""
+    upper = pf.xT_over_T * pf.T >= 1.0
+    tilde = estimate_tilde(pf, eps_v)
+    check = estimate_check(pf, eps_v)
+    return EstimatePair(
+        alpha=_select(upper, tilde.alpha, check.alpha),
+        beta=_select(upper, tilde.beta, check.beta),
+    )
+
+
+#: The estimator couples by name, in the order artifacts list them.
+ESTIMATORS: dict[str, Callable[..., EstimatePair]] = {
+    "mle": estimate_mle,
+    "tilde": estimate_tilde,
+    "check": estimate_check,
+    "combined": estimate_combined,
+}

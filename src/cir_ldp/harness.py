@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +25,7 @@ from .cir_model import (
     simulate_ensemble,
 )
 from .errors import DomainError, InconclusiveError
-from .functionals import (
-    estimate_check,
-    estimate_mle,
-    estimate_tilde,
-    functionals_from_summary,
-)
+from .functionals import ESTIMATORS, PathFunctionals, functionals_from_summary
 from .rates import (
     rate_J,
     rate_K,
@@ -54,13 +49,6 @@ __all__ = [
     "slope_experiment",
     "surface_grid",
 ]
-
-_ESTIMATORS: dict[str, Callable] = {
-    "mle": estimate_mle,
-    "tilde": estimate_tilde,
-    "check": estimate_check,
-}
-
 
 @dataclass(frozen=True, eq=False)
 class CltCovariance:
@@ -125,36 +113,19 @@ class CltReport:
         }
 
 
-def _ensemble_estimates(
-    params: ProcessParams, ens: EnsembleSummary, estimator: str
-) -> np.ndarray:
-    try:
-        fn = _ESTIMATORS[estimator]
-    except KeyError:
-        raise DomainError(
-            f"estimator must be one of {sorted(_ESTIMATORS)}, got {estimator!r}"
-        ) from None
-    out = np.empty((len(ens.x_T), 2))
-    for i in range(len(ens.x_T)):
-        pf = functionals_from_summary(
-            ens.T, params.x0, float(ens.x_T[i]), float(ens.S[i]), float(ens.Sigma[i])
-        )
-        est = fn(pf)
-        out[i, 0] = est.alpha
-        out[i, 1] = est.beta
-    return out
-
-
-def _clt_report_from_ensemble(
+def _clt_report(
     params: ProcessParams,
     ens: EnsembleSummary,
+    pf: PathFunctionals,
     estimator: str,
     seed: int,
     tolerance: float,
 ) -> CltReport:
     target = clt_target_covariance(params).target
-    est = _ensemble_estimates(params, ens, estimator)
-    dev = math.sqrt(ens.T) * (est - np.array([params.a, params.b]))
+    est = ESTIMATORS[estimator](pf)
+    dev = math.sqrt(ens.T) * (
+        np.column_stack((est.alpha, est.beta)) - np.array([params.a, params.b])
+    )
     mean = dev.mean(axis=0)
     cov = np.cov(dev, rowvar=False)
     rel = np.abs(cov - target) / np.abs(target)
@@ -184,20 +155,23 @@ def clt_experiments(
     n_workers: int | None = None,
     tolerance: float = 0.15,
 ) -> list[CltReport]:
-    """Run the CLT check for several estimators on one shared ensemble."""
+    """Run the CLT check for several estimators on one shared ensemble.
+
+    ``estimators`` are names in ``functionals.ESTIMATORS``.  The combined
+    couple picks tilde or check per path; both are sqrt(T)-equivalent to
+    the MLE, so its limit is the same 4 C^-1.
+    """
     for name in estimators:
-        if name not in _ESTIMATORS:
+        if name not in ESTIMATORS:
             raise DomainError(
-                f"estimator must be one of {sorted(_ESTIMATORS)}, got {name!r}"
+                f"estimator must be one of {sorted(ESTIMATORS)}, got {name!r}"
             )
     seed = _coerce_seed(rng)
     if n_steps is None:
         n_steps = max(2, round(200.0 * T))
     ens = simulate_ensemble(params, T, n_steps, n_paths, seed, n_workers=n_workers)
-    return [
-        _clt_report_from_ensemble(params, ens, name, seed, tolerance)
-        for name in estimators
-    ]
+    pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
+    return [_clt_report(params, ens, pf, name, seed, tolerance) for name in estimators]
 
 
 def clt_experiment(
@@ -228,13 +202,13 @@ def clt_experiment(
     )[0]
 
 
-_ERGODIC_MEANS = {
-    "S": lambda p: -p.a / p.b,
-    "Sigma": lambda p: -p.b / (p.a - 2.0),
-    "V": lambda p: 2.0 / (p.a - 2.0),
+# Functional -> (ergodic mean, closed-form rate); the functional is read as
+# the PathFunctionals field of the same name.
+_SLOPE_FUNCTIONALS = {
+    "S": (lambda p: -p.a / p.b, rate_S),
+    "Sigma": (lambda p: -p.b / (p.a - 2.0), rate_Sigma),
+    "V": (lambda p: 2.0 / (p.a - 2.0), rate_V),
 }
-
-_RATE_FUNCTIONS = {"S": rate_S, "Sigma": rate_Sigma, "V": rate_V}
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,15 +274,16 @@ def slope_experiment(
     InconclusiveError
         If the hit count at the largest T falls below ``n_min``.
     """
-    if functional not in _RATE_FUNCTIONS:
+    if functional not in _SLOPE_FUNCTIONALS:
         raise DomainError(
-            f"functional must be one of {sorted(_RATE_FUNCTIONS)}, got {functional!r}"
+            f"functional must be one of {sorted(_SLOPE_FUNCTIONALS)}, got {functional!r}"
         )
     if len(T_grid) == 0:
         raise DomainError("T_grid must be non-empty")
     seed = _coerce_seed(rng)
-    target = _RATE_FUNCTIONS[functional](params, c)
-    upper = c >= _ERGODIC_MEANS[functional](params)
+    ergodic_mean, rate = _SLOPE_FUNCTIONALS[functional]
+    target = rate(params, c)
+    upper = c >= ergodic_mean(params)
     slopes: list[float] = []
     hit_counts: list[int] = []
     for i, T in enumerate(T_grid):
@@ -316,12 +291,8 @@ def slope_experiment(
         ens = simulate_ensemble(
             params, T, n_steps, n_paths, _substream(seed, 2, i), n_workers=n_workers
         )
-        if functional == "S":
-            values = ens.S
-        elif functional == "Sigma":
-            values = ens.Sigma
-        else:
-            values = ens.S * ens.Sigma - 1.0
+        pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
+        values = getattr(pf, functional)
         hits = int(np.count_nonzero(values >= c if upper else values <= c))
         hit_counts.append(hits)
         if hits == 0:

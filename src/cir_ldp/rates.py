@@ -3,11 +3,15 @@
 Conventions: extended-real values use math.inf; every rate function is a
 total function of its arguments and returns +inf outside its effective
 domain.  Branch boundaries route to the lower-indexed branch (the closed
-forms agree there, which the continuity tests pin down).
+forms agree there, which the continuity tests pin down).  Every closed-form
+entry point maps a NaN coordinate to NaN, as cgf_limit does, and otherwise a
++-inf coordinate to +inf, the limit of a good rate function (its level sets
+are compact).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +42,18 @@ __all__ = [
 INF = math.inf
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _total(rate):
+    """Apply the non-finite policy to a rate function of (params, *coords)."""
+
+    @functools.wraps(rate)
+    def guarded(params: ProcessParams, *coords: float) -> float:
+        if all(map(math.isfinite, coords)):
+            return rate(params, *coords)
+        return math.nan if any(map(math.isnan, coords)) else INF
+
+    return guarded
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,7 @@ def region_constants(params: ProcessParams) -> RateRegionConstants:
 # ---------------------------------------------------------------------------
 
 
+@_total
 def rate_S(params: ProcessParams, x: float) -> float:
     """LDP rate of the time average S_T; zero at -a/b."""
     if x <= 0.0:
@@ -82,6 +99,7 @@ def rate_S(params: ProcessParams, x: float) -> float:
     return (a + b * x) ** 2 / (8.0 * x)
 
 
+@_total
 def rate_Sigma(params: ProcessParams, y: float) -> float:
     """LDP rate of the inverse time average Sigma_T; zero at -b/(a-2)."""
     if y <= 0.0:
@@ -90,6 +108,7 @@ def rate_Sigma(params: ProcessParams, y: float) -> float:
     return ((a - 2.0) * y + b) ** 2 / (8.0 * y)
 
 
+@_total
 def rate_V(params: ProcessParams, v: float) -> float:
     """LDP rate of V_T = S_T Sigma_T - 1; zero at 2/(a-2)."""
     if v <= 0.0:
@@ -98,6 +117,7 @@ def rate_V(params: ProcessParams, v: float) -> float:
     return -0.25 * b * math.sqrt((v + 1.0) * ((a - 2.0) ** 2 + 4.0 / v)) + 0.25 * a * b
 
 
+@_total
 def rate_pair(params: ProcessParams, x: float, y: float) -> float:
     """Joint rate of (S_T, Sigma_T) on the cone {x > 0, y > 0, xy > 1}."""
     if x <= 0.0 or y <= 0.0 or x * y - 1.0 <= 0.0:
@@ -111,6 +131,7 @@ def rate_pair(params: ProcessParams, x: float, y: float) -> float:
     )
 
 
+@_total
 def rate_triplet_x(params: ProcessParams, x: float, y: float, z: float) -> float:
     """Joint rate of (sqrt(X_T/T), S_T, Sigma_T) on {x >= 0, y,z > 0, yz > 1}."""
     if x < 0.0 or y <= 0.0 or z <= 0.0 or y * z - 1.0 <= 0.0:
@@ -125,6 +146,7 @@ def rate_triplet_x(params: ProcessParams, x: float, y: float, z: float) -> float
     )
 
 
+@_total
 def rate_triplet_L(params: ProcessParams, y: float, z: float, t: float) -> float:
     """Joint rate of (S_T, Sigma_T, curlyL_T) on {t <= 0, y,z > 0, yz > 1}."""
     if t > 0.0 or y <= 0.0 or z <= 0.0 or y * z - 1.0 <= 0.0:
@@ -160,6 +182,7 @@ def _rate_J_branch_B(params: ProcessParams, alpha: float, beta: float) -> float:
     return _J_first_term(a, b, alpha, beta) - 0.25 * beta * (1.0 - b / beta) ** 2
 
 
+@_total
 def rate_J(params: ProcessParams, alpha: float, beta: float) -> float:
     """Rate function of the tilde estimator couple; zero at (a, b)."""
     b = params.b
@@ -189,6 +212,7 @@ def _rate_K_branch_2(params: ProcessParams, alpha: float, beta: float) -> float:
     )
 
 
+@_total
 def rate_K(params: ProcessParams, alpha: float, beta: float) -> float:
     """Rate function of the check estimator couple; zero at (a, b)."""
     a, b = params.a, params.b
@@ -202,6 +226,7 @@ def rate_K(params: ProcessParams, alpha: float, beta: float) -> float:
     return INF
 
 
+@_total
 def rate_I_mle(params: ProcessParams, alpha: float, beta: float) -> float:
     """Rate function of the MLE couple: pointwise min of rate_J and rate_K."""
     return min(rate_J(params, alpha, beta), rate_K(params, alpha, beta))
@@ -289,6 +314,16 @@ def _Kb(params: ProcessParams, beta: float) -> float:
     return _scan_refine_min(fn_neg, eps, hi)
 
 
+_MARGINALS = {
+    "Ja": _total(_Ja),
+    "Jb": _total(_Jb),
+    "Ka": _total(_Ka),
+    "Kb": _total(_Kb),
+    "Ia": _total(lambda params, v: min(_Ja(params, v), _Ka(params, v))),
+    "Ib": _total(lambda params, v: min(_Jb(params, v), _Kb(params, v))),
+}
+
+
 def rate_marginal(params: ProcessParams, which: str, v: float) -> float:
     """Marginal rate functions: which in {Ja, Jb, Ka, Kb, Ia, Ib}.
 
@@ -296,19 +331,11 @@ def rate_marginal(params: ProcessParams, which: str, v: float) -> float:
     rate_K over the sign-appropriate alpha half-line; Ia and Ib are pointwise
     minima of the corresponding pair.
     """
-    if which == "Ja":
-        return _Ja(params, v)
-    if which == "Jb":
-        return _Jb(params, v)
-    if which == "Ka":
-        return _Ka(params, v)
-    if which == "Kb":
-        return _Kb(params, v)
-    if which == "Ia":
-        return min(_Ja(params, v), _Ka(params, v))
-    if which == "Ib":
-        return min(_Jb(params, v), _Kb(params, v))
-    raise DomainError(f"unknown marginal selector {which!r}")
+    try:
+        marginal = _MARGINALS[which]
+    except KeyError:
+        raise DomainError(f"unknown marginal selector {which!r}") from None
+    return marginal(params, v)
 
 
 def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float) -> float:

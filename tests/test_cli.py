@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from cir_ldp.cli import main
+from cir_ldp import ESTIMATORS, ProcessParams, functionals_from_summary, simulate_ensemble
+from cir_ldp.cli import main, parse_config
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -169,6 +170,33 @@ class TestConfigHandling:
         assert rc == 2
 
 
+    def test_single_command_file_keys_load(self, capsys, tmp_path):
+        # Keys that only one subcommand defines are config-file keys too.
+        grid_cfg = tmp_path / "grid.json"
+        grid_cfg.write_text(json.dumps({"a": 4.0, "b": -1.0, "which": "K", "grid": True,
+                                        "n_alpha": 3, "n_beta": 2}))
+        rc, _, _ = run(capsys, "rate", "--config", str(grid_cfg), "--out", str(tmp_path))
+        assert rc == 0
+        assert len((tmp_path / "rate_K_grid.csv").read_text().splitlines()) == 1 + 3 * 2
+        cgf_cfg = tmp_path / "cgf.json"
+        cgf_cfg.write_text(json.dumps({"a": 4.0, "b": -1.0, "lam": 0.1, "mu": -0.1,
+                                       "nu": -0.1, "gamma": -0.1}))
+        _, from_file, _ = run(capsys, "cgf", "--config", str(cgf_cfg))
+        _, from_flags, _ = run(capsys, "cgf", "--a", "4", "--b", "-1", "--lam", "0.1",
+                               "--mu", "-0.1", "--nu", "-0.1", "--gamma", "-0.1")
+        assert from_file == from_flags
+        slope_cfg = tmp_path / "slope.json"
+        slope_cfg.write_text(json.dumps({"a": 4.0, "b": -1.0, "seed": 1, "T_grid": [2, 4]}))
+        assert parse_config(str(slope_cfg)).settings["T_grid"] == (2.0, 4.0)
+
+    def test_suite_is_not_a_file_key(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"a": 4.0, "b": -1.0, "suite": "clt"}))
+        rc, _, err = run(capsys, "rate", "--which", "J", "--alpha", "2", "--beta", "0", "--config", str(cfgfile))
+        assert rc == 2
+        assert json.loads(err) == {"error": "ConfigError", "message": "unknown config key 'suite'"}
+
+
 class TestSimulateEstimate:
     def test_roundtrip(self, capsys, tmp_path):
         rc, _, _ = run(
@@ -186,6 +214,23 @@ class TestSimulateEstimate:
         lines = (tmp_path / "estimates.csv").read_text().splitlines()
         assert lines[0] == "path_id,estimator,alpha,beta"
         assert len(lines) == 1 + 2 * 4
+
+    def test_estimate_rows_are_per_path_estimates(self, capsys, tmp_path):
+        rc, _, _ = run(
+            capsys, "estimate", "--a", "4", "--b", "-1", "--T", "2", "--n-steps", "50",
+            "--paths", "3", "--seed", "8", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        ens = simulate_ensemble(ProcessParams(4.0, -1.0), 2.0, 100, 3, 8)
+        expected = ["path_id,estimator,alpha,beta"]
+        for i in range(3):
+            pf = functionals_from_summary(
+                ens.T, 1.0, float(ens.x_T[i]), float(ens.S[i]), float(ens.Sigma[i])
+            )
+            for name, fn in ESTIMATORS.items():
+                est = fn(pf)
+                expected.append(f"{i},{name},{float(est.alpha)!r},{float(est.beta)!r}")
+        assert (tmp_path / "estimates.csv").read_text().splitlines() == expected
 
     def test_deterministic_artifacts(self, capsys, tmp_path):
         out1 = tmp_path / "r1"

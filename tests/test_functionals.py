@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cir_ldp import (
+    ESTIMATORS,
     DegenerateError,
     GridError,
     ProcessParams,
@@ -21,6 +22,7 @@ from cir_ldp import (
     functionals_from_summary,
     ito_log_integral,
     path_rng,
+    simulate_ensemble,
     simulate_path,
 )
 
@@ -135,3 +137,74 @@ class TestItoLogIntegral:
         # 2 T Sigma dominates T L for long horizons since Sigma -> -b/(a-2).
         traj = simulate_path(params44, 50.0, 5000, path_rng(6, 1))
         assert ito_log_integral(compute_functionals(traj)) > 0.0
+
+
+@pytest.fixture(scope="module")
+def ens(params44):
+    return simulate_ensemble(params44, 5.0, 500, 5000, 7)
+
+
+class TestArrayFunctionals:
+    """Ensemble arrays in, the per-path scalar results out, to the bit."""
+
+    def test_log_terms_use_libm(self, ens, params44):
+        pf = functionals_from_summary(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma)
+        x0, T = params44.x0, ens.T
+        for i, x in enumerate(ens.x_T.tolist()):
+            assert pf.L[i] == (math.log(x) - math.log(x0)) / T
+
+    def test_fields_match_per_path(self, ens, params44):
+        pf = functionals_from_summary(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma)
+        for i in range(len(ens.x_T)):
+            one = functionals_from_summary(
+                ens.T, params44.x0, float(ens.x_T[i]), float(ens.S[i]), float(ens.Sigma[i])
+            )
+            for field in ("xT_over_T", "sqrt_xT_over_T", "L", "curlyL", "V"):
+                assert getattr(pf, field)[i] == getattr(one, field), (i, field)
+
+    @pytest.mark.parametrize("name", ["mle", "tilde", "check", "combined"])
+    def test_registry_matches_per_path(self, ens, params44, name):
+        # X_T sits on both sides of 1, so combined takes both branches.
+        assert np.any(ens.x_T < 1.0) and np.any(ens.x_T >= 1.0)
+        fn = ESTIMATORS[name]
+        est = fn(functionals_from_summary(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma))
+        alphas, betas = [], []
+        for i in range(len(ens.x_T)):
+            one = fn(
+                functionals_from_summary(
+                    ens.T, params44.x0, float(ens.x_T[i]), float(ens.S[i]), float(ens.Sigma[i])
+                )
+            )
+            alphas.append(one.alpha)
+            betas.append(one.beta)
+        np.testing.assert_array_equal(est.alpha, alphas)
+        np.testing.assert_array_equal(est.beta, betas)
+
+    def test_registry_order(self):
+        assert list(ESTIMATORS) == ["mle", "tilde", "check", "combined"]
+
+    def test_scalar_inputs_give_scalars(self):
+        pf = functionals_from_summary(10.0, 1.0, 0.8, 4.1, 0.55)
+        for value in (pf.L, pf.curlyL, pf.sqrt_xT_over_T):
+            assert not isinstance(value, np.ndarray)
+        for fn in ESTIMATORS.values():
+            est = fn(pf)
+            assert not isinstance(est.alpha, np.ndarray)
+            assert not isinstance(est.beta, np.ndarray)
+
+    def test_one_degenerate_path_raises(self):
+        pf = functionals_from_summary(
+            1.0, 1.0, np.array([1.2, 1.0, 0.7]), np.array([1.3, 1.0, 0.9]),
+            np.array([0.9, 1.0, 1.4]),
+        )
+        assert pf.V[1] == 0.0
+        for fn in ESTIMATORS.values():
+            with pytest.raises(DegenerateError):
+                fn(pf)
+
+    def test_nan_v_passes(self):
+        pf = functionals_from_summary(
+            1.0, 1.0, np.array([1.2, 0.7]), np.array([1.3, math.nan]), np.array([0.9, 1.4])
+        )
+        est = estimate_mle(pf)
+        assert math.isfinite(est.alpha[0]) and math.isnan(est.alpha[1])

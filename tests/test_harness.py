@@ -19,6 +19,7 @@ from cir_ldp import (
     rate_K,
     rate_marginal,
     rate_S,
+    rate_V,
     slope_experiment,
     surface_grid,
 )
@@ -73,6 +74,14 @@ class TestCltExperiment:
             )
             np.testing.assert_array_equal(report.covariance, single.covariance)
 
+    def test_combined_estimator_accepted(self, params44):
+        reports = clt_experiments(
+            params44, ["mle", "combined"], T=4.0, n_paths=300, rng=9, n_steps=400
+        )
+        assert [r.estimator for r in reports] == ["mle", "combined"]
+        assert np.all(np.isfinite(reports[1].covariance))
+        np.testing.assert_array_equal(reports[1].target, reports[0].target)
+
     def test_unknown_estimator_rejected(self, params44):
         from cir_ldp import DomainError
 
@@ -100,6 +109,15 @@ class TestSlopeExperiment:
         )
         assert rep.upper_tail is False
         assert rep.target_rate == pytest.approx(rate_S(params44, 3.0), rel=1e-14)
+
+    def test_v_functional(self, params44):
+        rep = slope_experiment(
+            params44, "V", c=2.0, T_grid=(2.0,), n_paths=2000, rng=12,
+            n_steps_per_unit=40,
+        )
+        assert rep.upper_tail is True
+        assert rep.target_rate == pytest.approx(rate_V(params44, 2.0), rel=1e-14)
+        assert rep.hits[0] >= rep.n_min
 
     def test_deterministic_across_workers(self, params44):
         r1 = slope_experiment(

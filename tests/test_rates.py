@@ -22,6 +22,8 @@ from cir_ldp import (
     rate_V,
     rate_marginal,
     rate_pair,
+    rate_triplet_L,
+    rate_triplet_x,
     region_constants,
 )
 from cir_ldp.rates import (
@@ -121,6 +123,58 @@ class TestScalarRates:
         assert rate_Sigma(params44, -0.5) == INF
         assert rate_V(params44, 0.0) == INF
         assert rate_pair(params44, 2.0, 0.4) == INF
+
+
+NAN = float("nan")
+
+# (rate function, coordinates after params, expected): a NaN coordinate gives
+# NaN, otherwise a +-inf coordinate gives +inf.  rate_marginal takes its
+# selector as the first coordinate.
+_NON_FINITE_CASES = [
+    (rate_S, (INF,), INF),
+    (rate_S, (-INF,), INF),
+    (rate_S, (NAN,), NAN),
+    (rate_Sigma, (INF,), INF),
+    (rate_Sigma, (NAN,), NAN),
+    (rate_V, (INF,), INF),
+    (rate_V, (NAN,), NAN),
+    (rate_pair, (INF, INF), INF),
+    (rate_pair, (INF, 1.0), INF),
+    (rate_pair, (2.0, NAN), NAN),
+    (rate_pair, (INF, NAN), NAN),
+    (rate_triplet_x, (INF, 4.0, 1.0), INF),
+    (rate_triplet_x, (1.0, NAN, 1.0), NAN),
+    (rate_triplet_L, (4.0, 1.0, -INF), INF),
+    (rate_triplet_L, (4.0, NAN, -1.0), NAN),
+    (rate_J, (INF, -1.0), INF),
+    (rate_J, (-INF, 1.0), INF),
+    (rate_J, (NAN, -1.0), NAN),
+    (rate_K, (INF, -1.0), INF),
+    (rate_K, (3.0, -INF), INF),
+    (rate_K, (NAN, -1.0), NAN),
+    (rate_I_mle, (INF, -1.0), INF),
+    (rate_I_mle, (3.0, NAN), NAN),
+    *((rate_marginal, (w, v), INF) for w in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib") for v in (INF, -INF)),
+    *((rate_marginal, (w, NAN), NAN) for w in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib")),
+]
+
+
+class TestNonFinitePolicy:
+    @pytest.mark.parametrize(
+        "fn, coords, expected",
+        _NON_FINITE_CASES,
+        ids=[f"{fn.__name__}{coords}" for fn, coords, _ in _NON_FINITE_CASES],
+    )
+    def test_policy(self, params44, fn, coords, expected):
+        value = fn(params44, *coords)
+        if math.isnan(expected):
+            assert math.isnan(value)
+        else:
+            assert value == expected
+
+    def test_unknown_marginal_selector_raises_before_the_guard(self, params44):
+        with pytest.raises(DomainError):
+            rate_marginal(params44, "Lb", NAN)
 
 
 class TestSeamContinuity:
