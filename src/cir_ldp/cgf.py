@@ -154,6 +154,8 @@ def cgf_gradient(
 ) -> np.ndarray:
     """Gradient of Lambda at a point strictly inside its domain.
 
+    Returns a NaN 4-vector when any coordinate is nan, as cgf_limit returns nan.
+
     Raises
     ------
     BoundaryError
@@ -162,6 +164,8 @@ def cgf_gradient(
         branch switching surface gamma^2/lam^2 = phi/(d-b) in the sector
         lam > 0, gamma < 0 where Lambda is kinked.
     """
+    if any(math.isnan(v) for v in (p.lam, p.mu, p.nu, p.gamma)):
+        return np.full(4, math.nan)
     a, b = params.a, params.b
     if b * b / 8.0 - p.mu < tol:
         raise BoundaryError(

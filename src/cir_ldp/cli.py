@@ -859,7 +859,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--workers",
         dest="n_workers",
         type=int,
-        help="worker processes (default: CIR_LDP_THREADS or 1)",
+        help=(
+            "worker processes; changes only estimate, check clt|slope and "
+            "cgf --mc; simulate writes its paths in one process "
+            "(default: CIR_LDP_THREADS or 1)"
+        ),
     )
 
 

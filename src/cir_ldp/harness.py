@@ -424,8 +424,13 @@ def profile_curves(
     if grid is None:
         grid = np.linspace(-4.0, 8.0, 61)
     v = np.asarray([float(x) for x in grid])
-    cols = {name: np.empty(len(v)) for name in ("Ja", "Ka", "Ia", "Jb", "Kb", "Ib")}
-    for i, x in enumerate(v):
-        for name in cols:
-            cols[name][i] = rate_marginal(params, name, float(x))
-    return ProfileCurves(v=v, **cols)
+    cols = {
+        name: np.array([rate_marginal(params, name, float(x)) for x in v])
+        for name in ("Ja", "Ka", "Jb", "Kb")
+    }
+    return ProfileCurves(
+        v=v,
+        Ia=np.minimum(cols["Ja"], cols["Ka"]),
+        Ib=np.minimum(cols["Jb"], cols["Kb"]),
+        **cols,
+    )

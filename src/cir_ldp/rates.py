@@ -269,73 +269,26 @@ def _Ka(params: ProcessParams, alpha: float) -> float:
     return _Ja_high(params, alpha)
 
 
-def _scan_refine_min(fn, lo: float, hi: float, n: int = 241) -> float:
+def _scan_refine(fn, lo: float, hi: float, n: int, xatol: float) -> tuple[float, float]:
+    """(argmin, min) of fn on [lo, hi]: an n-point scan, then a bounded refine
+    between the best node's neighbours that replaces the node only if it beats it."""
     xs = np.linspace(lo, hi, n)
     vals = [fn(float(x)) for x in xs]
     i = int(np.argmin(vals))
-    best = vals[i]
-    if not math.isfinite(best):
-        return best
-    b_lo = float(xs[max(i - 1, 0)])
-    b_hi = float(xs[min(i + 1, n - 1)])
     res = _optimize.minimize_scalar(
-        fn, bounds=(b_lo, b_hi), method="bounded", options={"xatol": 1e-11}
+        fn,
+        bounds=(float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)])),
+        method="bounded",
+        options={"xatol": xatol},
     )
-    return min(best, float(res.fun))
+    if res.fun < vals[i]:
+        return float(res.x), float(res.fun)
+    return float(xs[i]), vals[i]
 
 
-def _expand_hi(fn, start: float, ceiling: float, cap: float = 1e6) -> float:
-    hi = start
-    while hi < cap and fn(hi) < ceiling:
-        hi *= 2.0
-    return hi
-
-
-def _Kb(params: ProcessParams, beta: float) -> float:
-    # No closed form exists; sign-restricted 1-D infimum over alpha.
-    if beta == 0.0:
-        return rate_K(params, 0.0, 0.0)
-    a = params.a
-    eps = 1e-8
-    if beta < 0.0:
-
-        def fn(al: float) -> float:
-            return rate_K(params, al, beta)
-
-        probe = min(fn(x) for x in (0.5, 1.0, a, 2.0 * a))
-        hi = _expand_hi(fn, max(8.0, 2.0 * a), probe + 10.0)
-        return _scan_refine_min(fn, eps, hi)
-
-    def fn_neg(u: float) -> float:
-        return rate_K(params, -u, beta)
-
-    probe = min(fn_neg(x) for x in (0.5, 1.0, a))
-    hi = _expand_hi(fn_neg, max(8.0, 2.0 * a), probe + 10.0)
-    return _scan_refine_min(fn_neg, eps, hi)
-
-
-_MARGINALS = {
-    "Ja": _total(_Ja),
-    "Jb": _total(_Jb),
-    "Ka": _total(_Ka),
-    "Kb": _total(_Kb),
-    "Ia": _total(lambda params, v: min(_Ja(params, v), _Ka(params, v))),
-    "Ib": _total(lambda params, v: min(_Jb(params, v), _Kb(params, v))),
-}
-
-
-def rate_marginal(params: ProcessParams, which: str, v: float) -> float:
-    """Marginal rate functions: which in {Ja, Jb, Ka, Kb, Ia, Ib}.
-
-    Ja, Jb, Ka use their closed piecewise forms; Kb is a numeric infimum of
-    rate_K over the sign-appropriate alpha half-line; Ia and Ib are pointwise
-    minima of the corresponding pair.
-    """
-    try:
-        marginal = _MARGINALS[which]
-    except KeyError:
-        raise DomainError(f"unknown marginal selector {which!r}") from None
-    return marginal(params, v)
+# Apex alpha of each surface: on the lines beta = 0 and alpha = apex, J and K
+# are finite only at their apex (apex, 0).
+_APEX_ALPHA = {"J": 2.0, "K": 0.0}
 
 
 def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float) -> float:
@@ -343,67 +296,70 @@ def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float)
 
     ``which`` picks the surface (J or K); ``axis`` names the held coordinate:
     axis='a' holds alpha=v and minimizes over beta, axis='b' holds beta=v and
-    minimizes over alpha.  Used to cross-check the closed-form marginals.
+    minimizes over alpha, on the half-line from the surface's apex where the
+    surface is finite.  It is the Kb marginal and cross-checks the
+    closed-form Ja, Jb and Ka.
     """
-    if which not in ("J", "K"):
+    if which not in _APEX_ALPHA:
         raise DomainError(f"which must be 'J' or 'K', got {which!r}")
-    surface = rate_J if which == "J" else rate_K
-    a, b = params.a, params.b
-    eps = 1e-8
-    if axis == "a":
-        alpha = v
-        if which == "K" and alpha == 0.0:
-            return rate_K(params, 0.0, 0.0)
-        if which == "J" and alpha == 2.0:
-            return rate_J(params, 2.0, 0.0)
-        lo_sign = (alpha > 2.0) if which == "J" else (alpha > 0.0)
-        if lo_sign:
-
-            def fn(u: float) -> float:
-                return surface(params, alpha, -u)
-
-        else:
-
-            def fn(u: float) -> float:
-                return surface(params, alpha, u)
-
-        probe = min(fn(x) for x in (0.1, -b, 1.0, -3.0 * b))
-        hi = _expand_hi(fn, max(8.0, -8.0 * b), probe + 10.0)
-        return _scan_refine_min(fn, eps, hi)
-    if axis != "b":
+    if axis not in ("a", "b"):
         raise DomainError(f"axis must be 'a' or 'b', got {axis!r}")
-    beta = v
-    if which == "J" and beta == 0.0:
-        return rate_J(params, 2.0, 0.0)
-    if which == "K" and beta == 0.0:
-        return rate_K(params, 0.0, 0.0)
-    if which == "J":
-        if beta > 0.0:
-
-            def fn(u: float) -> float:
-                return surface(params, 2.0 - u, beta)
-
-        else:
-
-            def fn(u: float) -> float:
-                return surface(params, 2.0 + u, beta)
-
-        probe = min(fn(x) for x in (0.5, 1.0, a))
-        hi = _expand_hi(fn, max(8.0, 2.0 * a), probe + 10.0)
-        return _scan_refine_min(fn, 1e-7, hi)
-    if beta < 0.0:
+    surface = rate_J if which == "J" else rate_K
+    apex = _APEX_ALPHA[which]
+    a, b = params.a, params.b
+    lo = 1e-8
+    if axis == "a":
+        if v == apex:
+            return surface(params, apex, 0.0)
+        sign = -1.0 if v > apex else 1.0
 
         def fn(u: float) -> float:
-            return surface(params, u, beta)
+            return surface(params, v, sign * u)
 
+        probes = (0.1, -b, 1.0, -3.0 * b)
+        hi = max(8.0, -8.0 * b)
     else:
+        if v == 0.0:
+            return surface(params, apex, 0.0)
+        sign = 1.0 if v < 0.0 else -1.0
 
         def fn(u: float) -> float:
-            return surface(params, -u, beta)
+            return surface(params, apex + sign * u, v)
 
-    probe = min(fn(x) for x in (0.5, 1.0, a))
-    hi = _expand_hi(fn, max(8.0, 2.0 * a), probe + 10.0)
-    return _scan_refine_min(fn, eps, hi)
+        probes = (0.5, 1.0, a, 2.0 * a) if v < 0.0 else (0.5, 1.0, a)
+        hi = max(8.0, 2.0 * a)
+        if which == "J":
+            lo = 1e-7  # rate_J divides by 2 - alpha
+    ceiling = min(map(fn, probes)) + 10.0
+    while hi < 1e6 and fn(hi) < ceiling:
+        hi *= 2.0
+    return _scan_refine(fn, lo, hi, 241, 1e-11)[1]
+
+
+_MARGINALS = {
+    "Ja": _total(_Ja),
+    "Jb": _total(_Jb),
+    "Ka": _total(_Ka),
+    "Kb": _total(lambda params, v: marginal_inf_numeric(params, "K", "b", v)),
+    "Ia": _total(lambda params, v: min(_Ja(params, v), _Ka(params, v))),
+    "Ib": _total(
+        lambda params, v: min(_Jb(params, v), marginal_inf_numeric(params, "K", "b", v))
+    ),
+}
+
+
+def rate_marginal(params: ProcessParams, which: str, v: float) -> float:
+    """Marginal rate functions: which in {Ja, Jb, Ka, Kb, Ia, Ib}.
+
+    Ja, Jb, Ka use their closed piecewise forms; Kb has none and is
+    marginal_inf_numeric(params, "K", "b", v); Ia and Ib are pointwise
+    minima of the corresponding pair.
+    """
+    try:
+        marginal = _MARGINALS[which]
+    except KeyError:
+        raise DomainError(f"unknown marginal selector {which!r}") from None
+    return marginal(params, v)
 
 
 # ---------------------------------------------------------------------------
@@ -452,51 +408,30 @@ def _infsup_generic(params: ProcessParams, alpha: float, beta: float) -> float:
         x_lo, x_hi = 0.0, math.sqrt(alpha)
         t_lo, t_hi = -math.sqrt(-beta), 0.0
 
-    candidates: list[float] = []
-    starts: list[np.ndarray] = []
-    qs = (0.15, 0.4, 0.65, 0.9)
-    for qx in qs:
-        for qt in qs:
-            starts.append(
-                np.array(
-                    [x_lo + qx * (x_hi - x_lo), t_lo + qt * (t_hi - t_lo)]
-                )
-            )
+    starts = [
+        np.array([x_lo + qx * (x_hi - x_lo), t_lo + qt * (t_hi - t_lo)])
+        for qx in (0.15, 0.4, 0.65, 0.9)
+        for qt in (0.15, 0.4, 0.65, 0.9)
+    ]
     # Slice seeds: the two candidate minimizers predicted by the theory.
+    seeds: list[float] = []
     z0 = beta / a2
     if z0 > 0.0:
-
-        def on_t0(x: float) -> float:
-            return lambda_star(params, x, y_of(x), z0, 0.0)
-
-        xs = _scan_argmin(on_t0, x_lo + 1e-9, x_hi)
-        candidates.append(on_t0(xs))
+        xs, val = _scan_refine(
+            lambda x: lambda_star(params, x, y_of(x), z0, 0.0),
+            x_lo + 1e-9, x_hi, 121, 1e-10,
+        )
+        seeds.append(val)
         starts.append(np.array([xs, -1e-4]))
     y0 = -alpha / beta
     if y0 > 0.0:
-
-        def on_x0(t: float) -> float:
-            return lambda_star(params, 0.0, y0, z_of(t), t)
-
-        ts = _scan_argmin(on_x0, t_lo, t_hi - 1e-9 if t_hi == 0.0 else t_hi)
-        candidates.append(on_x0(ts))
+        ts, val = _scan_refine(
+            lambda t: lambda_star(params, 0.0, y0, z_of(t), t),
+            t_lo, t_hi - 1e-9 if t_hi == 0.0 else t_hi, 121, 1e-10,
+        )
+        seeds.append(val)
         starts.append(np.array([1e-4, ts]))
-    for s in starts:
-        candidates.append(_nelder_mead(objective, s))
-    return min(candidates)
-
-
-def _scan_argmin(fn, lo: float, hi: float, n: int = 121) -> float:
-    xs = np.linspace(lo, hi, n)
-    vals = [fn(float(x)) for x in xs]
-    i = int(np.argmin(vals))
-    res = _optimize.minimize_scalar(
-        fn,
-        bounds=(float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)])),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.x) if res.fun < vals[i] else float(xs[i])
+    return min(*seeds, *(_nelder_mead(objective, s) for s in starts))
 
 
 def _infsup_beta0(params: ProcessParams, alpha: float) -> float:
@@ -512,14 +447,11 @@ def _infsup_beta0(params: ProcessParams, alpha: float) -> float:
         y = math.exp(float(v[1]))
         return lambda_star(params, x0, y, t * t / denom, t)
 
-    candidates = []
-    for t0 in (-0.5, -1.0, -2.0, -4.0):
-        z = t0 * t0 / denom
-        for m in (1.5, 3.0, 8.0, 20.0):
-            candidates.append(
-                _nelder_mead(objective, np.array([t0, math.log(m / z)]))
-            )
-    return min(candidates)
+    return min(
+        _nelder_mead(objective, np.array([t0, math.log(m / (t0 * t0 / denom))]))
+        for t0 in (-0.5, -1.0, -2.0, -4.0)
+        for m in (1.5, 3.0, 8.0, 20.0)
+    )
 
 
 def _infsup_20(params: ProcessParams) -> float:
@@ -532,15 +464,11 @@ def _infsup_20(params: ProcessParams) -> float:
         z = math.exp(float(v[1]))
         return lambda_star(params, _SQRT2, y, z, 0.0)
 
-    candidates = []
-    for y0 in (1.5, 3.0, 6.0, 12.0):
-        for m in (1.5, 3.0, 8.0, 20.0):
-            candidates.append(
-                _nelder_mead(
-                    objective, np.array([math.log(y0), math.log(m / y0)])
-                )
-            )
-    return min(candidates)
+    return min(
+        _nelder_mead(objective, np.array([math.log(y0), math.log(m / y0)]))
+        for y0 in (1.5, 3.0, 6.0, 12.0)
+        for m in (1.5, 3.0, 8.0, 20.0)
+    )
 
 
 def _infsup_alpha2(params: ProcessParams, beta: float) -> float:
@@ -556,17 +484,14 @@ def _infsup_alpha2(params: ProcessParams, beta: float) -> float:
         y = (x * x - 2.0) / beta
         return lambda_star(params, x, y, z, t0)
 
-    candidates = []
-    for qx in (0.05, 0.35, 0.65, 0.95):
-        x = qx * _SQRT2
-        y = (x * x - 2.0) / beta
-        for m in (1.5, 3.0, 8.0, 20.0):
-            candidates.append(
-                _nelder_mead(objective, np.array([x, math.log(m / y)]))
-            )
-    return min(candidates)
+    return min(
+        _nelder_mead(objective, np.array([x, math.log(m / ((x * x - 2.0) / beta))]))
+        for x in (qx * _SQRT2 for qx in (0.05, 0.35, 0.65, 0.95))
+        for m in (1.5, 3.0, 8.0, 20.0)
+    )
 
 
+@_total
 def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
     """MLE rate via the inf-sup characterization, evaluated numerically.
 
@@ -575,12 +500,14 @@ def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
     lambda_star.  Valid on D1 = {alpha <= 0, beta > 0}, D2 = {0 < alpha < 2},
     D3 = {alpha >= 2, beta < 0}, plus the special points (0, 0) and (2, 0);
     the constraint parameterization degenerates at beta = 0 and alpha = 2,
-    where the limiting preimage sets are used instead.
+    where the limiting preimage sets are used instead.  A NaN coordinate
+    gives NaN, otherwise a +-inf coordinate gives +inf, as for the closed
+    forms.
 
     Raises
     ------
     DomainError
-        Outside D1, D2, D3 and the two special points.
+        At a finite point outside D1, D2, D3 and the two special points.
     """
     in_d1 = alpha <= 0.0 and beta > 0.0
     in_d2 = 0.0 < alpha < 2.0

@@ -119,6 +119,16 @@ class TestGradient:
         with pytest.raises(BoundaryError):
             cgf_gradient(params44, CgfPoint(lam, -0.4, -0.7, gam))
 
+    def test_nan_in_any_coordinate_gives_nan_vector(self, params44):
+        # Same bases as cgf_limit's nan test; the boundary guards must not
+        # raise, and no finite component may come back.
+        for base in ((0.0, 0.0, 0.0, 0.0), (-1.0, 5.0, 5.0, 1.0), (0.5, -0.3, -0.2, -0.4)):
+            for i in range(4):
+                coords = list(base)
+                coords[i] = math.nan
+                g = cgf_gradient(params44, CgfPoint(*coords))
+                assert g.shape == (4,) and np.isnan(g).all(), coords
+
     def test_steepness_near_mu_boundary(self, params44):
         p = CgfPoint(0.0, params44.b**2 / 8.0 - 1e-8, 0.0, 0.0)
         g = cgf_gradient(params44, p, tol=1e-10)

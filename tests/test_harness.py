@@ -215,6 +215,8 @@ class TestProfileCurves:
             v = float(curves.v[k])
             assert curves.Ja[k] == rate_marginal(params44, "Ja", v)
             assert curves.Kb[k] == rate_marginal(params44, "Kb", v)
+            assert curves.Ia[k] == rate_marginal(params44, "Ia", v)
+            assert curves.Ib[k] == rate_marginal(params44, "Ib", v)
 
     def test_zero_point_values(self, params44):
         c = profile_curves(params44, grid=np.array([0.0]))

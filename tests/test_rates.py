@@ -156,6 +156,13 @@ _NON_FINITE_CASES = [
     (rate_I_mle, (3.0, NAN), NAN),
     *((rate_marginal, (w, v), INF) for w in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib") for v in (INF, -INF)),
     *((rate_marginal, (w, NAN), NAN) for w in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib")),
+    (rate_I_infsup, (NAN, -1.0), NAN),
+    (rate_I_infsup, (3.0, NAN), NAN),
+    (rate_I_infsup, (INF, NAN), NAN),
+    (rate_I_infsup, (INF, -1.0), INF),
+    (rate_I_infsup, (-INF, 1.0), INF),
+    (rate_I_infsup, (1.0, -INF), INF),
+    (rate_I_infsup, (INF, 1.0), INF),
 ]
 
 
@@ -239,6 +246,22 @@ class TestMarginals:
             assert rate_marginal(params44, "Jb", v) == pytest.approx(
                 marginal_inf_numeric(params44, "J", "b", v), abs=1e-6
             )
+
+    @pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0)])
+    def test_kb_is_the_numeric_infimum(self, a, b):
+        # Kb has no closed form: it is the infimum of rate_K over alpha on the
+        # half-line where K is finite (alpha > 0 for beta < 0, alpha < 0 for
+        # beta > 0).  The oracle is a plain bounded minimisation.
+        p = ProcessParams(a, b)
+        for beta in (-2.0, -0.5, 0.5, 1.0):
+            sign = 1.0 if beta < 0.0 else -1.0
+            res = optimize.minimize_scalar(
+                lambda u: rate_K(p, sign * u, beta), bounds=(1e-9, 60.0),
+                method="bounded", options={"xatol": 1e-12},
+            )
+            numeric = marginal_inf_numeric(p, "K", "b", beta)
+            assert numeric == pytest.approx(float(res.fun), abs=1e-6)
+            assert rate_marginal(p, "Kb", beta) == numeric
 
     def test_profile_identities(self, params44):
         for v in (-1.5, 0.0, 2.0, 4.5):
