@@ -206,7 +206,8 @@ def _log_iv_series(nu: float, z: float) -> float:
     # with t_0 = 1 and t_k / t_{k-1} = (z^2/4) / (k (nu + k)).  Accumulated in
     # log space so large z or large nu cannot overflow individual terms.
     q = 0.25 * z * z
-    log_q = math.log(q)
+    # z^2/4 underflows to 0 for z below ~1e-154; take its log from z there.
+    log_q = math.log(q) if q > 0.0 else 2.0 * (math.log(z) - _LOG2)
     log_terms = [0.0]
     lt = 0.0
     peak = 0.0

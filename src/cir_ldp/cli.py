@@ -10,6 +10,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -20,14 +21,7 @@ import numpy as np
 
 from . import __version__
 from ._io import write_text_atomic
-from .cgf import (
-    CgfPoint,
-    cgf_finite_T_mc,
-    cgf_gradient,
-    cgf_limit,
-    lambda_star,
-    legendre_transform_numeric,
-)
+from .cgf import CgfPoint, cgf_finite_T_mc, cgf_gradient, cgf_limit
 from .cir_model import (
     ProcessParams,
     path_rng,
@@ -38,21 +32,8 @@ from .cir_model import (
 )
 from .errors import CirLdpError, ConfigError, RegimeError
 from .functionals import ESTIMATORS, functionals_from_summary
-from .harness import (
-    clt_experiments,
-    profile_curves,
-    slope_experiment,
-    surface_grid,
-)
+from .harness import CHECK_SUITES, SLOPE_FUNCTIONALS, profile_curves, surface_grid
 from .rates import (
-    _Ja_high,
-    _Ja_low,
-    _rate_J_branch_A,
-    _rate_J_branch_B,
-    _rate_K_branch_1,
-    _rate_K_branch_2,
-    marginal_inf_numeric,
-    rate_I_infsup,
     rate_I_mle,
     rate_J,
     rate_K,
@@ -63,7 +44,6 @@ from .rates import (
     rate_pair,
     rate_triplet_L,
     rate_triplet_x,
-    region_constants,
 )
 
 __all__ = ["RunConfig", "build_parser", "dispatch", "main", "parse_config"]
@@ -148,7 +128,7 @@ def _seed_required(flags: dict) -> bool:
     if command in ("simulate", "estimate"):
         return True
     if command == "check":
-        return flags.get("suite") in ("clt", "slope")
+        return "seed" in _suite_keys(flags["suite"])
     if command == "cgf":
         return bool(flags.get("mc"))
     if command is None:
@@ -415,33 +395,31 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
+# rate --which selector -> (rate function of (params, *coords), coordinate keys).
+_RATE_SELECTORS = {
+    "J": (rate_J, ("alpha", "beta")),
+    "K": (rate_K, ("alpha", "beta")),
+    "I": (rate_I_mle, ("alpha", "beta")),
+    **{
+        m: (lambda p, v, m=m: rate_marginal(p, m, v), ("alpha" if m[1] == "a" else "beta",))
+        for m in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib")
+    },
+    "S": (rate_S, ("x",)),
+    "Sigma": (rate_Sigma, ("y",)),
+    "V": (rate_V, ("v",)),
+    "pair": (rate_pair, ("x", "y")),
+    "triplet_x": (rate_triplet_x, ("x", "y", "z")),
+    "triplet_L": (rate_triplet_L, ("y", "z", "t")),
+}
+
+
 def _rate_point(cfg: RunConfig, which: str) -> float:
-    params = cfg.params
-
-    def need(key: str) -> float:
-        return _require_setting(cfg, key, f"rate --which {which}")
-
-    if which in ("J", "K", "I"):
-        al, be = need("alpha"), need("beta")
-        fn = {"J": rate_J, "K": rate_K, "I": rate_I_mle}[which]
-        return fn(params, al, be)
-    if which in ("Ja", "Ka", "Ia"):
-        return rate_marginal(params, which, need("alpha"))
-    if which in ("Jb", "Kb", "Ib"):
-        return rate_marginal(params, which, need("beta"))
-    if which == "S":
-        return rate_S(params, need("x"))
-    if which == "Sigma":
-        return rate_Sigma(params, need("y"))
-    if which == "V":
-        return rate_V(params, need("v"))
-    if which == "pair":
-        return rate_pair(params, need("x"), need("y"))
-    if which == "triplet_x":
-        return rate_triplet_x(params, need("x"), need("y"), need("z"))
-    if which == "triplet_L":
-        return rate_triplet_L(params, need("y"), need("z"), need("t"))
-    raise ConfigError(f"unknown rate selector {which!r}")
+    try:
+        fn, keys = _RATE_SELECTORS[which]
+    except KeyError:
+        raise ConfigError(f"unknown rate selector {which!r}") from None
+    coords = [_require_setting(cfg, k, f"rate --which {which}") for k in keys]
+    return fn(cfg.params, *coords)
 
 
 def _grid_window(cfg: RunConfig) -> tuple[tuple[float, float], tuple[float, float], int, int]:
@@ -547,237 +525,29 @@ def _cmd_cgf(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_clt(cfg: RunConfig) -> int:
-    selector = cfg.settings.get("estimator", "mle")
-    names = ["mle", "tilde", "check"] if selector == "all" else [selector]
-    tolerance = _coerce_number("tolerance", cfg.settings.get("tolerance", 0.15))
-    reports = clt_experiments(
-        cfg.params,
-        names,
-        cfg.T,
-        cfg.n_paths,
-        cfg.seed,
-        n_steps=cfg.total_steps,
-        n_workers=cfg.n_workers,
-        tolerance=tolerance,
-    )
-    dicts = []
-    for r in reports:
-        d = r.to_dict()
-        d["params"] = _param_block(cfg)
-        dicts.append(d)
-    passed = all(r.passed for r in reports)
-    if len(dicts) == 1:
-        payload = dicts[0]
-    else:
-        payload = {
-            "experiment": "clt",
-            "params": _param_block(cfg),
-            "settings": {"estimators": names},
-            "reports": dicts,
-            "pass": passed,
-        }
-    _emit_report(cfg, "clt_report.json", payload)
-    return 0 if passed else 1
-
-
-_LEGENDRE_QUAD_GRID = {
-    "x": (0.0, 0.3, 0.8, 1.5, 2.5),
-    "t": (0.0, -0.2, -0.5, -1.0, -1.6),
-    "y": (2.0, 3.0, 4.0, 5.0, 6.0),
-    "z": (0.6, 0.8, 1.0, 1.3, 1.7),
-}
-
-
-def _check_legendre(cfg: RunConfig) -> int:
-    params = cfg.params
-    tolerance = _coerce_number("tolerance", cfg.settings.get("tolerance", 1e-6))
-    worst_pair = {"abs_diff": -1.0}
-    for x in np.linspace(1.5, 6.0, 20):
-        for y in np.linspace(0.8, 3.0, 20):
-            closed = rate_pair(params, float(x), float(y))
-            numeric = legendre_transform_numeric(params, 0.0, float(x), float(y), 0.0)
-            d = abs(numeric - closed)
-            if d > worst_pair["abs_diff"]:
-                worst_pair = {
-                    "point": {"x": float(x), "y": float(y)},
-                    "closed_form": closed,
-                    "numeric": numeric,
-                    "abs_diff": d,
-                }
-    worst_quad = {"abs_diff": -1.0}
-    g = _LEGENDRE_QUAD_GRID
-    for x in g["x"]:
-        for y in g["y"]:
-            for z in g["z"]:
-                for t in g["t"]:
-                    closed = lambda_star(params, x, y, z, t)
-                    numeric = legendre_transform_numeric(params, x, y, z, t)
-                    d = abs(numeric - closed)
-                    if d > worst_quad["abs_diff"]:
-                        worst_quad = {
-                            "point": {"x": x, "y": y, "z": z, "t": t},
-                            "closed_form": closed,
-                            "numeric": numeric,
-                            "abs_diff": d,
-                        }
-    passed = (
-        worst_pair["abs_diff"] <= tolerance and worst_quad["abs_diff"] <= tolerance
-    )
-    payload = {
-        "experiment": "legendre",
-        "params": _param_block(cfg),
-        "settings": {"tolerance": tolerance, "pair_grid": "20x20", "quad_grid": "5^4"},
-        "metrics": {"worst_pair": worst_pair, "worst_quad": worst_quad},
-        "pass": passed,
-    }
-    _emit_report(cfg, "legendre_report.json", payload)
-    return 0 if passed else 1
-
-
-_INFSUP_POINTS = (
-    (2.5, -0.5), (2.5, -2.0), (3.0, -1.0), (3.0, -3.0), (3.5, -0.7),
-    (4.0, -2.5), (4.5, -1.2), (5.0, -4.0), (6.0, -0.8), (2.2, -1.5),
-    (0.5, 0.7), (0.5, -0.6), (1.0, 0.5), (1.0, -1.0), (1.5, 1.2),
-    (1.5, -2.0), (0.3, 2.0), (1.8, -0.4), (0.8, -3.0), (1.2, 0.9),
-    (0.0, 0.5), (-0.5, 0.8), (-1.0, 1.0), (-1.5, 2.0), (-2.0, 0.6),
-    (-3.0, 1.5), (-0.3, 3.0), (-2.5, 2.5), (-4.0, 1.2), (-0.8, 0.4),
-)
-
-
-def _check_infsup(cfg: RunConfig) -> int:
-    params = cfg.params
-    tolerance = _coerce_number("tolerance", cfg.settings.get("tolerance", 1e-4))
-    worst = {"abs_diff": -1.0}
-    max_excess = -math.inf
-    for al, be in _INFSUP_POINTS:
-        closed = rate_I_mle(params, al, be)
-        numeric = rate_I_infsup(params, al, be)
-        d = abs(numeric - closed)
-        max_excess = max(max_excess, numeric - closed)
-        if d > worst["abs_diff"]:
-            worst = {
-                "point": {"alpha": al, "beta": be},
-                "closed_form": closed,
-                "numeric": numeric,
-                "abs_diff": d,
-            }
-    passed = worst["abs_diff"] <= tolerance and max_excess <= tolerance
-    payload = {
-        "experiment": "infsup",
-        "params": _param_block(cfg),
-        "settings": {"tolerance": tolerance, "n_points": len(_INFSUP_POINTS)},
-        "metrics": {"worst": worst, "max_excess": max_excess},
-        "pass": passed,
-    }
-    _emit_report(cfg, "infsup_report.json", payload)
-    return 0 if passed else 1
-
-
-def _check_slope(cfg: RunConfig) -> int:
-    functional = cfg.settings.get("functional", "S")
-    c = _coerce_number("c", cfg.settings.get("c", 5.0 if functional == "S" else 1.0))
-    T_grid = cfg.settings.get("T_grid", (5.0, 10.0, 20.0))
-    tolerance = _coerce_number("tolerance", cfg.settings.get("tolerance", 0.30))
-    report = slope_experiment(
-        cfg.params,
-        functional,
-        c,
-        T_grid,
-        cfg.n_paths,
-        cfg.seed,
-        n_workers=cfg.n_workers,
-        tolerance=tolerance,
-    )
-    payload = report.to_dict()
-    payload["params"] = _param_block(cfg)
-    _emit_report(cfg, "slope_report.json", payload)
-    return 0 if report.passed else 1
-
-
-def _check_continuity(cfg: RunConfig) -> int:
-    params = cfg.params
-    rc = region_constants(params)
-    seam_tol = 1e-9
-    marginal_tol = _coerce_number("tolerance", cfg.settings.get("tolerance", 1e-6))
-
-    seams = {}
-    seams["J_at_beta_b_over_3"] = max(
-        abs(
-            _rate_J_branch_A(params, al, params.b / 3.0)
-            - _rate_J_branch_B(params, al, params.b / 3.0)
-        )
-        for al in (2.5, 3.0, 4.0, 5.0)
-    )
-    seams["K_at_alpha_a"] = max(
-        abs(
-            _rate_K_branch_1(params, rc.alpha_a, be)
-            - _rate_K_branch_2(params, rc.alpha_a, be)
-        )
-        for be in (-0.5, -1.0, -2.0)
-    )
-    seams["Ja_at_ell_a"] = abs(
-        _Ja_low(params, rc.ell_a) - _Ja_high(params, rc.ell_a)
-    )
-    seams["Ka_at_alpha_a"] = abs(
-        rate_K(params, rc.alpha_a, rc.beta_b(rc.alpha_a)) - _Ja_high(params, rc.alpha_a)
-    )
-
-    marginals = {}
-    for name, axis, grid in (
-        ("Ja", "a", np.linspace(0.5, 5.5, 8)),
-        ("Jb", "b", np.linspace(-3.0, 0.8, 8)),
-        ("Ka", "a", np.linspace(-2.0, 5.0, 8)),
-    ):
-        worst = 0.0
-        for v in grid:
-            closed = rate_marginal(params, name, float(v))
-            numeric = marginal_inf_numeric(params, name[0], axis, float(v))
-            worst = max(worst, abs(numeric - closed))
-        marginals[name] = worst
-
-    surf = surface_grid(params)
-    shared = surf.max_shared_diff(params)
-    both_finite = np.isfinite(surf.J) & np.isfinite(surf.K)
-    overall = (
-        float(np.max(np.abs(surf.J[both_finite] - surf.K[both_finite])))
-        if both_finite.any()
-        else 0.0
-    )
-
-    passed = (
-        all(v <= seam_tol for v in seams.values())
-        and all(v <= marginal_tol for v in marginals.values())
-        and shared <= 1e-9
-    )
-    payload = {
-        "experiment": "continuity",
-        "params": _param_block(cfg),
-        "settings": {"seam_tolerance": seam_tol, "marginal_tolerance": marginal_tol},
-        "metrics": {
-            "seams": seams,
-            "marginals": marginals,
-            "max_shared_branch_diff": shared,
-            "max_overall_JK_diff": overall,
-        },
-        "pass": passed,
-    }
-    _emit_report(cfg, "continuity_report.json", payload)
-    return 0 if passed else 1
-
-
-_CHECK_SUITES = {
-    "clt": _check_clt,
-    "legendre": _check_legendre,
-    "infsup": _check_infsup,
-    "slope": _check_slope,
-    "continuity": _check_continuity,
-}
+def _suite_keys(suite: str) -> set[str]:
+    """The settings a check suite takes: its keyword-only parameters."""
+    return set(inspect.signature(CHECK_SUITES[suite]).parameters) - {"params"}
 
 
 def _cmd_check(cfg: RunConfig) -> int:
-    suite = cfg.settings.get("suite")
-    return _CHECK_SUITES[suite](cfg)
+    suite = cfg.settings["suite"]
+    offered = {
+        **cfg.settings,
+        "T": cfg.T,
+        "n_steps": cfg.total_steps,
+        "n_paths": cfg.n_paths,
+        "seed": cfg.seed,
+        "n_workers": cfg.n_workers,
+    }
+    keys = _suite_keys(suite)
+    settings = {k: v for k, v in offered.items() if k in keys}
+    for key in ("tolerance", "c"):
+        if key in settings:
+            settings[key] = _coerce_number(key, settings[key])
+    payload = CHECK_SUITES[suite](cfg.params, **settings)
+    _emit_report(cfg, f"{suite}_report.json", payload)
+    return 0 if payload["pass"] else 1
 
 
 def _cmd_figures(cfg: RunConfig) -> int:
@@ -885,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--estimator",
-        choices=["mle", "tilde", "check", "combined", "all"],
+        choices=[*ESTIMATORS, "all"],
         help="estimator selector (default all)",
     )
 
@@ -893,10 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument(
         "--which",
-        choices=[
-            "J", "K", "I", "Ja", "Jb", "Ka", "Kb", "Ia", "Ib",
-            "S", "Sigma", "V", "pair", "triplet_x", "triplet_L",
-        ],
+        choices=list(_RATE_SELECTORS),
         help="rate function selector",
     )
     p.add_argument("--alpha", type=float, help="alpha coordinate")
@@ -939,18 +706,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("check", help="run a validation suite, exit 0 iff it passes")
-    p.add_argument(
-        "suite", choices=["clt", "legendre", "infsup", "slope", "continuity"]
-    )
+    p.add_argument("suite", choices=list(CHECK_SUITES))
     _add_common(p)
     p.add_argument(
         "--estimator",
-        choices=["mle", "tilde", "check", "all"],
-        help="clt suite: estimator selector (default mle)",
+        choices=[*ESTIMATORS, "all"],
+        help="clt suite: estimator selector (default mle; all is mle, tilde, check)",
     )
     p.add_argument(
         "--functional",
-        choices=["S", "Sigma", "V"],
+        choices=list(SLOPE_FUNCTIONALS),
         help="slope suite: path functional (default S)",
     )
     p.add_argument("--c", type=float, help="slope suite: tail threshold")

@@ -1,11 +1,12 @@
-"""Monte Carlo experiments and figure-grid emitters.
+"""Monte Carlo experiments, check suites and figure-grid emitters.
 
 The experiments validate the distributional limits of the estimators (CLT
 with covariance 4 C^-1), the exponential decay of tail probabilities against
 the closed-form rates, and produce the rate-surface and marginal-profile
-grids as CSV.  All randomness flows through the deterministic substream
-scheme of cir_model, so reports depend only on the master seed, never on
-worker count.
+grids as CSV.  ``CHECK_SUITES`` names the cross-checks of the closed forms
+against independent numerics; each returns a JSON-ready report.  All
+randomness flows through the deterministic substream scheme of cir_model,
+so reports depend only on the master seed, never on worker count.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from itertools import product
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .cgf import lambda_star, legendre_transform_numeric
 from .cir_model import (
     EnsembleSummary,
     ProcessParams,
@@ -27,8 +31,18 @@ from .cir_model import (
 from .errors import DomainError, InconclusiveError
 from .functionals import ESTIMATORS, PathFunctionals, functionals_from_summary
 from .rates import (
+    _Ja_high,
+    _Ja_low,
+    _rate_J_branch_A,
+    _rate_J_branch_B,
+    _rate_K_branch_1,
+    _rate_K_branch_2,
+    marginal_inf_numeric,
+    rate_I_infsup,
+    rate_I_mle,
     rate_J,
     rate_K,
+    rate_pair,
     rate_S,
     rate_Sigma,
     rate_V,
@@ -37,9 +51,13 @@ from .rates import (
 )
 
 __all__ = [
+    "CHECK_SUITES",
     "CltCovariance",
     "CltReport",
+    "INFSUP_POINTS",
+    "LEGENDRE_QUAD_GRID",
     "ProfileCurves",
+    "SLOPE_FUNCTIONALS",
     "SlopeReport",
     "SurfaceGrid",
     "clt_experiment",
@@ -202,9 +220,9 @@ def clt_experiment(
     )[0]
 
 
-# Functional -> (ergodic mean, closed-form rate); the functional is read as
-# the PathFunctionals field of the same name.
-_SLOPE_FUNCTIONALS = {
+#: Functional -> (ergodic mean, closed-form rate); the functional is read as
+#: the PathFunctionals field of the same name.
+SLOPE_FUNCTIONALS = {
     "S": (lambda p: -p.a / p.b, rate_S),
     "Sigma": (lambda p: -p.b / (p.a - 2.0), rate_Sigma),
     "V": (lambda p: 2.0 / (p.a - 2.0), rate_V),
@@ -274,14 +292,14 @@ def slope_experiment(
     InconclusiveError
         If the hit count at the largest T falls below ``n_min``.
     """
-    if functional not in _SLOPE_FUNCTIONALS:
+    if functional not in SLOPE_FUNCTIONALS:
         raise DomainError(
-            f"functional must be one of {sorted(_SLOPE_FUNCTIONALS)}, got {functional!r}"
+            f"functional must be one of {sorted(SLOPE_FUNCTIONALS)}, got {functional!r}"
         )
     if len(T_grid) == 0:
         raise DomainError("T_grid must be non-empty")
     seed = _coerce_seed(rng)
-    ergodic_mean, rate = _SLOPE_FUNCTIONALS[functional]
+    ergodic_mean, rate = SLOPE_FUNCTIONALS[functional]
     target = rate(params, c)
     upper = c >= ergodic_mean(params)
     slopes: list[float] = []
@@ -434,3 +452,204 @@ def profile_curves(
         Ib=np.minimum(cols["Jb"], cols["Kb"]),
         **cols,
     )
+
+
+# ---------------------------------------------------------------------------
+# Check suites: closed forms against independent numerics.
+# ---------------------------------------------------------------------------
+
+#: The 5^4 quadruplet grid of the Legendre suite's lambda_star comparison.
+LEGENDRE_QUAD_GRID = {
+    "x": (0.0, 0.3, 0.8, 1.5, 2.5),
+    "t": (0.0, -0.2, -0.5, -1.0, -1.6),
+    "y": (2.0, 3.0, 4.0, 5.0, 6.0),
+    "z": (0.6, 0.8, 1.0, 1.3, 1.7),
+}
+
+#: The inf-sup suite's (alpha, beta) points, ten in each of D3, D2 and D1.
+INFSUP_POINTS = (
+    (2.5, -0.5), (2.5, -2.0), (3.0, -1.0), (3.0, -3.0), (3.5, -0.7),
+    (4.0, -2.5), (4.5, -1.2), (5.0, -4.0), (6.0, -0.8), (2.2, -1.5),
+    (0.5, 0.7), (0.5, -0.6), (1.0, 0.5), (1.0, -1.0), (1.5, 1.2),
+    (1.5, -2.0), (0.3, 2.0), (1.8, -0.4), (0.8, -3.0), (1.2, 0.9),
+    (0.0, 0.5), (-0.5, 0.8), (-1.0, 1.0), (-1.5, 2.0), (-2.0, 0.6),
+    (-3.0, 1.5), (-0.3, 3.0), (-2.5, 2.5), (-4.0, 1.2), (-0.8, 0.4),
+)
+
+
+def _param_block(params: ProcessParams) -> dict:
+    return {"a": params.a, "b": params.b, "x0": params.x0}
+
+
+def _worst_gap(points: Sequence[dict], closed, numeric) -> tuple[dict, float]:
+    """Compare numeric(*point) with closed(*point) over coordinate dicts.
+
+    Returns the first point of largest |numeric - closed| with both values,
+    and the largest signed excess numeric - closed.
+    """
+    worst = {"abs_diff": -1.0}
+    max_excess = -math.inf
+    for point in points:
+        c = closed(*point.values())
+        n = numeric(*point.values())
+        max_excess = max(max_excess, n - c)
+        if abs(n - c) > worst["abs_diff"]:
+            worst = {"point": point, "closed_form": c, "numeric": n, "abs_diff": abs(n - c)}
+    return worst, max_excess
+
+
+def _check_clt(
+    params: ProcessParams,
+    *,
+    T: float,
+    n_steps: int,
+    n_paths: int,
+    seed: int,
+    n_workers: int | None = None,
+    estimator: str = "mle",
+    tolerance: float = 0.15,
+) -> dict:
+    names = ["mle", "tilde", "check"] if estimator == "all" else [estimator]
+    reports = clt_experiments(
+        params, names, T, n_paths, seed, n_steps=n_steps, n_workers=n_workers,
+        tolerance=tolerance,
+    )
+    dicts = [{**r.to_dict(), "params": _param_block(params)} for r in reports]
+    if len(dicts) == 1:
+        return dicts[0]
+    return {
+        "experiment": "clt",
+        "params": _param_block(params),
+        "settings": {"estimators": names},
+        "reports": dicts,
+        "pass": all(r.passed for r in reports),
+    }
+
+
+def _check_legendre(params: ProcessParams, *, tolerance: float = 1e-6) -> dict:
+    pair = [
+        {"x": float(x), "y": float(y)}
+        for x, y in product(np.linspace(1.5, 6.0, 20), np.linspace(0.8, 3.0, 20))
+    ]
+    g = LEGENDRE_QUAD_GRID
+    quad = [dict(zip("xyzt", p)) for p in product(g["x"], g["y"], g["z"], g["t"])]
+    worst_pair, _ = _worst_gap(
+        pair,
+        partial(rate_pair, params),
+        lambda x, y: legendre_transform_numeric(params, 0.0, x, y, 0.0),
+    )
+    worst_quad, _ = _worst_gap(
+        quad, partial(lambda_star, params), partial(legendre_transform_numeric, params)
+    )
+    return {
+        "experiment": "legendre",
+        "params": _param_block(params),
+        "settings": {"tolerance": tolerance, "pair_grid": "20x20", "quad_grid": "5^4"},
+        "metrics": {"worst_pair": worst_pair, "worst_quad": worst_quad},
+        "pass": worst_pair["abs_diff"] <= tolerance and worst_quad["abs_diff"] <= tolerance,
+    }
+
+
+def _check_infsup(params: ProcessParams, *, tolerance: float = 1e-4) -> dict:
+    worst, max_excess = _worst_gap(
+        [{"alpha": al, "beta": be} for al, be in INFSUP_POINTS],
+        partial(rate_I_mle, params),
+        partial(rate_I_infsup, params),
+    )
+    return {
+        "experiment": "infsup",
+        "params": _param_block(params),
+        "settings": {"tolerance": tolerance, "n_points": len(INFSUP_POINTS)},
+        "metrics": {"worst": worst, "max_excess": max_excess},
+        "pass": worst["abs_diff"] <= tolerance and max_excess <= tolerance,
+    }
+
+
+def _check_slope(
+    params: ProcessParams,
+    *,
+    n_paths: int,
+    seed: int,
+    n_workers: int | None = None,
+    functional: str = "S",
+    c: float | None = None,
+    T_grid: Sequence[float] = (5.0, 10.0, 20.0),
+    tolerance: float = 0.30,
+) -> dict:
+    if c is None:
+        c = 5.0 if functional == "S" else 1.0
+    report = slope_experiment(
+        params, functional, c, T_grid, n_paths, seed, n_workers=n_workers,
+        tolerance=tolerance,
+    )
+    return {**report.to_dict(), "params": _param_block(params)}
+
+
+def _check_continuity(params: ProcessParams, *, tolerance: float = 1e-6) -> dict:
+    rc = region_constants(params)
+    seam_tol = 1e-9
+    seams = {
+        "J_at_beta_b_over_3": max(
+            abs(
+                _rate_J_branch_A(params, al, params.b / 3.0)
+                - _rate_J_branch_B(params, al, params.b / 3.0)
+            )
+            for al in (2.5, 3.0, 4.0, 5.0)
+        ),
+        "K_at_alpha_a": max(
+            abs(
+                _rate_K_branch_1(params, rc.alpha_a, be)
+                - _rate_K_branch_2(params, rc.alpha_a, be)
+            )
+            for be in (-0.5, -1.0, -2.0)
+        ),
+        "Ja_at_ell_a": abs(_Ja_low(params, rc.ell_a) - _Ja_high(params, rc.ell_a)),
+        "Ka_at_alpha_a": abs(
+            rate_K(params, rc.alpha_a, rc.beta_b(rc.alpha_a)) - _Ja_high(params, rc.alpha_a)
+        ),
+    }
+    # Closed-form marginal against the numeric infimum along its axis.
+    marginals = {
+        name: _worst_gap(
+            [{"v": float(v)} for v in np.linspace(lo, hi, 8)],
+            partial(rate_marginal, params, name),
+            partial(marginal_inf_numeric, params, name[0], name[1]),
+        )[0]["abs_diff"]
+        for name, lo, hi in (("Ja", 0.5, 5.5), ("Jb", -3.0, 0.8), ("Ka", -2.0, 5.0))
+    }
+    surf = surface_grid(params)
+    shared = surf.max_shared_diff(params)
+    both_finite = np.isfinite(surf.J) & np.isfinite(surf.K)
+    overall = (
+        float(np.max(np.abs(surf.J[both_finite] - surf.K[both_finite])))
+        if both_finite.any()
+        else 0.0
+    )
+    return {
+        "experiment": "continuity",
+        "params": _param_block(params),
+        "settings": {"seam_tolerance": seam_tol, "marginal_tolerance": tolerance},
+        "metrics": {
+            "seams": seams,
+            "marginals": marginals,
+            "max_shared_branch_diff": shared,
+            "max_overall_JK_diff": overall,
+        },
+        "pass": (
+            all(v <= seam_tol for v in seams.values())
+            and all(v <= tolerance for v in marginals.values())
+            and shared <= 1e-9
+        ),
+    }
+
+
+#: The check suites by name.  Each takes (params, **settings), where the
+#: settings are its keyword-only parameters, and returns a JSON-ready report
+#: whose "pass" entry is the verdict.
+CHECK_SUITES: dict[str, Callable[..., dict]] = {
+    "clt": _check_clt,
+    "legendre": _check_legendre,
+    "infsup": _check_infsup,
+    "slope": _check_slope,
+    "continuity": _check_continuity,
+}

@@ -6,7 +6,8 @@ domain.  Branch boundaries route to the lower-indexed branch (the closed
 forms agree there, which the continuity tests pin down).  Every closed-form
 entry point maps a NaN coordinate to NaN, as cgf_limit does, and otherwise a
 +-inf coordinate to +inf, the limit of a good rate function (its level sets
-are compact).
+are compact).  At finite coordinates whose evaluation overflows (an
+OverflowError, or a -inf or NaN result) the value is +inf.
 """
 
 from __future__ import annotations
@@ -49,9 +50,14 @@ def _total(rate):
 
     @functools.wraps(rate)
     def guarded(params: ProcessParams, *coords: float) -> float:
-        if all(map(math.isfinite, coords)):
-            return rate(params, *coords)
-        return math.nan if any(map(math.isnan, coords)) else INF
+        if not all(map(math.isfinite, coords)):
+            return math.nan if any(map(math.isnan, coords)) else INF
+        try:
+            value = rate(params, *coords)
+        except OverflowError:
+            return INF
+        # Overflow inside the float arithmetic shows up as -inf or nan.
+        return value if value > -INF else INF
 
     return guarded
 

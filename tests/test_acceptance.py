@@ -60,7 +60,7 @@ from cir_ldp import (
     transition_density,
     transition_kernel,
 )
-from cir_ldp.cli import _INFSUP_POINTS, _LEGENDRE_QUAD_GRID
+from cir_ldp.harness import INFSUP_POINTS as _INFSUP_POINTS, LEGENDRE_QUAD_GRID as _LEGENDRE_QUAD_GRID
 from cir_ldp.rates import (
     _Ja_high,
     _Ja_low,

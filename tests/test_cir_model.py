@@ -138,6 +138,13 @@ class TestBessel:
             above = bessel_log_i(nu, 30.0 + 1e-9)
             assert below == pytest.approx(above, rel=1e-9)
 
+    def test_underflowing_argument_gives_leading_term(self):
+        # z^2/4 underflows to 0 here; the series reduces to its first term.
+        for nu in (0.0, 1.0, 7.5):
+            for z in (1e-200, 1e-300, 5e-324):
+                lead = nu * (math.log(z) - math.log(2.0)) - math.lgamma(nu + 1.0)
+                assert bessel_log_i(nu, z) == lead
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             bessel_log_i(1.0, 0.0)
@@ -172,6 +179,13 @@ class TestTransitionDensity:
         law = stationary_law(params44)
         ref = stats.gamma.logpdf(3.0, law.shape, scale=law.scale)
         assert val == pytest.approx(ref, rel=1e-10)
+
+    def test_small_bessel_argument_at_long_horizon(self, params44):
+        # At t = 800 the Bessel argument is ~1e-175, whose square underflows.
+        val = transition_log_density(params44, 800.0, 1.0, 1e-3)
+        law = stationary_law(params44)
+        ref = stats.gamma.logpdf(1e-3, law.shape, scale=law.scale)
+        assert val == pytest.approx(ref, rel=1e-12)
 
     def test_domain_errors(self, params44):
         for bad in [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -0.5)]:

@@ -7,8 +7,47 @@ from pathlib import Path
 
 import pytest
 
-from cir_ldp import ESTIMATORS, ProcessParams, functionals_from_summary, simulate_ensemble
-from cir_ldp.cli import main, parse_config
+from cir_ldp import (
+    ESTIMATORS,
+    ProcessParams,
+    functionals_from_summary,
+    rate_I_mle,
+    rate_J,
+    rate_K,
+    rate_marginal,
+    rate_pair,
+    rate_S,
+    rate_Sigma,
+    rate_triplet_L,
+    rate_triplet_x,
+    rate_V,
+    simulate_ensemble,
+)
+from cir_ldp.cli import _fmt_value, main, parse_config
+
+P44 = ProcessParams(4.0, -1.0)
+
+# Every rate --which selector, its flags at one admissible point, and the
+# library value there.
+_RATE_CASES = [
+    ("J", {"alpha": 3.0, "beta": -0.5}, lambda: rate_J(P44, 3.0, -0.5)),
+    ("K", {"alpha": 3.0, "beta": -0.5}, lambda: rate_K(P44, 3.0, -0.5)),
+    ("I", {"alpha": 3.0, "beta": -0.5}, lambda: rate_I_mle(P44, 3.0, -0.5)),
+    *(
+        (m, {"alpha": 3.0}, lambda m=m: rate_marginal(P44, m, 3.0))
+        for m in ("Ja", "Ka", "Ia")
+    ),
+    *(
+        (m, {"beta": -0.5}, lambda m=m: rate_marginal(P44, m, -0.5))
+        for m in ("Jb", "Kb", "Ib")
+    ),
+    ("S", {"x": 3.0}, lambda: rate_S(P44, 3.0)),
+    ("Sigma", {"y": 0.8}, lambda: rate_Sigma(P44, 0.8)),
+    ("V", {"v": 1.5}, lambda: rate_V(P44, 1.5)),
+    ("pair", {"x": 3.0, "y": 0.8}, lambda: rate_pair(P44, 3.0, 0.8)),
+    ("triplet_x", {"x": 1.0, "y": 3.0, "z": 0.8}, lambda: rate_triplet_x(P44, 1.0, 3.0, 0.8)),
+    ("triplet_L", {"y": 3.0, "z": 0.8, "t": -0.5}, lambda: rate_triplet_L(P44, 3.0, 0.8, -0.5)),
+]
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -55,6 +94,17 @@ class TestRateCommand:
         rc, out, _ = run(capsys, "rate", "--which", "I", "--alpha", "-1", "--beta", "-1", "--a", "4", "--b", "-1")
         assert rc == 0
         assert out.strip() == "inf"
+
+    @pytest.mark.parametrize(
+        "which, coords, expected", _RATE_CASES, ids=[c[0] for c in _RATE_CASES]
+    )
+    def test_every_selector_prints_the_library_value(self, capsys, which, coords, expected):
+        flags = [arg for k, v in coords.items() for arg in (f"--{k}", str(v))]
+        rc, out, _ = run(capsys, "rate", "--which", which, *flags, "--a", "4", "--b", "-1")
+        assert rc == 0
+        value = expected()
+        assert 0.0 < value < float("inf")
+        assert out.strip() == _fmt_value(value)
 
     def test_missing_coordinate_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "rate", "--which", "I", "--alpha", "0", "--a", "4", "--b", "-1")
@@ -298,6 +348,17 @@ class TestCheckSuites:
             capsys, "check", "continuity", "--a", "4", "--b", "-1", "--out", str(tmp_path)
         )
         assert rc == 0
+
+    def test_continuity_tight_tolerance_fails(self, capsys, tmp_path):
+        rc, out, _ = run(
+            capsys, "check", "continuity", "--a", "4", "--b", "-1",
+            "--tolerance", "1e-20", "--out", str(tmp_path),
+        )
+        assert rc == 1
+        payload = json.loads((tmp_path / "continuity_report.json").read_text())
+        assert payload["pass"] is False
+        assert payload["settings"]["marginal_tolerance"] == 1e-20
+        assert json.loads(out) == payload
 
     def test_unknown_suite(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "check", "everything", "--a", "4", "--b", "-1", "--out", str(tmp_path))

@@ -163,6 +163,19 @@ _NON_FINITE_CASES = [
     (rate_I_infsup, (-INF, 1.0), INF),
     (rate_I_infsup, (1.0, -INF), INF),
     (rate_I_infsup, (INF, 1.0), INF),
+    # Finite coordinates whose evaluation overflows give +inf.
+    (rate_J, (1e200, -0.1), INF),
+    (rate_K, (1e200, -0.1), INF),
+    (rate_K, (-1e200, 0.1), INF),
+    (rate_K, (-1.0, 1e200), INF),
+    (rate_S, (1e300,), INF),
+    (rate_Sigma, (1e300,), INF),
+    (rate_I_mle, (1e200, -0.1), INF),
+    (rate_marginal, ("Ka", -1e300), INF),
+    (rate_marginal, ("Kb", 1e200), INF),
+    (rate_marginal, ("Kb", 1e300), INF),
+    (rate_marginal, ("Kb", -1e300), INF),
+    (rate_marginal, ("Ib", 1e200), 2e200),
 ]
 
 
