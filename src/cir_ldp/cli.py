@@ -447,7 +447,6 @@ def _cmd_rate(cfg: RunConfig) -> int:
         (al_rng, be_rng, n_al, n_be) = _grid_window(cfg)
         grid = surface_grid(
             cfg.params,
-            which=which,
             alpha_range=al_rng,
             beta_range=be_rng,
             n_alpha=n_al,
@@ -557,7 +556,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
     metrics: dict
     if fig in (1, 2):
         which = "J" if fig == 1 else "K"
-        grid = surface_grid(cfg.params, which=which)
+        grid = surface_grid(cfg.params)
         csv_path = out_dir / f"fig{fig}.csv"
         write_text_atomic(csv_path, grid.to_csv())
         metrics = {

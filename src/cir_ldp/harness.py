@@ -350,7 +350,6 @@ def slope_experiment(
 class SurfaceGrid:
     """Rate surfaces J, K, I on an (alpha, beta) grid."""
 
-    which: str
     alphas: np.ndarray
     betas: np.ndarray
     J: np.ndarray
@@ -384,7 +383,6 @@ class SurfaceGrid:
 
 def surface_grid(
     params: ProcessParams,
-    which: str = "I",
     alpha_range: tuple[float, float] = (3.0, 5.0),
     beta_range: tuple[float, float] = (-4.0, -0.5),
     n_alpha: int = 41,
@@ -394,21 +392,13 @@ def surface_grid(
 
     The default window is the figure window [3, 5] x [-4, -0.5].
     """
-    if which not in ("J", "K", "I"):
-        raise DomainError(f"which must be J, K, or I, got {which!r}")
     if not all(map(math.isfinite, (*alpha_range, *beta_range))):
         raise DomainError("grid ranges must be finite")
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
     betas = np.linspace(beta_range[0], beta_range[1], n_beta)
-    J = np.empty((n_alpha, n_beta))
-    K = np.empty((n_alpha, n_beta))
-    for i, al in enumerate(alphas):
-        for j, be in enumerate(betas):
-            J[i, j] = rate_J(params, float(al), float(be))
-            K[i, j] = rate_K(params, float(al), float(be))
-    return SurfaceGrid(
-        which=which, alphas=alphas, betas=betas, J=J, K=K, I=np.minimum(J, K)
-    )
+    J = rate_J(params, alphas[:, None], betas[None, :])
+    K = rate_K(params, alphas[:, None], betas[None, :])
+    return SurfaceGrid(alphas=alphas, betas=betas, J=J, K=K, I=np.minimum(J, K))
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,11 +431,8 @@ def profile_curves(
     """Evaluate the six marginal rate functions on a shared grid."""
     if grid is None:
         grid = np.linspace(-4.0, 8.0, 61)
-    v = np.asarray([float(x) for x in grid])
-    cols = {
-        name: np.array([rate_marginal(params, name, float(x)) for x in v])
-        for name in ("Ja", "Ka", "Jb", "Kb")
-    }
+    v = np.asarray(grid, dtype=float)
+    cols = {name: rate_marginal(params, name, v) for name in ("Ja", "Ka", "Jb", "Kb")}
     return ProfileCurves(
         v=v,
         Ia=np.minimum(cols["Ja"], cols["Ka"]),
@@ -588,21 +575,15 @@ def _check_slope(
 def _check_continuity(params: ProcessParams, *, tolerance: float = 1e-6) -> dict:
     rc = region_constants(params)
     seam_tol = 1e-9
+    al, be = np.array([2.5, 3.0, 4.0, 5.0]), np.array([-0.5, -1.0, -2.0])
+    b3 = params.b / 3.0
     seams = {
-        "J_at_beta_b_over_3": max(
-            abs(
-                _rate_J_branch_A(params, al, params.b / 3.0)
-                - _rate_J_branch_B(params, al, params.b / 3.0)
-            )
-            for al in (2.5, 3.0, 4.0, 5.0)
-        ),
-        "K_at_alpha_a": max(
-            abs(
-                _rate_K_branch_1(params, rc.alpha_a, be)
-                - _rate_K_branch_2(params, rc.alpha_a, be)
-            )
-            for be in (-0.5, -1.0, -2.0)
-        ),
+        "J_at_beta_b_over_3": np.abs(
+            _rate_J_branch_A(params, al, b3) - _rate_J_branch_B(params, al, b3)
+        ).max(),
+        "K_at_alpha_a": np.abs(
+            _rate_K_branch_1(params, rc.alpha_a, be) - _rate_K_branch_2(params, rc.alpha_a, be)
+        ).max(),
         "Ja_at_ell_a": abs(_Ja_low(params, rc.ell_a) - _Ja_high(params, rc.ell_a)),
         "Ka_at_alpha_a": abs(
             rate_K(params, rc.alpha_a, rc.beta_b(rc.alpha_a)) - _Ja_high(params, rc.alpha_a)

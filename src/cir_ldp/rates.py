@@ -3,11 +3,15 @@
 Conventions: extended-real values use math.inf; every rate function is a
 total function of its arguments and returns +inf outside its effective
 domain.  Branch boundaries route to the lower-indexed branch (the closed
-forms agree there, which the continuity tests pin down).  Every closed-form
-entry point maps a NaN coordinate to NaN, as cgf_limit does, and otherwise a
-+-inf coordinate to +inf, the limit of a good rate function (its level sets
-are compact).  At finite coordinates whose evaluation overflows (an
-OverflowError, or a -inf or NaN result) the value is +inf.
+forms agree there, which the continuity tests pin down).
+
+The closed forms are elementwise: float coordinates give a float, and array
+coordinates broadcast against each other and give an array.  One policy,
+applied elementwise by ``_total``, makes them total: a NaN coordinate gives
+NaN, as cgf_limit does, and otherwise a +-inf coordinate gives +inf, the
+limit of a good rate function (its level sets are compact).  At finite
+coordinates whose evaluation overflows (a -inf or NaN result) the value is
++inf.  rate_I_infsup follows the same policy but takes floats only.
 """
 
 from __future__ import annotations
@@ -46,20 +50,31 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _total(rate):
-    """Apply the non-finite policy to a rate function of (params, *coords)."""
+    """Apply the non-finite policy elementwise to a rate of (params, *coords)."""
 
     @functools.wraps(rate)
-    def guarded(params: ProcessParams, *coords: float) -> float:
-        if not all(map(math.isfinite, coords)):
-            return math.nan if any(map(math.isnan, coords)) else INF
-        try:
-            value = rate(params, *coords)
-        except OverflowError:
-            return INF
-        # Overflow inside the float arithmetic shows up as -inf or nan.
-        return value if value > -INF else INF
+    def guarded(params: ProcessParams, *coords):
+        # [()] makes 0-d arrays numpy scalars, whose arithmetic is cheaper.
+        xs = [np.asarray(c, dtype=float)[()] for c in coords]
+        # max |x_i| is NaN where some coordinate is NaN, else +inf where some
+        # is infinite: the policy's value wherever it is not finite.
+        out = functools.reduce(np.maximum, map(np.abs, xs))
+        finite = np.isfinite(out)
+        if finite.any():
+            with np.errstate(all="ignore"):
+                value = rate(params, *xs)
+                # Overflow inside the float arithmetic shows up as -inf or
+                # nan, and out + INF is +inf wherever out is finite.
+                out = np.where(finite & (value > -INF), value, out + INF)
+        return float(out) if out.ndim == 0 else out
 
     return guarded
+
+
+def _sq(x):
+    # libm pow, as Python's float ** 2 is; numpy's x ** 2 is x * x, which
+    # differs from it by an ulp on some inputs.
+    return np.float_power(x, 2.0)
 
 
 @dataclass(frozen=True)
@@ -71,16 +86,16 @@ class RateRegionConstants:
     ell_a: float
     alpha_a: float
 
-    def C_alpha(self, alpha: float) -> float:
-        return 0.125 * (self.a - alpha) ** 2 + 2.0 - alpha
+    def C_alpha(self, alpha):
+        return 0.125 * _sq(self.a - alpha) + 2.0 - alpha
 
-    def beta_b(self, alpha: float) -> float:
+    def beta_b(self, alpha):
         """Minimizing beta of K along the alpha-section, for alpha < alpha_a."""
         # C_alpha is positive below alpha_a but can round to a tiny negative
         # right at the boundary.
-        c = max(self.C_alpha(alpha), 0.0)
-        return self.b * alpha / math.sqrt(
-            16.0 * _SQRT2 * math.sqrt(c) + self.a * self.a - 8.0 * alpha + 32.0
+        c = np.maximum(self.C_alpha(alpha), 0.0)
+        return self.b * alpha / np.sqrt(
+            16.0 * _SQRT2 * np.sqrt(c) + self.a * self.a - 8.0 * alpha + 32.0
         )
 
 
@@ -97,74 +112,66 @@ def region_constants(params: ProcessParams) -> RateRegionConstants:
 
 
 @_total
-def rate_S(params: ProcessParams, x: float) -> float:
+def rate_S(params: ProcessParams, x):
     """LDP rate of the time average S_T; zero at -a/b."""
-    if x <= 0.0:
-        return INF
     a, b = params.a, params.b
-    return (a + b * x) ** 2 / (8.0 * x)
+    return np.where(x > 0.0, _sq(a + b * x) / (8.0 * x), INF)
 
 
 @_total
-def rate_Sigma(params: ProcessParams, y: float) -> float:
+def rate_Sigma(params: ProcessParams, y):
     """LDP rate of the inverse time average Sigma_T; zero at -b/(a-2)."""
-    if y <= 0.0:
-        return INF
     a, b = params.a, params.b
-    return ((a - 2.0) * y + b) ** 2 / (8.0 * y)
+    return np.where(y > 0.0, _sq((a - 2.0) * y + b) / (8.0 * y), INF)
 
 
 @_total
-def rate_V(params: ProcessParams, v: float) -> float:
+def rate_V(params: ProcessParams, v):
     """LDP rate of V_T = S_T Sigma_T - 1; zero at 2/(a-2)."""
-    if v <= 0.0:
-        return INF
     a, b = params.a, params.b
-    return -0.25 * b * math.sqrt((v + 1.0) * ((a - 2.0) ** 2 + 4.0 / v)) + 0.25 * a * b
+    value = -0.25 * b * np.sqrt((v + 1.0) * ((a - 2.0) ** 2 + 4.0 / v)) + 0.25 * a * b
+    return np.where(v > 0.0, value, INF)
 
 
 @_total
-def rate_pair(params: ProcessParams, x: float, y: float) -> float:
+def rate_pair(params: ProcessParams, x, y):
     """Joint rate of (S_T, Sigma_T) on the cone {x > 0, y > 0, xy > 1}."""
-    if x <= 0.0 or y <= 0.0 or x * y - 1.0 <= 0.0:
-        return INF
     a, b = params.a, params.b
-    return (
+    value = (
         y / (2.0 * (x * y - 1.0))
         + b * b * x / 8.0
         + (a - 2.0) ** 2 * y / 8.0
         + 0.25 * a * b
     )
+    return np.where((x > 0.0) & (y > 0.0) & (x * y - 1.0 > 0.0), value, INF)
 
 
 @_total
-def rate_triplet_x(params: ProcessParams, x: float, y: float, z: float) -> float:
+def rate_triplet_x(params: ProcessParams, x, y, z):
     """Joint rate of (sqrt(X_T/T), S_T, Sigma_T) on {x >= 0, y,z > 0, yz > 1}."""
-    if x < 0.0 or y <= 0.0 or z <= 0.0 or y * z - 1.0 <= 0.0:
-        return INF
     a, b = params.a, params.b
-    return (
+    value = (
         0.25 * a * b
         + b * b * y / 8.0
         + (a - 2.0) ** 2 * z / 8.0
         - 0.25 * b * x * x
-        + (x * x + 2.0) ** 2 * z / (8.0 * (y * z - 1.0))
+        + _sq(x * x + 2.0) * z / (8.0 * (y * z - 1.0))
     )
+    return np.where((x >= 0.0) & (y > 0.0) & (z > 0.0) & (y * z - 1.0 > 0.0), value, INF)
 
 
 @_total
-def rate_triplet_L(params: ProcessParams, y: float, z: float, t: float) -> float:
+def rate_triplet_L(params: ProcessParams, y, z, t):
     """Joint rate of (S_T, Sigma_T, curlyL_T) on {t <= 0, y,z > 0, yz > 1}."""
-    if t > 0.0 or y <= 0.0 or z <= 0.0 or y * z - 1.0 <= 0.0:
-        return INF
     a, b = params.a, params.b
-    return (
+    value = (
         0.25 * a * b
         + b * b * y / 8.0
         + (a - 2.0) ** 2 * z / 8.0
         + 0.25 * a * t * t
-        + (4.0 * z * (y * t * t + 1.0) + t**4 * y) / (8.0 * (y * z - 1.0))
+        + (4.0 * z * (y * t * t + 1.0) + np.float_power(t, 4.0) * y) / (8.0 * (y * z - 1.0))
     )
+    return np.where((t <= 0.0) & (y > 0.0) & (z > 0.0) & (y * z - 1.0 > 0.0), value, INF)
 
 
 # ---------------------------------------------------------------------------
@@ -172,70 +179,68 @@ def rate_triplet_L(params: ProcessParams, y: float, z: float, t: float) -> float
 # ---------------------------------------------------------------------------
 
 
-def _J_first_term(a: float, b: float, alpha: float, beta: float) -> float:
-    return ((a - 2.0) ** 2 * beta / (8.0 * (2.0 - alpha))) * (
+def _J_first_term(a: float, b: float, alpha, beta):
+    return ((a - 2.0) ** 2 * beta / (8.0 * (2.0 - alpha))) * _sq(
         1.0 + (2.0 - alpha) * b / (beta * (a - 2.0))
-    ) ** 2
+    )
 
 
-def _rate_J_branch_A(params: ProcessParams, alpha: float, beta: float) -> float:
+def _rate_J_branch_A(params: ProcessParams, alpha, beta):
     a, b = params.a, params.b
     return _J_first_term(a, b, alpha, beta) + 2.0 * beta - b
 
 
-def _rate_J_branch_B(params: ProcessParams, alpha: float, beta: float) -> float:
+def _rate_J_branch_B(params: ProcessParams, alpha, beta):
     a, b = params.a, params.b
-    return _J_first_term(a, b, alpha, beta) - 0.25 * beta * (1.0 - b / beta) ** 2
+    return _J_first_term(a, b, alpha, beta) - 0.25 * beta * _sq(1.0 - b / beta)
 
 
 @_total
-def rate_J(params: ProcessParams, alpha: float, beta: float) -> float:
+def rate_J(params: ProcessParams, alpha, beta):
     """Rate function of the tilde estimator couple; zero at (a, b)."""
     b = params.b
-    if alpha == 2.0 and beta == 0.0:
-        return -b
-    if (alpha > 2.0 and b / 3.0 <= beta < 0.0) or (alpha < 2.0 and beta > 0.0):
-        return _rate_J_branch_A(params, alpha, beta)
-    if alpha > 2.0 and beta <= b / 3.0:
-        return _rate_J_branch_B(params, alpha, beta)
-    return INF
+    branch_A = (alpha > 2.0) & (b / 3.0 <= beta) & (beta < 0.0) | (alpha < 2.0) & (beta > 0.0)
+    branch_B = (alpha > 2.0) & (beta <= b / 3.0)
+    return np.where(
+        (alpha == 2.0) & (beta == 0.0), -b,
+        np.where(branch_A, _rate_J_branch_A(params, alpha, beta),
+                 np.where(branch_B, _rate_J_branch_B(params, alpha, beta), INF)),
+    )
 
 
-def _K_common(a: float, b: float, alpha: float, beta: float) -> float:
+def _K_common(a: float, b: float, alpha, beta):
     return 0.25 * a * (b - beta) - (alpha / (8.0 * beta)) * (b * b - beta * beta)
 
 
-def _rate_K_branch_1(params: ProcessParams, alpha: float, beta: float) -> float:
+def _rate_K_branch_1(params: ProcessParams, alpha, beta):
     a, b = params.a, params.b
-    c = max(region_constants(params).C_alpha(alpha), 0.0)
-    return _K_common(a, b, alpha, beta) - (beta / alpha) * (_SQRT2 + math.sqrt(c)) ** 2
+    c = np.maximum(region_constants(params).C_alpha(alpha), 0.0)
+    return _K_common(a, b, alpha, beta) - (beta / alpha) * _sq(_SQRT2 + np.sqrt(c))
 
 
-def _rate_K_branch_2(params: ProcessParams, alpha: float, beta: float) -> float:
+def _rate_K_branch_2(params: ProcessParams, alpha, beta):
     a, b = params.a, params.b
-    return _K_common(a, b, alpha, beta) - beta * (a - alpha) ** 2 / (
-        8.0 * (alpha - 2.0)
+    return _K_common(a, b, alpha, beta) - beta * _sq(a - alpha) / (8.0 * (alpha - 2.0))
+
+
+@_total
+def rate_K(params: ProcessParams, alpha, beta):
+    """Rate function of the check estimator couple; zero at (a, b)."""
+    a, b = params.a, params.b
+    alpha_a = region_constants(params).alpha_a
+    branch_1 = (beta < 0.0) & (0.0 < alpha) & (alpha <= alpha_a) | (beta > 0.0) & (alpha < 0.0)
+    branch_2 = (beta < 0.0) & (alpha >= alpha_a)
+    return np.where(
+        (alpha == 0.0) & (beta == 0.0), -0.25 * b * (4.0 - a + math.sqrt(a * a + 16.0)),
+        np.where(branch_1, _rate_K_branch_1(params, alpha, beta),
+                 np.where(branch_2, _rate_K_branch_2(params, alpha, beta), INF)),
     )
 
 
 @_total
-def rate_K(params: ProcessParams, alpha: float, beta: float) -> float:
-    """Rate function of the check estimator couple; zero at (a, b)."""
-    a, b = params.a, params.b
-    if alpha == 0.0 and beta == 0.0:
-        return -0.25 * b * (4.0 - a + math.sqrt(a * a + 16.0))
-    alpha_a = region_constants(params).alpha_a
-    if (beta < 0.0 and 0.0 < alpha <= alpha_a) or (beta > 0.0 and alpha < 0.0):
-        return _rate_K_branch_1(params, alpha, beta)
-    if beta < 0.0 and alpha >= alpha_a:
-        return _rate_K_branch_2(params, alpha, beta)
-    return INF
-
-
-@_total
-def rate_I_mle(params: ProcessParams, alpha: float, beta: float) -> float:
+def rate_I_mle(params: ProcessParams, alpha, beta):
     """Rate function of the MLE couple: pointwise min of rate_J and rate_K."""
-    return min(rate_J(params, alpha, beta), rate_K(params, alpha, beta))
+    return np.minimum(rate_J(params, alpha, beta), rate_K(params, alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -243,53 +248,54 @@ def rate_I_mle(params: ProcessParams, alpha: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _Ja_low(params: ProcessParams, alpha: float) -> float:
+def _Ja_low(params: ProcessParams, alpha):
     a, b = params.a, params.b
-    return 0.25 * b * (a - 6.0 - math.sqrt((a - 2.0) ** 2 + 16.0 * (2.0 - alpha)))
+    return 0.25 * b * (a - 6.0 - np.sqrt((a - 2.0) ** 2 + 16.0 * (2.0 - alpha)))
 
 
-def _Ja_high(params: ProcessParams, alpha: float) -> float:
+def _Ja_high(params: ProcessParams, alpha):
     a, b = params.a, params.b
-    return 0.25 * b * (a - math.sqrt(alpha * ((a - 2.0) ** 2 / (alpha - 2.0) + 2.0)))
+    return 0.25 * b * (a - np.sqrt(alpha * ((a - 2.0) ** 2 / (alpha - 2.0) + 2.0)))
 
 
-def _Ja(params: ProcessParams, alpha: float) -> float:
-    if alpha <= region_constants(params).ell_a:
-        return _Ja_low(params, alpha)
-    return _Ja_high(params, alpha)
+def _Ja(params: ProcessParams, alpha):
+    ell_a = region_constants(params).ell_a
+    return np.where(alpha <= ell_a, _Ja_low(params, alpha), _Ja_high(params, alpha))
 
 
-def _Jb(params: ProcessParams, beta: float) -> float:
+def _Jb(params: ProcessParams, beta):
     b = params.b
-    if beta <= b / 3.0:
-        return -0.25 * beta * (1.0 - b / beta) ** 2
-    return 2.0 * beta - b
+    return np.where(beta <= b / 3.0, -0.25 * beta * _sq(1.0 - b / beta), 2.0 * beta - b)
 
 
-def _Ka(params: ProcessParams, alpha: float) -> float:
+def _Ka(params: ProcessParams, alpha):
     rc = region_constants(params)
-    if alpha == 0.0:
-        return rate_K(params, 0.0, 0.0)
-    if alpha < rc.alpha_a:
-        return rate_K(params, alpha, rc.beta_b(alpha))
-    return _Ja_high(params, alpha)
+    return np.where(
+        alpha < rc.alpha_a, rate_K(params, alpha, rc.beta_b(alpha)), _Ja_high(params, alpha)
+    )
 
 
-def _scan_refine(fn, lo: float, hi: float, n: int, xatol: float) -> tuple[float, float]:
-    """(argmin, min) of fn on [lo, hi]: an n-point scan, then a bounded refine
-    between the best node's neighbours that replaces the node only if it beats it."""
-    xs = np.linspace(lo, hi, n)
-    vals = [fn(float(x)) for x in xs]
+def _Kb(params: ProcessParams, beta):
+    # Kb has no closed form: one numeric infimum per point.
+    return np.array(
+        [marginal_inf_numeric(params, "K", "b", float(v)) for v in np.ravel(beta)]
+    ).reshape(np.shape(beta))
+
+
+def _scan_refine(fn, xs: np.ndarray, vals, xatol: float) -> tuple[float, float]:
+    """(argmin, min) of fn from its values vals on the scan nodes xs, refined
+    by a bounded search between the best node's neighbours that replaces the
+    node only if it beats it."""
     i = int(np.argmin(vals))
     res = _optimize.minimize_scalar(
         fn,
-        bounds=(float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)])),
+        bounds=(float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])),
         method="bounded",
         options={"xatol": xatol},
     )
     if res.fun < vals[i]:
         return float(res.x), float(res.fun)
-    return float(xs[i]), vals[i]
+    return float(xs[i]), float(vals[i])
 
 
 # Apex alpha of each surface: on the lines beta = 0 and alpha = apex, J and K
@@ -319,7 +325,7 @@ def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float)
             return surface(params, apex, 0.0)
         sign = -1.0 if v > apex else 1.0
 
-        def fn(u: float) -> float:
+        def fn(u):
             return surface(params, v, sign * u)
 
         probes = (0.1, -b, 1.0, -3.0 * b)
@@ -329,37 +335,36 @@ def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float)
             return surface(params, apex, 0.0)
         sign = 1.0 if v < 0.0 else -1.0
 
-        def fn(u: float) -> float:
+        def fn(u):
             return surface(params, apex + sign * u, v)
 
         probes = (0.5, 1.0, a, 2.0 * a) if v < 0.0 else (0.5, 1.0, a)
         hi = max(8.0, 2.0 * a)
         if which == "J":
             lo = 1e-7  # rate_J divides by 2 - alpha
-    ceiling = min(map(fn, probes)) + 10.0
+    ceiling = fn(np.array(probes)).min() + 10.0
     while hi < 1e6 and fn(hi) < ceiling:
         hi *= 2.0
-    return _scan_refine(fn, lo, hi, 241, 1e-11)[1]
+    xs = np.linspace(lo, hi, 241)
+    return _scan_refine(fn, xs, fn(xs), 1e-11)[1]
 
 
 _MARGINALS = {
     "Ja": _total(_Ja),
     "Jb": _total(_Jb),
     "Ka": _total(_Ka),
-    "Kb": _total(lambda params, v: marginal_inf_numeric(params, "K", "b", v)),
-    "Ia": _total(lambda params, v: min(_Ja(params, v), _Ka(params, v))),
-    "Ib": _total(
-        lambda params, v: min(_Jb(params, v), marginal_inf_numeric(params, "K", "b", v))
-    ),
+    "Kb": _total(_Kb),
+    "Ia": _total(lambda params, v: np.minimum(_Ja(params, v), _Ka(params, v))),
+    "Ib": _total(lambda params, v: np.minimum(_Jb(params, v), _Kb(params, v))),
 }
 
 
-def rate_marginal(params: ProcessParams, which: str, v: float) -> float:
+def rate_marginal(params: ProcessParams, which: str, v):
     """Marginal rate functions: which in {Ja, Jb, Ka, Kb, Ia, Ib}.
 
     Ja, Jb, Ka use their closed piecewise forms; Kb has none and is
-    marginal_inf_numeric(params, "K", "b", v); Ia and Ib are pointwise
-    minima of the corresponding pair.
+    marginal_inf_numeric(params, "K", "b", v) at each point; Ia and Ib are
+    pointwise minima of the corresponding pair.
     """
     try:
         marginal = _MARGINALS[which]
@@ -423,18 +428,20 @@ def _infsup_generic(params: ProcessParams, alpha: float, beta: float) -> float:
     seeds: list[float] = []
     z0 = beta / a2
     if z0 > 0.0:
-        xs, val = _scan_refine(
-            lambda x: lambda_star(params, x, y_of(x), z0, 0.0),
-            x_lo + 1e-9, x_hi, 121, 1e-10,
-        )
+        def x_slice(x: float) -> float:
+            return lambda_star(params, x, y_of(x), z0, 0.0)
+
+        nodes = np.linspace(x_lo + 1e-9, x_hi, 121)
+        xs, val = _scan_refine(x_slice, nodes, [x_slice(float(x)) for x in nodes], 1e-10)
         seeds.append(val)
         starts.append(np.array([xs, -1e-4]))
     y0 = -alpha / beta
     if y0 > 0.0:
-        ts, val = _scan_refine(
-            lambda t: lambda_star(params, 0.0, y0, z_of(t), t),
-            t_lo, t_hi - 1e-9 if t_hi == 0.0 else t_hi, 121, 1e-10,
-        )
+        def t_slice(t: float) -> float:
+            return lambda_star(params, 0.0, y0, z_of(t), t)
+
+        nodes = np.linspace(t_lo, t_hi - 1e-9 if t_hi == 0.0 else t_hi, 121)
+        ts, val = _scan_refine(t_slice, nodes, [t_slice(float(t)) for t in nodes], 1e-10)
         seeds.append(val)
         starts.append(np.array([1e-4, ts]))
     return min(*seeds, *(_nelder_mead(objective, s) for s in starts))
@@ -508,13 +515,15 @@ def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
     the constraint parameterization degenerates at beta = 0 and alpha = 2,
     where the limiting preimage sets are used instead.  A NaN coordinate
     gives NaN, otherwise a +-inf coordinate gives +inf, as for the closed
-    forms.
+    forms.  Unlike them it takes float coordinates only.
 
     Raises
     ------
     DomainError
         At a finite point outside D1, D2, D3 and the two special points.
     """
+    # lambda_star runs on Python floats.
+    alpha, beta = float(alpha), float(beta)
     in_d1 = alpha <= 0.0 and beta > 0.0
     in_d2 = 0.0 < alpha < 2.0
     in_d3 = alpha >= 2.0 and beta < 0.0

@@ -141,7 +141,7 @@ class TestSlopeExperiment:
 
 @pytest.fixture(scope="module")
 def grid(params44) -> SurfaceGrid:
-    return surface_grid(params44, which="I", n_alpha=13, n_beta=11)
+    return surface_grid(params44, n_alpha=13, n_beta=11)
 
 
 @pytest.fixture(scope="module")
@@ -180,15 +180,15 @@ class TestSurfaceGrid:
         assert grid.max_shared_diff(params44) <= 1e-9
 
     def test_argmin_near_truth(self, params44):
-        g = surface_grid(params44, which="I", n_alpha=41, n_beta=41)
+        g = surface_grid(params44, n_alpha=41, n_beta=41)
         i, j = np.unravel_index(np.argmin(g.I), g.I.shape)
         assert float(g.I[i, j]) <= 1e-3
         assert abs(float(g.alphas[i]) - params44.a) <= 0.06
         assert abs(float(g.betas[j]) - params44.b) <= 0.1
 
     def test_csv_is_stable(self, params44):
-        g1 = surface_grid(params44, which="J", n_alpha=5, n_beta=4)
-        g2 = surface_grid(params44, which="J", n_alpha=5, n_beta=4)
+        g1 = surface_grid(params44, n_alpha=5, n_beta=4)
+        g2 = surface_grid(params44, n_alpha=5, n_beta=4)
         assert g1.to_csv() == g2.to_csv()
         header = g1.to_csv().splitlines()[0]
         assert header == "alpha,beta,J,K,I"
@@ -197,7 +197,7 @@ class TestSurfaceGrid:
         # Below alpha = 2 with beta < 0 the J surface is infinite while K stays
         # finite, so the CSV must carry the literal "inf".
         g = surface_grid(
-            params44, which="I", alpha_range=(1.4, 1.6), beta_range=(-0.3, -0.2),
+            params44, alpha_range=(1.4, 1.6), beta_range=(-0.3, -0.2),
             n_alpha=2, n_beta=2,
         )
         text = g.to_csv()

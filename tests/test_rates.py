@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import warnings
+from collections import defaultdict
+from functools import partial
 
 import numpy as np
 import pytest
@@ -176,6 +179,9 @@ _NON_FINITE_CASES = [
     (rate_marginal, ("Kb", 1e300), INF),
     (rate_marginal, ("Kb", -1e300), INF),
     (rate_marginal, ("Ib", 1e200), 2e200),
+    # Ia = min(Ja, Ka) holds where Ka overflows: Ja(-1e200) = 1e100.
+    (rate_marginal, ("Ia", -1e200), 1e100),
+    (rate_marginal, ("Ia", -1e300), 1e150),
 ]
 
 
@@ -195,6 +201,14 @@ class TestNonFinitePolicy:
     def test_unknown_marginal_selector_raises_before_the_guard(self, params44):
         with pytest.raises(DomainError):
             rate_marginal(params44, "Lb", NAN)
+
+    @pytest.mark.parametrize("v", [1e300, -1e300])
+    @pytest.mark.parametrize("which, axis", [("J", "a"), ("J", "b"), ("K", "a"), ("K", "b")])
+    def test_numeric_infimum_at_huge_coordinates_is_quiet(self, params44, which, axis, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = marginal_inf_numeric(params44, which, axis, v)
+        assert value == INF or (math.isfinite(value) and value >= 0.0)
 
 
 class TestSeamContinuity:
@@ -333,3 +347,126 @@ class TestInfSup:
             assert rate_I_mle(params44, al, be) == min(
                 rate_J(params44, al, be), rate_K(params44, al, be)
             )
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def _branch_points(p: ProcessParams) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta grids through every branch boundary and apex."""
+    rc = region_constants(p)
+    alphas = np.array(sorted({-2.0, -0.5, 0.0, 0.7, 2.0, 2.6, rc.ell_a, rc.alpha_a, p.a, 6.5}))
+    betas = np.array(sorted({-3.0, p.b, -0.6, p.b / 3.0, -0.05, 0.0, 0.4, 1.5}))
+    return alphas, betas
+
+
+_ARRAY_REGIMES = [ProcessParams(4.0, -1.0), ProcessParams(3.0, -2.0), ProcessParams(2.5, -0.5)]
+
+
+class TestArrays:
+    """Array coordinates broadcast and give the scalar results bit for bit."""
+
+    @pytest.mark.parametrize("p", _ARRAY_REGIMES, ids=str)
+    def test_couple_rates_and_helpers(self, p):
+        alphas, betas = _branch_points(p)
+        al, be = alphas[:, None], betas[None, :]
+        rc = region_constants(p)
+        fns = [
+            rate_J, rate_K, rate_I_mle, rate_pair,
+            _rate_J_branch_A, _rate_J_branch_B, _rate_K_branch_1, _rate_K_branch_2,
+        ]
+        # The elements are numpy scalars: the unguarded helpers divide by zero
+        # at some of these points, which raises for Python floats.
+        with np.errstate(all="ignore"):
+            for fn in fns:
+                scalar = [[fn(p, x, y) for y in betas] for x in alphas]
+                assert np.array_equal(_bits(fn(p, al, be)), _bits(scalar)), fn.__name__
+            for fn in (partial(_Ja_low, p), partial(_Ja_high, p), rc.C_alpha, rc.beta_b):
+                scalar = [fn(x) for x in alphas]
+                assert np.array_equal(_bits(fn(alphas)), _bits(scalar)), fn
+
+    @pytest.mark.parametrize("p", _ARRAY_REGIMES, ids=str)
+    def test_one_dimensional_rates_and_triplets(self, p):
+        xs = np.array([-1.0, -0.0, 0.0, 0.3, 1.0, 2.0, -p.a / p.b, 7.5])
+        for fn in (rate_S, rate_Sigma, rate_V):
+            assert np.array_equal(
+                _bits(fn(p, xs)), _bits([fn(p, float(x)) for x in xs])
+            ), fn.__name__
+        g = np.array([-1.0, 0.0, 0.5, 1.0, 3.0])
+        for fn in (rate_triplet_x, rate_triplet_L):
+            got = fn(p, g[:, None, None], g[None, :, None], -g[None, None, :])
+            scalar = [[[fn(p, float(x), float(y), -float(z)) for z in g] for y in g] for x in g]
+            assert np.array_equal(_bits(got), _bits(scalar)), fn.__name__
+
+    @pytest.mark.parametrize("p", _ARRAY_REGIMES[:2], ids=str)
+    @pytest.mark.parametrize("which", ["Ja", "Jb", "Ka", "Kb", "Ia", "Ib"])
+    def test_marginals(self, p, which):
+        alphas, betas = _branch_points(p)
+        v = alphas if which[1] == "a" else betas
+        got = rate_marginal(p, which, v)
+        assert got.shape == v.shape
+        assert np.array_equal(_bits(got), _bits([rate_marginal(p, which, float(x)) for x in v]))
+
+    def test_scalar_inputs_give_python_floats(self, params44):
+        calls = [
+            (rate_S, (3.0,)), (rate_Sigma, (0.5,)), (rate_V, (1,)), (rate_pair, (4.0, 1.0)),
+            (rate_triplet_x, (1.0, 4.0, 1.0)), (rate_triplet_L, (4.0, 1.0, -1.0)),
+            (rate_J, (3, -1)), (rate_K, (np.float64(3.0), -1.0)),
+            (rate_I_mle, (np.array(3.0), -1.0)), (rate_J, (INF, -1.0)),
+            (rate_marginal, ("Ja", 2.0)), (rate_marginal, ("Kb", -1.0)),
+            (rate_marginal, ("Ib", NAN)),
+        ]
+        for fn, coords in calls:
+            assert type(fn(params44, *coords)) is float, (fn.__name__, coords)
+
+    def test_non_finite_table_as_arrays(self, params44):
+        groups = defaultdict(list)
+        for fn, coords, _ in _NON_FINITE_CASES:
+            if fn is rate_I_infsup:  # it takes floats only
+                continue
+            key = (fn, coords[0]) if fn is rate_marginal else (fn,)
+            groups[key].append(coords[len(key) - 1:])
+        for key, rows in groups.items():
+            fn, *selector = key
+            got = fn(params44, *selector, *map(np.array, zip(*rows)))
+            scalar = [fn(params44, *selector, *row) for row in rows]
+            assert np.array_equal(_bits(got), _bits(scalar)), key
+
+    def test_squares_are_libm_pow(self, params44):
+        # Python's float ** 2 is libm pow, and numpy's array ** 2 is x * x,
+        # which differs from it in the last bit at these inputs.
+        a, b = params44.a, params44.b
+        rng = np.random.default_rng(11)
+
+        def differs(base: float) -> bool:
+            return base**2 != base * base
+
+        xs = [x for x in rng.uniform(0.01, 12.0, 200_000).tolist() if differs(a + b * x)]
+        ys = [y for y in rng.uniform(0.01, 3.0, 200_000).tolist() if differs((a - 2.0) * y + b)]
+        assert len(xs) >= 20 and len(ys) >= 20
+        assert rate_S(params44, np.array(xs)).tolist() == [
+            (a + b * x) ** 2 / (8.0 * x) for x in xs
+        ]
+        assert rate_Sigma(params44, np.array(ys)).tolist() == [
+            ((a - 2.0) * y + b) ** 2 / (8.0 * y) for y in ys
+        ]
+        pts = [
+            (al, be)
+            for al, be in zip(
+                rng.uniform(2.1, 7.0, 200_000).tolist(), rng.uniform(-3.0, -0.05, 200_000).tolist()
+            )
+            if differs(1.0 + (2.0 - al) * b / (be * (a - 2.0))) or differs(1.0 - b / be)
+        ]
+        assert len(pts) >= 20
+
+        def j_formula(al: float, be: float) -> float:
+            first = ((a - 2.0) ** 2 * be / (8.0 * (2.0 - al))) * (
+                1.0 + (2.0 - al) * b / (be * (a - 2.0))
+            ) ** 2
+            if be >= b / 3.0:
+                return first + 2.0 * be - b
+            return first - 0.25 * be * (1.0 - b / be) ** 2
+
+        al, be = map(np.array, zip(*pts))
+        assert rate_J(params44, al, be).tolist() == [j_formula(x, y) for x, y in pts]
