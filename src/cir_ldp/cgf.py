@@ -242,80 +242,8 @@ def cgf_finite_T_mc(
 # ---------------------------------------------------------------------------
 
 
-def _h_with_derivs(
-    params: ProcessParams, x: float, y: float, z: float, t: float, d: float, f: float
-):
-    a, b = params.a, params.b
-    big_a = a - 2.0
-    phi = 2.0 * f + a + 2.0
-    sphi = math.sqrt(phi)
-    db = d - b
-    sdb = math.sqrt(db)
-    s = t * sphi - x * sdb
-    h = (
-        0.25 * s * s
-        + y * (b * b - d * d) / 8.0
-        + (big_a * big_a - 4.0 * f * f) * z / 8.0
-        + 0.5 * d * (1.0 + f)
-        + 0.25 * a * b
-    )
-    h_d = -s * x / (4.0 * sdb) - 0.25 * y * d + 0.5 * (1.0 + f)
-    h_f = s * t / (2.0 * sphi) - z * f + 0.5 * d
-    h_dd = x * x / (8.0 * db) + s * x / (8.0 * sdb * db) - 0.25 * y
-    h_ff = t * t / (2.0 * phi) - s * t / (2.0 * phi * sphi) - z
-    h_df = -x * t / (4.0 * sdb * sphi) + 0.5
-    return h, h_d, h_f, h_dd, h_ff, h_df
-
-
-def _h_value(params: ProcessParams, x, y, z, t, d, f) -> float:
-    return _h_with_derivs(params, x, y, z, t, d, f)[0]
-
-
-def _golden_refine(params, x, y, z, t, u, v, obj) -> tuple[float, float, float]:
-    # Coordinate-wise golden section in (u, v) = (log d, log f); fallback for
-    # the rare states where the damped Newton iteration stalls.
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def val(uu, vv):
-        return _h_value(params, x, y, z, t, math.exp(uu), math.exp(vv))
-
-    for _ in range(60):
-        improved = obj
-        for coord in (0, 1):
-            lo, hi = (u, v)[coord] - 1.0, (u, v)[coord] + 1.0
-
-            def vc(c):
-                return val(c, v) if coord == 0 else val(u, c)
-
-            # expand the bracket while the maximum sits on its edge
-            for _ in range(40):
-                if vc(lo) > vc(lo + 1e-6):
-                    lo -= 1.0
-                elif vc(hi) > vc(hi - 1e-6):
-                    hi += 1.0
-                else:
-                    break
-            c1 = hi - gr * (hi - lo)
-            c2 = lo + gr * (hi - lo)
-            f1, f2 = vc(c1), vc(c2)
-            while hi - lo > 1e-12:
-                if f1 < f2:
-                    lo, c1, f1 = c1, c2, f2
-                    c2 = lo + gr * (hi - lo)
-                    f2 = vc(c2)
-                else:
-                    hi, c2, f2 = c2, c1, f1
-                    c1 = hi - gr * (hi - lo)
-                    f1 = vc(c1)
-            best = 0.5 * (lo + hi)
-            if coord == 0:
-                u = best
-            else:
-                v = best
-        obj = val(u, v)
-        if obj - improved < 1e-12:
-            break
-    return u, v, obj
+#: lambda_star stops once the full Newton step is predicted to gain less.
+NEWTON_GAIN_TOL = 1e-13
 
 
 def lambda_star(
@@ -323,61 +251,100 @@ def lambda_star(
 ) -> float:
     """Fenchel-Legendre transform of Lambda in variational form.
 
-    Returns +inf outside the admissible cone (x < 0, t > 0, y <= 0, z <= 0,
-    or y*z - 1 <= 0); otherwise the supremum over d > 0, f > 0 of the concave
-    dual objective h(d, f), located by a damped Newton iteration in
-    (log d, log f) with a golden-section fallback, converged to 1e-12 in the
-    objective.
+    The supremum over d > 0, f > 0 of the dual objective
+
+        h(d, f) = (t sqrt(phi) - x sqrt(d - b))^2 / 4 + y (b^2 - d^2) / 8
+                  + ((a-2)^2 - 4 f^2) z / 8 + d (1 + f) / 2 + a b / 4,
+
+    with phi = 2f + a + 2.
+
+    Non-finite policy: nan when any coordinate is nan; otherwise +inf
+    outside the admissible cone (x < 0, t > 0, y <= 0, z <= 0 or
+    y z - 1 <= 0), +inf at an infinite coordinate inside it, and +inf where
+    finite coordinates overflow the arithmetic (as when y z > 1.8e308).
+
+    Method.  h = q + r, where q(u) = c + l.u - u'Mu/2 is quadratic in
+    u = (d, f), with l = (x^2/4 + 1/2, t^2/2) and M = [[y/4, -1/2], [-1/2, z]],
+    and r = k sqrt(phi (d - b)) with k = -x t / 2 >= 0 is concave.  On the
+    cone h is strictly concave: h_dd <= -y/4, h_ff <= -z and
+    h_dd h_ff - h_df^2 >= det M = (y z - 1)/4 > 0.  M^-1 has positive
+    entries and l, grad r >= 0, so the maximiser u0 = M^-1 l of q and the
+    maximiser u* = u0 + M^-1 grad r(u*) >= u0 of h are interior.  A damped
+    Newton ascent in (d, f) starts at u0, which is u* when x = 0 or t = 0
+    (and is (-b, (a-2)/2) at the ergodic limits).  Each step is clipped to
+    keep d and f positive (at most half the distance to 0) and halved until
+    h increases; the ascent stops once the full step's predicted gain
+    (h_d step_d + h_f step_f)/2 falls below NEWTON_GAIN_TOL, or once no
+    halving of the step increases h (where h is too large for rounding to
+    resolve that gain).
+
+    h is evaluated as q(u0) - v'Mv/2 + r(u0 + v) at v = u - u0, and det(-H)
+    and v'Mv as sums of non-negative terms, so that the value keeps its
+    relative accuracy as y z -> 1, where it grows like 1/(y z - 1).
     """
-    if x < 0.0 or t > 0.0 or y <= 0.0 or z <= 0.0 or y * z - 1.0 <= 0.0:
+    if not (x >= 0.0 and t <= 0.0 and y > 0.0 and z > 0.0 and y * z - 1.0 > 0.0):
+        return math.nan if any(map(math.isnan, (x, y, z, t))) else INF
+    if max(x, y, z, -t) == INF:
         return INF
     a, b = params.a, params.b
-    u = math.log(-b)
-    v = math.log(0.5 * (a - 2.0))
-    d, f = math.exp(u), math.exp(v)
-    h, h_d, h_f, h_dd, h_ff, h_df = _h_with_derivs(params, x, y, z, t, d, f)
-    newton_ok = True
-    for _ in range(200):
-        # chain rule to (u, v) = (log d, log f)
-        gu = d * h_d
-        gv = f * h_f
-        huu = d * d * h_dd + gu
-        hvv = f * f * h_ff + gv
-        huv = d * f * h_df
-        det = huu * hvv - huv * huv
-        if det > 0.0 and huu < 0.0:
-            du = -(hvv * gu - huv * gv) / det
-            dv = -(huu * gv - huv * gu) / det
-        else:
-            norm = math.hypot(gu, gv)
-            if norm == 0.0:
-                break
-            du, dv = gu / norm, gv / norm
-        cap = max(abs(du), abs(dv))
-        if cap > 2.0:
-            du *= 2.0 / cap
-            dv *= 2.0 / cap
-        step = 1.0
-        accepted = False
+    k = -0.5 * x * t
+    l_d, l_f = 0.25 * x * x + 0.5, 0.5 * t * t
+    yz1 = y * z - 1.0
+    # u0 = M^-1 l, divided before multiplying so that huge y or z overflow
+    # only where the value does
+    d0 = 4.0 * (z / yz1) * l_d + 2.0 * l_f / yz1
+    f0 = 2.0 * l_d / yz1 + (y / yz1) * l_f
+    q_star = (
+        0.25 * t * t * (a + 2.0)
+        - 0.25 * x * x * b
+        + y * b * b / 8.0
+        + (a - 2.0) ** 2 * z / 8.0
+        + 0.25 * a * b
+        + 0.5 * (l_d * d0 + l_f * f0)
+    )
+    # v'Mv = (sy v_d - sz v_f)^2 + e v_d v_f with e = sqrt(yz) - 1.
+    sy, sz = 0.5 * math.sqrt(y), math.sqrt(z)
+    e = yz1 / (math.sqrt(y * z) + 1.0)
+
+    def h_at(v_d: float, v_f: float) -> float:
+        w = sy * v_d - sz * v_f
+        r = k * math.sqrt(2.0 * (f0 + v_f) + a + 2.0) * math.sqrt(d0 + v_d - b)
+        return q_star - 0.5 * (w * w + e * v_d * v_f) + r
+
+    v_d = v_f = 0.0
+    h = h_at(v_d, v_f)
+    for _ in range(100):
+        d, f = d0 + v_d, f0 + v_f
+        sdb = math.sqrt(d - b)
+        sphi = math.sqrt(2.0 * f + a + 2.0)
+        r_d = k * sphi / (2.0 * sdb)
+        r_f = k * sdb / sphi
+        c = k / (2.0 * sdb * sphi)
+        p, q = r_d / (2.0 * (d - b)), r_f / (sphi * sphi)
+        g_d = r_d - 0.25 * y * v_d + 0.5 * v_f
+        g_f = r_f + 0.5 * v_d - z * v_f
+        # -H = [[p + y/4, -(1/2 + c)], [-(1/2 + c), q + z]] with p q = c^2
+        root = sz * math.sqrt(p) - sy * math.sqrt(q)
+        det = root * root + c * e + 0.25 * yz1
+        step_d = ((q + z) * g_d + (0.5 + c) * g_f) / det
+        step_f = ((0.5 + c) * g_d + (p + 0.25 * y) * g_f) / det
+        if not 0.5 * (g_d * step_d + g_f * step_f) >= NEWTON_GAIN_TOL:
+            break
+        scale = 1.0
+        if d + step_d <= 0.0:
+            scale = -0.5 * d / step_d
+        if f + scale * step_f <= 0.0:
+            scale = -0.5 * f / step_f
         for _ in range(60):
-            uu, vv = u + step * du, v + step * dv
-            hh = _h_value(params, x, y, z, t, math.exp(uu), math.exp(vv))
-            if hh > h:
-                u, v, gain = uu, vv, hh - h
-                h = hh
-                d, f = math.exp(u), math.exp(v)
-                accepted = True
+            vd_new, vf_new = v_d + scale * step_d, v_f + scale * step_f
+            h_new = h_at(vd_new, vf_new)
+            if h_new > h:
                 break
-            step *= 0.5
-        if not accepted:
-            newton_ok = abs(gu) < 1e-9 and abs(gv) < 1e-9
+            scale *= 0.5
+        else:
             break
-        if gain < 1e-12:
-            break
-        h, h_d, h_f, h_dd, h_ff, h_df = _h_with_derivs(params, x, y, z, t, d, f)
-    if not newton_ok:
-        u, v, h = _golden_refine(params, x, y, z, t, u, v, h)
-    return h
+        v_d, v_f, h = vd_new, vf_new, h_new
+    return INF if math.isnan(h) else h
 
 
 # ---------------------------------------------------------------------------

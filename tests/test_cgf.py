@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from cir_ldp import (
     BoundaryError,
@@ -23,6 +24,79 @@ from cir_ldp import (
 )
 
 INF = float("inf")
+NAN = float("nan")
+
+#: Gaps y z - 1 to the edge of the admissible cone, where Lambda* blows up.
+_CONE_EDGE_GAPS = (1e-2, 1e-4, 1e-6, 1e-9)
+
+#: (x, y, z, t) -> lambda_star at (a, b) = (4, -1): nan in, nan out; +inf
+#: outside the cone, at an infinite coordinate inside it, and where finite
+#: coordinates overflow.
+_NON_FINITE_CASES = [
+    ((NAN, 2.0, 1.0, -1.0), NAN),
+    ((1.0, NAN, 1.0, -1.0), NAN),
+    ((1.0, 2.0, NAN, -1.0), NAN),
+    ((1.0, 2.0, 1.0, NAN), NAN),
+    ((-1.0, NAN, 1.0, -1.0), NAN),
+    ((1.0, 2.0, NAN, 1.0), NAN),
+    ((INF, 2.0, 1.0, -1.0), INF),
+    ((1.0, INF, 1.0, -1.0), INF),
+    ((1.0, 2.0, INF, -1.0), INF),
+    ((1.0, 2.0, 1.0, -INF), INF),
+    ((0.0, INF, INF, 0.0), INF),
+    ((-INF, 2.0, 1.0, -1.0), INF),
+    ((1.0, 2.0, 1.0, INF), INF),
+    ((1.0, -INF, 1.0, -1.0), INF),
+    ((-1.0, 2.0, 1.0, -1.0), INF),
+    ((1.0, 2.0, 1.0, 1.0), INF),
+    ((1.0, 0.0, 1.0, -1.0), INF),
+    ((1.0, 2.0, 0.0, -1.0), INF),
+    ((1.0, 2.0, 0.5, -1.0), INF),
+    ((1.0, 0.4, 1.0, -1.0), INF),
+    ((1e200, 2.0, 1.0, -1.0), INF),
+    ((0.0, 2.0, 1.0, -1e200), INF),
+]
+
+
+def _brute_force_lambda_star(params, x, y, z, t):
+    # Independent maximiser of the dual objective h over d, f > 0: a
+    # log-lattice scan, then a Nelder-Mead polish in (log d, log f) from the
+    # best two nodes.
+    a, b = params.a, params.b
+
+    def h(log_d, log_f):
+        d, f = np.exp(log_d), np.exp(log_f)
+        phi = 2.0 * f + a + 2.0
+        return (
+            (t * np.sqrt(phi) - x * np.sqrt(d - b)) ** 2 / 4.0
+            + y * (b * b - d * d) / 8.0
+            + ((a - 2.0) ** 2 - 4.0 * f * f) * z / 8.0
+            + d * (1.0 + f) / 2.0
+            + a * b / 4.0
+        )
+
+    axis = np.linspace(np.log(1e-3), np.log(1e5), 41)
+    lattice = h(axis[:, None], axis[None, :])
+    best = np.argsort(lattice, axis=None)[::-1][:2]
+    values = []
+    for i, j in zip(*np.unravel_index(best, lattice.shape)):
+        start = np.array([axis[i], axis[j]])
+        res = optimize.minimize(
+            lambda u: -h(u[0], u[1]),
+            start,
+            method="Nelder-Mead",
+            options={
+                # steps of 0.2 in log d and log f: scipy's default simplex
+                # degenerates at a zero coordinate (log f = 0)
+                "initial_simplex": start + np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]]),
+                "xatol": 1e-12,
+                "fatol": 1e-15,
+                "maxiter": 4000,
+                "maxfev": 4000,
+            },
+        )
+        values.append(-float(res.fun))
+    return max(values)
 
 
 class TestCgfLimit:
@@ -162,6 +236,57 @@ class TestLambdaStar:
             z = float(rng.uniform(0.6, 1.7))
             t = float(rng.uniform(-1.6, 0.0))
             assert lambda_star(params44, x, y, z, t) >= -1e-12
+
+    @pytest.mark.parametrize("gap", _CONE_EDGE_GAPS)
+    def test_slices_match_closed_rates_at_cone_edge(self, gap):
+        # Lambda* grows like 1/(yz - 1); the slices x = 0 and t = 0 have
+        # closed forms to hold it to.
+        for a, b in ((4.0, -1.0), (3.0, -2.0), (2.5, -0.5), (6.0, -3.0)):
+            p = ProcessParams(a, b)
+            for y in (0.7, 2.0, 5.0):
+                z = (1.0 + gap) / y
+                for t in (-0.3, -1.0, -2.5):
+                    closed = float(rate_triplet_L(p, y, z, t))
+                    got = lambda_star(p, 0.0, y, z, t)
+                    assert got == pytest.approx(closed, rel=1e-9), (a, b, y, z, t)
+                for x in (0.4, 1.5):
+                    closed = float(rate_triplet_x(p, x, y, z))
+                    got = lambda_star(p, x, y, z, 0.0)
+                    assert got == pytest.approx(closed, rel=1e-9), (a, b, x, y, z)
+
+    def test_grows_like_inverse_gap_at_cone_edge(self):
+        # With y a power of 2, the gap y z - 1 is exact in floats, and
+        # gap * Lambda* is smooth in it: at gaps near 1e-12 and 2e-12 it
+        # agrees far below the rounding of the large terms of h, which are of
+        # order 1/gap^2.
+        for a, b in ((4.0, -1.0), (3.0, -2.0), (2.5, -0.5), (6.0, -3.0)):
+            p = ProcessParams(a, b)
+            for y in (0.5, 2.0, 4.0):
+                for x, t in ((0.7, -0.4), (2.0, -1.5)):
+                    zs = [(1.0 + gap) / y for gap in (1e-12, 2e-12)]
+                    scaled = [(y * z - 1.0) * lambda_star(p, x, y, z, t) for z in zs]
+                    assert scaled[0] == pytest.approx(scaled[1], rel=1e-9), (a, b, x, y, t)
+
+    def test_matches_brute_force_maximiser(self, regimes):
+        rng = np.random.default_rng(8)
+        for p in regimes:
+            for _ in range(3):
+                x = float(rng.uniform(0.0, 2.5))
+                t = float(rng.uniform(-2.0, 0.0))
+                y = float(np.exp(rng.uniform(np.log(0.3), np.log(6.0))))
+                z = (1.0 + float(np.exp(rng.uniform(np.log(0.05), np.log(5.0))))) / y
+                got = lambda_star(p, x, y, z, t)
+                oracle = _brute_force_lambda_star(p, x, y, z, t)
+                assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9), (p, x, y, z, t)
+                assert got >= oracle - 1e-12 * max(1.0, abs(oracle))
+
+    @pytest.mark.parametrize(("coords", "expected"), _NON_FINITE_CASES)
+    def test_non_finite_policy(self, params44, coords, expected):
+        got = lambda_star(params44, *coords)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert got == expected
 
 
 class TestNumericTransform:
