@@ -16,13 +16,14 @@ Fenchel-Legendre transform used to cross-check the variational form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _optimize
 
 from . import cir_model
+from ._simplex import nelder_mead
 from .cir_model import ProcessParams
 from .errors import BoundaryError, DomainError
 
@@ -382,37 +383,27 @@ def _surface_candidate(
         d, _, phi = dfp
         return lam, mu, nu, -lam * math.sqrt(phi / (d - b))
 
-    def neg(p: float, u: float, w: float) -> float:
-        theta = theta_of(p, u, w)
+    def neg(v: tuple[float, float, float]) -> float:
+        theta = theta_of(*v)
         if theta is None:
             return INF
         return -objective(*theta)
-
-    def neg_array(v: np.ndarray) -> float:
-        return neg(*v.tolist())
 
     # Coarse log-space lattice scan, then a derivative-free polish from the
     # leading nodes.  The lattice spans several orders of magnitude because
     # the maximizer's scale grows with the query point.
     axis = np.log(np.array([1e-2, 0.1, 0.7, 4.0, 25.0, 150.0, 1e3])).tolist()
     nodes = sorted(
-        ((neg(p, u, w), (p, u, w)) for p in axis for u in axis for w in axis),
+        ((neg(node), node) for node in itertools.product(axis, repeat=3)),
         key=lambda item: item[0],
     )
     best_val, best_theta = -INF, None
-    with np.errstate(invalid="ignore"):
-        for fval, node in nodes[:3]:
-            if fval == INF:
-                continue
-            res = _optimize.minimize(
-                neg_array,
-                np.array(node),
-                method="Nelder-Mead",
-                options={"fatol": 1e-12, "xatol": 1e-10, "maxiter": 2000, "maxfev": 2000},
-            )
-            if np.isfinite(res.fun) and -float(res.fun) > best_val:
-                best_val = -float(res.fun)
-                best_theta = theta_of(*res.x.tolist())
+    for fval, node in nodes[:3]:
+        if fval == INF:
+            continue
+        fun, v = nelder_mead(neg, node, xatol=1e-10, fatol=1e-12, maxfev=2000)
+        if math.isfinite(fun) and -fun > best_val:
+            best_val, best_theta = -fun, theta_of(*v)
     return best_val, best_theta
 
 
@@ -425,8 +416,10 @@ def legendre_transform_numeric(
     quadrant-covering starts, combined with a smooth search along the
     switching surface (where Lambda is kinked, unconstrained ascent zigzags,
     and the maximizer sits whenever both sector terms bind), followed by a
-    derivative-free polish.  Returns +inf when the objective is detected
-    unbounded (exceeds 1e8 along some ascent path).
+    derivative-free polish.  The surface search and the polish are
+    Nelder-Mead runs from cir_ldp._simplex, which repeats scipy's iteration
+    on Python floats.  Returns +inf when the objective is detected unbounded
+    (exceeds 1e8 along some ascent path).
     """
     # The search runs on plain floats: numpy and dataclass overhead on
     # 4-vectors would otherwise cost more than the arithmetic.
@@ -488,20 +481,15 @@ def legendre_transform_numeric(
     if best_theta is None:
         return INF
 
-    def neg_polish(th: np.ndarray) -> float:
-        lam, mu, nu, gamma = th.tolist()
+    def neg_polish(th: tuple[float, float, float, float]) -> float:
+        _, mu, nu, _ = th
         if mu < mu_hi and nu < nu_hi:
-            return -objective(lam, mu, nu, gamma)
+            return -objective(*th)
         return INF
 
     # Derivative-free polish around the best ascent result.
-    res = _optimize.minimize(
-        neg_polish,
-        np.array(best_theta),
-        method="Nelder-Mead",
-        options={"fatol": 1e-13, "xatol": 1e-9, "maxiter": 4000, "maxfev": 4000},
-    )
-    polished = -float(res.fun) if np.isfinite(res.fun) else -INF
+    fun, _ = nelder_mead(neg_polish, best_theta, xatol=1e-9, fatol=1e-13, maxfev=4000)
+    polished = -fun if math.isfinite(fun) else -INF
     best_val = max(best_val, polished)
     if best_val > UNBOUNDED_OBJECTIVE:
         return INF

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize as _optimize
 
+from ._simplex import nelder_mead
 from .cgf import lambda_star
 from .cir_model import ProcessParams
 from .errors import DomainError
@@ -375,19 +376,15 @@ def rate_marginal(params: ProcessParams, which: str, v):
 
 # ---------------------------------------------------------------------------
 # Numerical inf-sup characterization of the MLE rate function.
+#
+# Each search over the admissible set is a set of Nelder-Mead runs from
+# _simplex, which repeats scipy's iteration on Python floats; the objectives
+# take the float tuple and reject points outside the set with +inf.
 # ---------------------------------------------------------------------------
 
 
-def _nelder_mead(fn, x0: np.ndarray) -> float:
-    # Rejected points carry +inf; keep the solver's inf-inf bookkeeping quiet.
-    with np.errstate(invalid="ignore"):
-        res = _optimize.minimize(
-            fn,
-            x0,
-            method="Nelder-Mead",
-            options={"fatol": 1e-9, "xatol": 1e-7, "maxfev": 400},
-        )
-    return float(res.fun)
+def _nelder_mead(fn, x0: tuple[float, float]) -> float:
+    return nelder_mead(fn, x0, xatol=1e-7, fatol=1e-9, maxfev=400)[0]
 
 
 def _infsup_generic(params: ProcessParams, alpha: float, beta: float) -> float:
@@ -399,8 +396,8 @@ def _infsup_generic(params: ProcessParams, alpha: float, beta: float) -> float:
     def z_of(t: float) -> float:
         return (t * t + beta) / a2
 
-    def objective(v: np.ndarray) -> float:
-        x, t = float(v[0]), float(v[1])
+    def objective(v: tuple[float, float]) -> float:
+        x, t = v
         if x < 0.0 or t > 0.0:
             return INF
         return lambda_star(params, x, y_of(x), z_of(t), t)
@@ -420,7 +417,7 @@ def _infsup_generic(params: ProcessParams, alpha: float, beta: float) -> float:
         t_lo, t_hi = -math.sqrt(-beta), 0.0
 
     starts = [
-        np.array([x_lo + qx * (x_hi - x_lo), t_lo + qt * (t_hi - t_lo)])
+        (x_lo + qx * (x_hi - x_lo), t_lo + qt * (t_hi - t_lo))
         for qx in (0.15, 0.4, 0.65, 0.9)
         for qt in (0.15, 0.4, 0.65, 0.9)
     ]
@@ -434,7 +431,7 @@ def _infsup_generic(params: ProcessParams, alpha: float, beta: float) -> float:
         nodes = np.linspace(x_lo + 1e-9, x_hi, 121)
         xs, val = _scan_refine(x_slice, nodes, [x_slice(float(x)) for x in nodes], 1e-10)
         seeds.append(val)
-        starts.append(np.array([xs, -1e-4]))
+        starts.append((xs, -1e-4))
     y0 = -alpha / beta
     if y0 > 0.0:
         def t_slice(t: float) -> float:
@@ -443,7 +440,7 @@ def _infsup_generic(params: ProcessParams, alpha: float, beta: float) -> float:
         nodes = np.linspace(t_lo, t_hi - 1e-9 if t_hi == 0.0 else t_hi, 121)
         ts, val = _scan_refine(t_slice, nodes, [t_slice(float(t)) for t in nodes], 1e-10)
         seeds.append(val)
-        starts.append(np.array([1e-4, ts]))
+        starts.append((1e-4, ts))
     return min(*seeds, *(_nelder_mead(objective, s) for s in starts))
 
 
@@ -453,15 +450,15 @@ def _infsup_beta0(params: ProcessParams, alpha: float) -> float:
     x0 = math.sqrt(alpha)
     denom = 2.0 - alpha
 
-    def objective(v: np.ndarray) -> float:
-        t = float(v[0])
-        if t >= 0.0 or abs(float(v[1])) > 50.0:
+    def objective(v: tuple[float, float]) -> float:
+        t, log_y = v
+        if t >= 0.0 or abs(log_y) > 50.0:
             return INF
-        y = math.exp(float(v[1]))
+        y = math.exp(log_y)
         return lambda_star(params, x0, y, t * t / denom, t)
 
     return min(
-        _nelder_mead(objective, np.array([t0, math.log(m / (t0 * t0 / denom))]))
+        _nelder_mead(objective, (t0, math.log(m / (t0 * t0 / denom))))
         for t0 in (-0.5, -1.0, -2.0, -4.0)
         for m in (1.5, 3.0, 8.0, 20.0)
     )
@@ -470,15 +467,16 @@ def _infsup_beta0(params: ProcessParams, alpha: float) -> float:
 def _infsup_20(params: ProcessParams) -> float:
     # (2, 0): the first coordinate is pinned at sqrt(2) and t at 0; minimize
     # the triplet rate over the free (y, z) cone.
-    def objective(v: np.ndarray) -> float:
-        if abs(float(v[0])) > 50.0 or abs(float(v[1])) > 50.0:
+    def objective(v: tuple[float, float]) -> float:
+        log_y, log_z = v
+        if abs(log_y) > 50.0 or abs(log_z) > 50.0:
             return INF
-        y = math.exp(float(v[0]))
-        z = math.exp(float(v[1]))
+        y = math.exp(log_y)
+        z = math.exp(log_z)
         return lambda_star(params, _SQRT2, y, z, 0.0)
 
     return min(
-        _nelder_mead(objective, np.array([math.log(y0), math.log(m / y0)]))
+        _nelder_mead(objective, (math.log(y0), math.log(m / y0)))
         for y0 in (1.5, 3.0, 6.0, 12.0)
         for m in (1.5, 3.0, 8.0, 20.0)
     )
@@ -489,16 +487,16 @@ def _infsup_alpha2(params: ProcessParams, beta: float) -> float:
     # with x in [0, sqrt(2)), and z is free above 1/y.
     t0 = -math.sqrt(-beta)
 
-    def objective(v: np.ndarray) -> float:
-        x = float(v[0])
-        if x < 0.0 or x >= _SQRT2 or abs(float(v[1])) > 50.0:
+    def objective(v: tuple[float, float]) -> float:
+        x, log_z = v
+        if x < 0.0 or x >= _SQRT2 or abs(log_z) > 50.0:
             return INF
-        z = math.exp(float(v[1]))
+        z = math.exp(log_z)
         y = (x * x - 2.0) / beta
         return lambda_star(params, x, y, z, t0)
 
     return min(
-        _nelder_mead(objective, np.array([x, math.log(m / ((x * x - 2.0) / beta))]))
+        _nelder_mead(objective, (x, math.log(m / ((x * x - 2.0) / beta))))
         for x in (qx * _SQRT2 for qx in (0.05, 0.35, 0.65, 0.95))
         for m in (1.5, 3.0, 8.0, 20.0)
     )
