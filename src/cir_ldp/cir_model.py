@@ -20,7 +20,6 @@ Contents:
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -517,22 +516,48 @@ def simulate_ensemble(
 # ---------------------------------------------------------------------------
 
 
+def _time_column(times: np.ndarray) -> list[str]:
+    # The "t," prefix of every row.  All paths on one grid share it, so a
+    # caller writing many of them formats it once.
+    return [repr(t) + "," for t in times.tolist()]
+
+
+def _write_csv(path: str, time_column: list[str], values: np.ndarray) -> None:
+    # One "t,x" row per grid point, from a column made by _time_column.
+    rows = [t + repr(x) + "\n" for t, x in zip(time_column, values.tolist())]
+    write_text_atomic(path, "t,x\n" + "".join(rows))
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Write the skeleton, atomically, as CSV with header ``t,x`` at full precision."""
-    rows = zip(traj.times.tolist(), traj.values.tolist())
-    write_text_atomic(path, "t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in rows))
+    """Write the skeleton, atomically, as a CSV file.
+
+    The file has the header line ``t,x`` and then one row ``t,x`` per grid
+    point, each value written as its shortest round-trip ``repr``, with LF
+    line ends.  So read_trajectory_csv gives back the same floats, and a
+    trajectory always gives the same bytes: ``cir-ldp simulate`` writes the
+    same files for a seed whatever ``--workers`` is.
+    """
+    _write_csv(path, _time_column(traj.times), traj.values)
 
 
 def read_trajectory_csv(path: str, params: ProcessParams) -> Trajectory:
-    """Read a trajectory written by write_trajectory_csv."""
-    times: list[float] = []
-    values: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "x"]:
+    """Read a trajectory written by write_trajectory_csv.
+
+    The first line must be the header ``t,x``.  Every later line is a row of
+    exactly two comma-separated numbers; each parses to the float that
+    ``float`` gives for its text, bit for bit.  Empty lines are skipped, and
+    CRLF line ends read as LF.  A line of another shape, such as one or three
+    fields or only blanks, raises ValueError, as does a file with no rows.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.rstrip("\n") != "t,x":
             raise ValueError(f"unexpected trajectory CSV header: {header!r}")
-        for row in reader:
-            times.append(float(row[0]))
-            values.append(float(row[1]))
-    return Trajectory(times=np.array(times), values=np.array(values), params=params)
+        data = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"trajectory CSV {path!r} has no rows")
+    if data.shape[1] != 2:
+        raise ValueError(f"trajectory CSV rows need 2 fields t,x, got {data.shape[1]}")
+    # Contiguous copies: the functionals' dot products then see the same
+    # memory layout, and so give the same bits, as for a simulated path.
+    return Trajectory(times=data[:, 0].copy(), values=data[:, 1].copy(), params=params)

@@ -13,7 +13,9 @@ import argparse
 import inspect
 import json
 import math
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,11 +26,13 @@ from ._io import write_text_atomic
 from .cgf import CgfPoint, cgf_finite_T_mc, cgf_gradient, cgf_limit
 from .cir_model import (
     ProcessParams,
+    _time_column,
+    _write_csv,
+    default_workers,
     path_rng,
     simulate_ensemble,
     simulate_path,
     validate_params,
-    write_trajectory_csv,
 )
 from .errors import CirLdpError, ConfigError, RegimeError
 from .functionals import ESTIMATORS, functionals_from_summary
@@ -319,14 +323,36 @@ def _require_setting(cfg: RunConfig, key: str, context: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _write_paths(
+    params: ProcessParams, T: float, n_steps: int, seed: int, indices: range, out_dir: str
+) -> None:
+    """Simulate paths ``indices`` of one simulate call and write their CSVs.
+
+    Path i draws from path_rng(seed, i), wherever it runs.  Every path
+    shares the grid simulate_path builds from (T, n_steps), so the time
+    column is formatted once, from the first path, and reused.
+    """
+    column = None
+    for i in indices:
+        traj = simulate_path(params, T, n_steps, path_rng(seed, i))
+        if column is None:
+            column = _time_column(traj.times)
+        _write_csv(str(Path(out_dir) / f"traj_{i:05d}.csv"), column, traj.values)
+
+
 def _cmd_simulate(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i in range(cfg.n_paths):
-        traj = simulate_path(
-            cfg.params, cfg.T, cfg.total_steps, path_rng(cfg.seed, i)
-        )
-        write_trajectory_csv(traj, str(out_dir / f"traj_{i:05d}.csv"))
+    n_workers = min(cfg.n_workers or default_workers(), cfg.n_paths)
+    # Job w writes paths w, w + n, w + 2n, ...; the files do not depend on n.
+    run = (cfg.params, cfg.T, cfg.total_steps, cfg.seed)
+    jobs = [(*run, range(w, cfg.n_paths, n_workers), str(out_dir)) for w in range(n_workers)]
+    if n_workers == 1:
+        _write_paths(*jobs[0])
+    else:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(n_workers, mp_context=spawn) as pool:
+            list(pool.map(_write_paths, *zip(*jobs)))
     payload = {
         "experiment": "simulate",
         "params": _param_block(cfg),
@@ -629,8 +655,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         dest="n_workers",
         type=int,
         help=(
-            "worker processes; changes only estimate, check clt|slope and "
-            "cgf --mc; simulate writes its paths in one process "
+            "worker processes for simulate, estimate, check clt|slope and "
+            "cgf --mc; artifacts do not depend on it "
             "(default: CIR_LDP_THREADS or 1)"
         ),
     )

@@ -367,3 +367,78 @@ class TestTrajectoryValidation:
         path.write_text("time,state\n0.0,1.0\n")
         with pytest.raises(ValueError):
             read_trajectory_csv(str(path), params44)
+
+
+class TestTrajectoryCsvReader:
+    @staticmethod
+    def _read(tmp_path, params, text, newline="\n"):
+        path = tmp_path / "traj.csv"
+        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+        return read_trajectory_csv(str(path), params)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0.0,1.0\n0.5\n1.0,2.0\n",
+            "0.0,1.0\n0.5,2.0,3.0\n1.0,2.0\n",
+            "0.0,1.0,9.0\n0.5,2.0,9.0\n",
+            "0.0\n0.5\n",
+            "0.0,1.0\n   \n0.5,2.0\n",
+            "0.0,1.0\n0.5,\n",
+        ],
+    )
+    def test_rows_need_exactly_two_fields(self, params44, tmp_path, body):
+        with pytest.raises(ValueError):
+            self._read(tmp_path, params44, "t,x\n" + body)
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    def test_header_only_file_raises(self, params44, tmp_path):
+        with pytest.raises(ValueError):
+            self._read(tmp_path, params44, "t,x\n")
+
+    def test_crlf_reads_as_lf(self, params44, tmp_path):
+        traj = simulate_path(params44, 2.5, 92, path_rng(8, 4))
+        path = tmp_path / "lf.csv"
+        write_trajectory_csv(traj, str(path))
+        text = path.read_text()
+        assert "\r" not in text
+        lf = self._read(tmp_path, params44, text)
+        crlf = self._read(tmp_path, params44, text, newline="\r\n")
+        for got in (lf, crlf):
+            assert got.times.tobytes() == traj.times.tobytes()
+            assert got.values.tobytes() == traj.values.tobytes()
+
+    def test_empty_lines_are_skipped(self, params44, tmp_path):
+        got = self._read(tmp_path, params44, "t,x\n0.0,1.0\n\n0.5,2.0\n\n")
+        assert got.times.tolist() == [0.0, 0.5]
+        assert got.values.tolist() == [1.0, 2.0]
+
+    def test_values_equal_float_of_their_text(self, params44, tmp_path):
+        texts = [
+            "1.0",
+            "5e-324",
+            "1e-300",
+            "0.30000000000000004",
+            "2.2250738585072014e-308",
+            "0.12345678901234568",
+            "1.2345678901234567e+17",
+            "9.8765432109876541",
+            "3.1415926535897931e-05",
+            "1e300",
+            "1.7976931348623157e+308",
+        ]
+        times = [repr(0.25 * k) for k in range(len(texts))]
+        body = "".join(f"{t},{x}\n" for t, x in zip(times, texts))
+        got = self._read(tmp_path, params44, "t,x\n" + body)
+        assert [v.hex() for v in got.values.tolist()] == [float(x).hex() for x in texts]
+        assert [v.hex() for v in got.times.tolist()] == [float(t).hex() for t in times]
+
+    def test_columns_are_contiguous_copies(self, params44, tmp_path):
+        traj = simulate_path(params44, 2.0, 64, path_rng(8, 5))
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, str(path))
+        back = read_trajectory_csv(str(path), params44)
+        assert back.times.flags.c_contiguous and back.values.flags.c_contiguous
+        assert back.times.base is None and back.values.base is None
+        pf, pf_back = compute_functionals(traj), compute_functionals(back)
+        assert (pf_back.S, pf_back.Sigma) == (pf.S, pf.Sigma)

@@ -21,7 +21,10 @@ from cir_ldp import (
     rate_triplet_L,
     rate_triplet_x,
     rate_V,
+    path_rng,
     simulate_ensemble,
+    simulate_path,
+    write_trajectory_csv,
 )
 from cir_ldp.cli import _fmt_value, main, parse_config
 
@@ -292,6 +295,49 @@ class TestSimulateEstimate:
             )
             assert rc == 0
         assert (out1 / "traj_00000.csv").read_bytes() == (out2 / "traj_00000.csv").read_bytes()
+
+    @staticmethod
+    def _simulate(capsys, out, T, per_unit, n_paths, seed, *extra):
+        rc, _, _ = run(
+            capsys, "simulate", "--a", "4", "--b", "-1", "--T", repr(T),
+            "--n-steps", str(per_unit), "--paths", str(n_paths), "--seed", str(seed),
+            "--out", str(out), *extra,
+        )
+        assert rc == 0
+
+    def test_csv_bytes_on_alternating_grids(self, capsys, tmp_path):
+        # Paths on two grids, written alternately by write_trajectory_csv and
+        # by simulate, each match the plain per-row formula: no file may
+        # carry another grid's time column.
+        def expected(traj):
+            rows = zip(traj.times.tolist(), traj.values.tolist())
+            return ("t,x\n" + "".join(f"{t!r},{x!r}\n" for t, x in rows)).encode("ascii")
+
+        grids = [(2.5, 37), (1.3, 11)]  # 92 and 14 steps; 2.5/92 has long reprs
+        for k in range(4):
+            T, per_unit = grids[k % 2]
+            n_steps = int(round(T * per_unit))
+            traj = simulate_path(P44, T, n_steps, path_rng(40 + k, 0))
+            path = tmp_path / f"direct_{k}.csv"
+            write_trajectory_csv(traj, str(path))
+            assert path.read_bytes() == expected(traj)
+            T, per_unit = grids[(k + 1) % 2]
+            n_steps = int(round(T * per_unit))
+            out = tmp_path / f"sim_{k}"
+            self._simulate(capsys, out, T, per_unit, 3, 50 + k)
+            for i in range(3):
+                traj = simulate_path(P44, T, n_steps, path_rng(50 + k, i))
+                assert (out / f"traj_{i:05d}.csv").read_bytes() == expected(traj)
+
+    def test_workers_do_not_change_files(self, capsys, tmp_path):
+        for workers in ("1", "2"):
+            self._simulate(capsys, tmp_path / f"w{workers}", 2.5, 37, 5, 61, "--workers", workers)
+        one = sorted((tmp_path / "w1").iterdir())
+        two = sorted((tmp_path / "w2").iterdir())
+        assert [p.name for p in one] == [f"traj_{i:05d}.csv" for i in range(5)]
+        assert [p.name for p in two] == [p.name for p in one]
+        for a, b in zip(one, two):
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestCheckSuites:
