@@ -36,7 +36,14 @@ from .cir_model import (
 )
 from .errors import CirLdpError, ConfigError, RegimeError
 from .functionals import ESTIMATORS, functionals_from_summary
-from .harness import CHECK_SUITES, SLOPE_FUNCTIONALS, profile_curves, surface_grid
+from .harness import (
+    CHECK_SUITES,
+    FIGURE_WINDOW,
+    SLOPE_FUNCTIONALS,
+    _param_block,
+    profile_curves,
+    surface_grid,
+)
 from .rates import (
     rate_I_mle,
     rate_J,
@@ -299,10 +306,6 @@ def _emit_error(exc: BaseException) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _param_block(cfg: RunConfig) -> dict:
-    return {"a": cfg.a, "b": cfg.b, "x0": cfg.x0}
-
-
 def _fmt_value(v: float) -> str:
     if v == math.inf:
         return "inf"
@@ -355,7 +358,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             list(pool.map(_write_paths, *zip(*jobs)))
     payload = {
         "experiment": "simulate",
-        "params": _param_block(cfg),
+        "params": _param_block(cfg.params),
         "settings": {
             "T": cfg.T,
             "n_steps": cfg.total_steps,
@@ -406,7 +409,7 @@ def _cmd_estimate(cfg: RunConfig) -> int:
     write_text_atomic(csv_path, "\n".join(lines) + "\n")
     payload = {
         "experiment": "estimate",
-        "params": _param_block(cfg),
+        "params": _param_block(cfg.params),
         "settings": {
             "T": cfg.T,
             "n_steps": cfg.total_steps,
@@ -450,12 +453,13 @@ def _rate_point(cfg: RunConfig, which: str) -> float:
 
 def _grid_window(cfg: RunConfig) -> tuple[tuple[float, float], tuple[float, float], int, int]:
     s = cfg.settings
-    al_lo = _coerce_number("alpha_min", s.get("alpha_min", 3.0))
-    al_hi = _coerce_number("alpha_max", s.get("alpha_max", 5.0))
-    be_lo = _coerce_number("beta_min", s.get("beta_min", -4.0))
-    be_hi = _coerce_number("beta_max", s.get("beta_max", -0.5))
-    n_al = _coerce_number("n_alpha", s.get("n_alpha", 41), int)
-    n_be = _coerce_number("n_beta", s.get("n_beta", 41), int)
+    (al_lo, al_hi), (be_lo, be_hi), n_al, n_be = FIGURE_WINDOW
+    al_lo = _coerce_number("alpha_min", s.get("alpha_min", al_lo))
+    al_hi = _coerce_number("alpha_max", s.get("alpha_max", al_hi))
+    be_lo = _coerce_number("beta_min", s.get("beta_min", be_lo))
+    be_hi = _coerce_number("beta_max", s.get("beta_max", be_hi))
+    n_al = _coerce_number("n_alpha", s.get("n_alpha", n_al), int)
+    n_be = _coerce_number("n_beta", s.get("n_beta", n_be), int)
     if n_al < 2 or n_be < 2:
         raise ConfigError("grid sizes 'n_alpha' and 'n_beta' must be >= 2")
     return (al_lo, al_hi), (be_lo, be_hi), n_al, n_be
@@ -484,7 +488,7 @@ def _cmd_rate(cfg: RunConfig) -> int:
         write_text_atomic(csv_path, grid.to_csv())
         payload = {
             "experiment": "rate_grid",
-            "params": _param_block(cfg),
+            "params": _param_block(cfg.params),
             "settings": {
                 "which": which,
                 "alpha_range": list(al_rng),
@@ -524,7 +528,7 @@ def _cmd_cgf(cfg: RunConfig) -> int:
         abs_diff = abs(estimate - limit)
         payload = {
             "experiment": "cgf_mc",
-            "params": _param_block(cfg),
+            "params": _param_block(cfg.params),
             "settings": {
                 "point": [point.lam, point.mu, point.nu, point.gamma],
                 "T": cfg.T,
@@ -600,7 +604,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
         raise ConfigError(f"config key 'fig' must be 1, 2, or 3, got {fig}")
     payload = {
         "experiment": "figures",
-        "params": _param_block(cfg),
+        "params": _param_block(cfg.params),
         "settings": {"fig": fig},
         "metrics": metrics,
         "pass": True,

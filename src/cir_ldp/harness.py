@@ -54,6 +54,7 @@ __all__ = [
     "CHECK_SUITES",
     "CltCovariance",
     "CltReport",
+    "FIGURE_WINDOW",
     "INFSUP_POINTS",
     "LEGENDRE_QUAD_GRID",
     "ProfileCurves",
@@ -381,12 +382,17 @@ class SurfaceGrid:
         return buf.getvalue()
 
 
+#: The figure window, surface_grid's default: (alpha_range, beta_range,
+#: n_alpha, n_beta).
+FIGURE_WINDOW = ((3.0, 5.0), (-4.0, -0.5), 41, 41)
+
+
 def surface_grid(
     params: ProcessParams,
-    alpha_range: tuple[float, float] = (3.0, 5.0),
-    beta_range: tuple[float, float] = (-4.0, -0.5),
-    n_alpha: int = 41,
-    n_beta: int = 41,
+    alpha_range: tuple[float, float] = FIGURE_WINDOW[0],
+    beta_range: tuple[float, float] = FIGURE_WINDOW[1],
+    n_alpha: int = FIGURE_WINDOW[2],
+    n_beta: int = FIGURE_WINDOW[3],
 ) -> SurfaceGrid:
     """Evaluate the J, K, I surfaces on a rectangular grid.
 

@@ -21,9 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _optimize
 
-from ._simplex import nelder_mead
+from ._simplex import minimize_bounded, nelder_mead
 from .cgf import lambda_star
 from .cir_model import ProcessParams
 from .errors import DomainError
@@ -288,14 +287,11 @@ def _scan_refine(fn, xs: np.ndarray, vals, xatol: float) -> tuple[float, float]:
     by a bounded search between the best node's neighbours that replaces the
     node only if it beats it."""
     i = int(np.argmin(vals))
-    res = _optimize.minimize_scalar(
-        fn,
-        bounds=(float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])),
-        method="bounded",
-        options={"xatol": xatol},
+    fun, x = minimize_bounded(
+        fn, float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)]), xatol=xatol
     )
-    if res.fun < vals[i]:
-        return float(res.x), float(res.fun)
+    if fun < vals[i]:
+        return x, fun
     return float(xs[i]), float(vals[i])
 
 

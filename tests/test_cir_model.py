@@ -117,15 +117,36 @@ class TestBessel:
         rng = np.random.default_rng(1)
         for _ in range(300):
             nu = float(rng.uniform(0.0, 50.0))
-            z = float(rng.uniform(0.05, 700.0))
+            z = float(10.0 ** rng.uniform(math.log10(0.05), 6.0))
             scaled = special.ive(nu, z)
             if scaled <= 0.0:
                 continue
             ref = math.log(scaled) + z
             assert bessel_log_i(nu, z) == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
+    #: (nu, z, log I_nu(z)) from mpmath at 50 digits, on both sides of the
+    #: switch z = 100 + nu^2 and far out on the large-argument expansion.
+    _MPMATH = [
+        (0.0, 0.5, 0.06154971918548131),
+        (2.5, 30.0, 27.27879912218775),
+        (1.0, 101.5, 98.26731912744744),
+        (12.5, 150.0, 146.05430472996338),
+        (50.0, 700.0, 694.0194695529353),
+        (50.0, 2600.0, 2594.6686292980985),
+        (1.0, 1e6, 999992.1733058128),
+    ]
+
+    @pytest.mark.parametrize("nu, z, ref", _MPMATH)
+    def test_against_mpmath(self, nu, z, ref):
+        assert bessel_log_i(nu, z) == pytest.approx(ref, rel=1e-13)
+
+    def test_huge_argument_is_the_leading_term(self):
+        z = 1e300
+        assert bessel_log_i(1.0, z) == z - 0.5 * math.log(2.0 * math.pi * z)
+
     def test_series_regime_small_z(self):
-        # Below the series/ive split the reference is the exact two-term series.
+        # Far below the series/expansion switch the reference is the exact
+        # two-term series.
         for nu in (0.0, 0.5, 1.0, 7.5):
             z = 1e-4
             lead = nu * math.log(z / 2.0) - math.lgamma(nu + 1.0)
@@ -133,9 +154,11 @@ class TestBessel:
             assert bessel_log_i(nu, z) == pytest.approx(lead + corr, abs=1e-12)
 
     def test_continuity_at_series_switch(self):
+        # The series serves z <= 100 + nu^2, the large-argument expansion above.
         for nu in (0.0, 1.0, 12.5):
-            below = bessel_log_i(nu, 30.0 - 1e-9)
-            above = bessel_log_i(nu, 30.0 + 1e-9)
+            switch = 100.0 + nu * nu
+            below = bessel_log_i(nu, switch - 1e-9)
+            above = bessel_log_i(nu, switch + 1e-9)
             assert below == pytest.approx(above, rel=1e-9)
 
     def test_underflowing_argument_gives_leading_term(self):
