@@ -262,7 +262,11 @@ def lambda_star(
     Non-finite policy: nan when any coordinate is nan; otherwise +inf
     outside the admissible cone (x < 0, t > 0, y <= 0, z <= 0 or
     y z - 1 <= 0), +inf at an infinite coordinate inside it, and +inf where
-    finite coordinates overflow the arithmetic (as when y z > 1.8e308).
+    finite coordinates overflow the arithmetic (as at x = 1e200).  An
+    overflow of the product y z alone is not one: u0 = M^-1 l is then formed
+    from 1/(y - 1/z) and 1/(z - 1/y), and the value stays finite where it
+    fits a float (at x = t = 0 it is y b^2/8 + (a-2)^2 z/8 + a b/4 to
+    rounding).
 
     Method.  h = q + r, where q(u) = c + l.u - u'Mu/2 is quadratic in
     u = (d, f), with l = (x^2/4 + 1/2, t^2/2) and M = [[y/4, -1/2], [-1/2, z]],
@@ -284,17 +288,29 @@ def lambda_star(
     relative accuracy as y z -> 1, where it grows like 1/(y z - 1).
     """
     if not (x >= 0.0 and t <= 0.0 and y > 0.0 and z > 0.0 and y * z - 1.0 > 0.0):
-        return math.nan if any(map(math.isnan, (x, y, z, t))) else INF
-    if max(x, y, z, -t) == INF:
+        return math.nan if x != x or y != y or z != z or t != t else INF
+    if x == INF or y == INF or z == INF or t == -INF:
         return INF
     a, b = params.a, params.b
     k = -0.5 * x * t
     l_d, l_f = 0.25 * x * x + 0.5, 0.5 * t * t
     yz1 = y * z - 1.0
-    # u0 = M^-1 l, divided before multiplying so that huge y or z overflow
-    # only where the value does
-    d0 = 4.0 * (z / yz1) * l_d + 2.0 * l_f / yz1
-    f0 = 2.0 * l_d / yz1 + (y / yz1) * l_f
+    if yz1 == INF:
+        # y z overflows, so M^-1 is tiny: z / yz1 = 1 / (y - 1/z) and
+        # y / yz1 = 1 / (z - 1/y), and det M = (y/2)(z/2) - 1/4.
+        z_yz1 = 1.0 / (y - 1.0 / z)
+        d0 = 4.0 * z_yz1 * l_d + 2.0 * l_f * (z_yz1 / z)
+        f0 = 2.0 * l_d * (z_yz1 / z) + l_f / (z - 1.0 / y)
+        det_m = (0.5 * y) * (0.5 * z) - 0.25
+        e = math.sqrt(y) * math.sqrt(z) - 1.0
+    else:
+        # u0 = M^-1 l, divided before multiplying so that huge y or z
+        # overflow only where the value does
+        d0 = 4.0 * (z / yz1) * l_d + 2.0 * l_f / yz1
+        f0 = 2.0 * l_d / yz1 + (y / yz1) * l_f
+        det_m = 0.25 * yz1
+        # v'Mv = (sy v_d - sz v_f)^2 + e v_d v_f with e = sqrt(yz) - 1.
+        e = yz1 / (math.sqrt(y * z) + 1.0)
     q_star = (
         0.25 * t * t * (a + 2.0)
         - 0.25 * x * x * b
@@ -303,17 +319,10 @@ def lambda_star(
         + 0.25 * a * b
         + 0.5 * (l_d * d0 + l_f * f0)
     )
-    # v'Mv = (sy v_d - sz v_f)^2 + e v_d v_f with e = sqrt(yz) - 1.
     sy, sz = 0.5 * math.sqrt(y), math.sqrt(z)
-    e = yz1 / (math.sqrt(y * z) + 1.0)
-
-    def h_at(v_d: float, v_f: float) -> float:
-        w = sy * v_d - sz * v_f
-        r = k * math.sqrt(2.0 * (f0 + v_f) + a + 2.0) * math.sqrt(d0 + v_d - b)
-        return q_star - 0.5 * (w * w + e * v_d * v_f) + r
-
+    # h(v) = q_star - v'Mv/2 + r(u0 + v), here at v = 0 and in the line search
     v_d = v_f = 0.0
-    h = h_at(v_d, v_f)
+    h = q_star + k * math.sqrt(2.0 * f0 + a + 2.0) * math.sqrt(d0 - b)
     for _ in range(100):
         d, f = d0 + v_d, f0 + v_f
         sdb = math.sqrt(d - b)
@@ -326,7 +335,7 @@ def lambda_star(
         g_f = r_f + 0.5 * v_d - z * v_f
         # -H = [[p + y/4, -(1/2 + c)], [-(1/2 + c), q + z]] with p q = c^2
         root = sz * math.sqrt(p) - sy * math.sqrt(q)
-        det = root * root + c * e + 0.25 * yz1
+        det = root * root + c * e + det_m
         step_d = ((q + z) * g_d + (0.5 + c) * g_f) / det
         step_f = ((0.5 + c) * g_d + (p + 0.25 * y) * g_f) / det
         if not 0.5 * (g_d * step_d + g_f * step_f) >= NEWTON_GAIN_TOL:
@@ -338,7 +347,10 @@ def lambda_star(
             scale = -0.5 * f / step_f
         for _ in range(60):
             vd_new, vf_new = v_d + scale * step_d, v_f + scale * step_f
-            h_new = h_at(vd_new, vf_new)
+            w = sy * vd_new - sz * vf_new
+            h_new = q_star - 0.5 * (w * w + e * vd_new * vf_new) + k * math.sqrt(
+                2.0 * (f0 + vf_new) + a + 2.0
+            ) * math.sqrt(d0 + vd_new - b)
             if h_new > h:
                 break
             scale *= 0.5

@@ -31,7 +31,7 @@ _CONE_EDGE_GAPS = (1e-2, 1e-4, 1e-6, 1e-9)
 
 #: (x, y, z, t) -> lambda_star at (a, b) = (4, -1): nan in, nan out; +inf
 #: outside the cone, at an infinite coordinate inside it, and where finite
-#: coordinates overflow.
+#: coordinates overflow; finite where only the product y z overflows.
 _NON_FINITE_CASES = [
     ((NAN, 2.0, 1.0, -1.0), NAN),
     ((1.0, NAN, 1.0, -1.0), NAN),
@@ -55,6 +55,9 @@ _NON_FINITE_CASES = [
     ((1.0, 0.4, 1.0, -1.0), INF),
     ((1e200, 2.0, 1.0, -1.0), INF),
     ((0.0, 2.0, 1.0, -1e200), INF),
+    # y b^2/8 + (a-2)^2 z/8 + a b/4 + z/(2(yz-1)) in 60-digit mpmath:
+    # 6.25000000000000004080e159.
+    ((0.0, 1e160, 1e160, 0.0), 6.25e159),
 ]
 
 
@@ -285,8 +288,10 @@ class TestLambdaStar:
         got = lambda_star(params44, *coords)
         if math.isnan(expected):
             assert math.isnan(got)
-        else:
+        elif math.isinf(expected):
             assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-15)
 
 
 class TestNumericTransform:

@@ -317,6 +317,49 @@ class TestMarginals:
             marginal_inf_numeric(params44, "I", "a", 1.0)
 
 
+#: rate_I_infsup at (a, b) = (4, -1), as float hex: the 30 C4 points (the
+#: generic search: its slice seeds and 2-D Nelder-Mead from up to 18 starts),
+#: then (2, 0), (1, 0) and (2, -1), one on each special search.  Any change
+#: to the float arithmetic of the searches or of lambda_star shows here; the
+#: special searches also go through the libm's exp and log.
+_INFSUP_GOLDEN = [
+    ((2.5, -0.5), "0x1.0000000000000p-2"),
+    ((2.5, -2.0), "0x1.a800000000000p+0"),
+    ((3.0, -1.0), "0x1.0000000000000p-3"),
+    ((3.0, -3.0), "0x1.6000000000000p+0"),
+    ((3.5, -0.7), "0x1.111111111110cp-5"),
+    ((4.0, -2.5), "0x1.cccccccccccccp-2"),
+    ((4.5, -1.2), "0x1.1eb851eb85200p-7"),
+    ((5.0, -4.0), "0x1.a555555555557p-1"),
+    ((6.0, -0.8), "0x1.e66666666666ap-3"),
+    ((2.2, -1.5), "0x1.52dddcfe8eb8cp+1"),
+    ((0.5, 0.7), "0x1.335a35a35a35ap+1"),
+    ((0.5, -0.6), "0x1.73a1a3a2a892ap+3"),
+    ((1.0, 0.5), "0x1.0000000000001p+1"),
+    ((1.0, -1.0), "0x1.07f07b357f684p+3"),
+    ((1.5, 1.2), "0x1.09bbbbbbbbbbcp+2"),
+    ((1.5, -2.0), "0x1.2b999888aaa57p+3"),
+    ((0.3, 2.0), "0x1.4c72727272728p+2"),
+    ((1.8, -0.4), "0x1.0f4d181838c92p+0"),
+    ((0.8, -3.0), "0x1.19e49c64b8cf0p+5"),
+    ((1.2, 0.9), "0x1.7c9f49f49f4a0p+1"),
+    ((0.0, 0.5), "0x1.1000000000000p+1"),
+    ((-0.5, 0.8), "0x1.5347ae147ae15p+1"),
+    ((-1.0, 1.0), "0x1.8555555555556p+1"),
+    ((-1.5, 2.0), "0x1.4049249249249p+2"),
+    ((-2.0, 0.6), "0x1.4dddddddddddfp+1"),
+    ((-3.0, 1.5), "0x1.0444444444444p+2"),
+    ((-0.3, 3.0), "0x1.cfdf59c91700cp+2"),
+    ((-2.5, 2.5), "0x1.802d82d82d82ep+2"),
+    ((-4.0, 1.2), "0x1.d000000000000p+1"),
+    ((-0.8, 0.4), "0x1.1f8af8af8af8ap+1"),
+    # _infsup_20, _infsup_beta0 and _infsup_alpha2
+    ((2.0, 0.0), "0x1.0000000000000p+0"),
+    ((1.0, 0.0), "0x1.345f33b195100p+1"),
+    ((2.0, -1.0), "0x1.2000000000005p+1"),
+]
+
+
 class TestInfSup:
     def test_equals_min_of_j_and_k(self, params44):
         pts = [(1.0, 0.5), (-1.0, 1.0), (1.2, -0.8), (3.0, -1.0), (4.5, -1.2), (0.5, 0.7)]
@@ -329,6 +372,11 @@ class TestInfSup:
         assert rate_I_infsup(params44, 0.0, 0.0) == pytest.approx(math.sqrt(2.0), abs=1e-8)
         assert rate_I_infsup(params44, 2.0, 0.0) == pytest.approx(1.0, abs=1e-8)
         assert rate_I_infsup(params44, 2.0, -1.0) == pytest.approx(2.25, abs=1e-8)
+
+    def test_golden_bits(self, params44):
+        assert [(pt, rate_I_infsup(params44, *pt).hex()) for pt, _ in _INFSUP_GOLDEN] == [
+            (pt, float.fromhex(h).hex()) for pt, h in _INFSUP_GOLDEN
+        ]
 
     def test_beta_zero_sliver_is_finite(self, params44):
         v = rate_I_infsup(params44, 1.0, 0.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from cir_ldp import ProcessParams, lambda_star
 from cir_ldp._simplex import minimize_bounded, nelder_mead
 
 INF = float("inf")
@@ -66,6 +67,20 @@ def _shrinking(v):
     return 4.5 * (x - 1.017) ** 2 + 1.5 * (y - 1.018) ** 2
 
 
+def _infsup_objective(alpha, beta):
+    # The inf-sup search's objective of rates at (a, b) = (4, -1): lambda_star
+    # on the constraint set of (alpha, beta), +inf outside x >= 0, t <= 0.
+    params = ProcessParams(4.0, -1.0)
+
+    def objective(v):
+        x, t = v
+        if x < 0.0 or t > 0.0:
+            return INF
+        return lambda_star(params, x, (x * x - alpha) / beta, (t * t + beta) / (2.0 - alpha), t)
+
+    return objective
+
+
 class _StableArgsortNumpy:
     # numpy with a stable argsort.  scipy sorts the simplex with np.argsort,
     # whose default kind is stable for arrays this small on most builds (an
@@ -109,6 +124,9 @@ _PARITY_CASES = [
     pytest.param(_symmetric, (1.0, 1.0, 1.0, 1.0), _POLISH, id="ties-4d"),
     pytest.param(_terraced, (1.0, 0.8), _RATES, id="terraced-2d"),
     pytest.param(_terraced, (-1.8, -2.2, 0.5), _RATES, id="terraced-3d"),
+    # Two C4 points, one in D1 and one in D3.
+    pytest.param(_infsup_objective(-1.0, 1.0), (3.2, -4.8), _RATES, id="infsup-d1-2d"),
+    pytest.param(_infsup_objective(3.0, -1.0), (0.25, -0.35), _RATES, id="infsup-d3-2d"),
 ]
 
 
@@ -202,6 +220,27 @@ _EXHAUSTED_CUTS = [
 def test_exhausted_run_matches_scipy_1_17(x0, options, fun_hex, x_hex):
     xatol, fatol, maxfev = options
     fun, x = nelder_mead(_rejecting, x0, xatol=xatol, fatol=fatol, maxfev=maxfev)
+    assert fun == float.fromhex(fun_hex)
+    assert x == tuple(float.fromhex(h) for h in x_hex)
+
+
+#: scipy 1.17.1 on the inf-sup objective at the C4 point (3, -3), cut at
+#: maxfev=400 before it converges.
+_EXHAUSTED_INFSUP_CUTS = [
+    (
+        (3.0, -3.0),
+        (0.3, -1.0),
+        "0x1.60000000016f8p+0",
+        ("0x1.c83dac7164748p-21", "-0x1.2da6cd9b21768p-23"),
+    ),
+]
+
+
+@pytest.mark.parametrize("point, x0, fun_hex, x_hex", _EXHAUSTED_INFSUP_CUTS)
+def test_exhausted_infsup_run_matches_scipy_1_17(point, x0, fun_hex, x_hex):
+    wrapped, calls = _counted(_infsup_objective(*point))
+    fun, x = nelder_mead(wrapped, x0, xatol=_RATES[0], fatol=_RATES[1], maxfev=_RATES[2])
+    assert len(calls) == _RATES[2]
     assert fun == float.fromhex(fun_hex)
     assert x == tuple(float.fromhex(h) for h in x_hex)
 
