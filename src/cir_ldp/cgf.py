@@ -218,12 +218,14 @@ def cgf_finite_T_mc(
     x_T = ens.x_T
     log_xT = np.log(x_T)
     curly = np.where(log_xT < 0.0, -np.sqrt(np.abs(log_xT) / T), log_xT / T)
-    e = (
-        p.lam * math.sqrt(T) * np.sqrt(x_T)
-        + p.gamma * T * curly
-        + p.mu * T * ens.S
-        + p.nu * T * ens.Sigma
-    )
+    # An overflow here is reported by the check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = (
+            p.lam * math.sqrt(T) * np.sqrt(x_T)
+            + p.gamma * T * curly
+            + p.mu * T * ens.S
+            + p.nu * T * ens.Sigma
+        )
     if not np.all(np.isfinite(e)):
         raise OverflowError("non-finite exponent in finite-horizon CGF estimate")
     m = float(e.max())

@@ -59,21 +59,87 @@ from .rates import (
 
 __all__ = ["RunConfig", "build_parser", "dispatch", "main", "parse_config"]
 
-_CORE_DEFAULTS = {
-    "x0": 1.0,
-    "T": 10.0,
-    "n_steps": 200,
-    "n_paths": 1000,
-    "seed": None,
-    "out": ".",
-    "n_workers": None,
+# rate --which selector -> (rate function of (params, *coords), coordinate keys).
+_RATE_SELECTORS = {
+    "J": (rate_J, ("alpha", "beta")),
+    "K": (rate_K, ("alpha", "beta")),
+    "I": (rate_I_mle, ("alpha", "beta")),
+    **{
+        m: (lambda p, v, m=m: rate_marginal(p, m, v), ("alpha" if m[1] == "a" else "beta",))
+        for m in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib")
+    },
+    "S": (rate_S, ("x",)),
+    "Sigma": (rate_Sigma, ("y",)),
+    "V": (rate_V, ("v",)),
+    "pair": (rate_pair, ("x", "y")),
+    "triplet_x": (rate_triplet_x, ("x", "y", "z")),
+    "triplet_L": (rate_triplet_L, ("y", "z", "t")),
 }
 
-_CORE_KEYS = {"a", "b"} | set(_CORE_DEFAULTS)
+# Float options that may be infinite or NaN: the rate coordinates.
+_COORDINATES = ("alpha", "beta", "x", "y", "z", "t", "v")
 
-# "suite" stays in the merge so dispatch can route `check`; it is not a
-# config-file key.
-_IGNORED_FLAG_KEYS = {"command", "config"}
+# Every option, by dest: (flag, kind, default, help).  The dest is also its
+# config-file key.  kind is float, int, str, a tuple of choices, "switch" (a
+# valueless flag; a JSON boolean in a file) or "T_grid" (horizons as a list
+# or a comma string).  A default of None leaves the option unset.
+_OPTIONS = {
+    "a": ("--a", float, None, "drift level a (regime a > 2)"),
+    "b": ("--b", float, None, "drift slope b (regime b < 0)"),
+    "x0": ("--x0", float, 1.0, "starting point (default 1)"),
+    "T": ("--T", float, 10.0, "time horizon (default 10)"),
+    "n_steps": ("--n-steps", int, 200, "grid steps per unit time (default 200)"),
+    "n_paths": ("--paths", int, 1000, "number of paths (default 1000)"),
+    "seed": ("--seed", int, None, "master seed (64-bit unsigned)"),
+    "out": ("--out", str, ".", "output directory for artifacts (default .)"),
+    "n_workers": (
+        "--workers",
+        int,
+        None,
+        "worker processes for simulate, estimate, check clt|slope and cgf --mc; "
+        "artifacts do not depend on it (default: CIR_LDP_THREADS or 1)",
+    ),
+    "estimator": (
+        "--estimator",
+        (*ESTIMATORS, "all"),
+        None,
+        "estimator selector (estimate: default all; check clt: default mle, "
+        "and all is mle, tilde, check)",
+    ),
+    "which": ("--which", tuple(_RATE_SELECTORS), None, "rate function selector"),
+    **{k: (f"--{k}", float, None, f"{k} coordinate") for k in _COORDINATES},
+    "grid": ("--grid", "switch", False, "evaluate a (J, K, I) surface grid instead of a point"),
+    "alpha_min": ("--alpha-min", float, FIGURE_WINDOW[0][0], None),
+    "alpha_max": ("--alpha-max", float, FIGURE_WINDOW[0][1], None),
+    "beta_min": ("--beta-min", float, FIGURE_WINDOW[1][0], None),
+    "beta_max": ("--beta-max", float, FIGURE_WINDOW[1][1], None),
+    "n_alpha": ("--n-alpha", int, FIGURE_WINDOW[2], None),
+    "n_beta": ("--n-beta", int, FIGURE_WINDOW[3], None),
+    "lam": ("--lam", float, 0.0, "lambda coordinate (default 0)"),
+    "mu": ("--mu", float, 0.0, "mu coordinate (default 0)"),
+    "nu": ("--nu", float, 0.0, "nu coordinate (default 0)"),
+    "gamma": ("--gamma", float, 0.0, "gamma coordinate (default 0)"),
+    "gradient": ("--gradient", "switch", False, "print the gradient instead of the value"),
+    "mc": ("--mc", "switch", False, "estimate the finite-T CGF by Monte Carlo"),
+    "functional": (
+        "--functional",
+        tuple(SLOPE_FUNCTIONALS),
+        None,
+        "slope suite: path functional (default S)",
+    ),
+    "c": ("--c", float, None, "slope suite: tail threshold"),
+    "T_grid": (
+        "--T-grid",
+        "T_grid",
+        None,
+        "slope suite: comma-separated horizons (default 5,10,20)",
+    ),
+    "tolerance": ("--tolerance", float, None, "suite tolerance override"),
+    "fig": ("--fig", int, None, "figure number: 1, 2, or 3"),
+}
+
+# Options every command takes; they are the fields of RunConfig.
+_COMMON = ("a", "b", "x0", "T", "n_steps", "n_paths", "seed", "out", "n_workers")
 
 
 @dataclass(frozen=True)
@@ -101,16 +167,6 @@ class RunConfig:
         return int(round(self.n_steps * self.T))
 
 
-def _setting_keys() -> set[str]:
-    """Config-file keys beyond the core ones: every subcommand's option dests."""
-    parser = build_parser()
-    (commands,) = (
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    dests = {a.dest for sub in commands.choices.values() for a in sub._actions}
-    return dests - {"help", "config", "suite"} - _CORE_KEYS
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -121,42 +177,14 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a flat JSON object")
-    setting_keys = _setting_keys()
     for key, value in data.items():
-        if key not in _CORE_KEYS and key not in setting_keys:
+        if key not in _OPTIONS:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(value, dict):
             raise ConfigError(f"config key {key!r} must be flat, not nested")
-        if key == "T_grid":
-            continue
-        if value is not None and not isinstance(value, (int, float, str, bool)):
+        if isinstance(value, list) and key != "T_grid":
             raise ConfigError(f"config key {key!r} must be a scalar")
-    return data
-
-
-def _seed_required(flags: dict) -> bool:
-    command = flags.get("command")
-    if command in ("simulate", "estimate"):
-        return True
-    if command == "check":
-        return "seed" in _suite_keys(flags["suite"])
-    if command == "cgf":
-        return bool(flags.get("mc"))
-    if command is None:
-        return True
-    return False
-
-
-def _coerce_number(key: str, value, kind=float):
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
-    if isinstance(out, float) and not math.isfinite(out):
-        if key in ("alpha", "beta", "x", "y", "z", "t", "v"):
-            return out
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-    return out
+    return {k: v for k, v in data.items() if v is not None}
 
 
 def _parse_T_grid(value) -> tuple[float, ...]:
@@ -175,11 +203,45 @@ def _parse_T_grid(value) -> tuple[float, ...]:
     return grid
 
 
+def _convert(key: str, value):
+    """Turn flag text or a JSON scalar into the type of option ``key``.
+
+    Floats must be finite, except the rate coordinates; integers must be
+    integral; switches must be booleans; choices must be one of theirs.
+    """
+    kind = _OPTIONS[key][1]
+    if kind == "T_grid":
+        return _parse_T_grid(value)
+    if kind == "switch":
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"config key {key!r} must be one of {list(kind)}, got {value!r}")
+        return value
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+    if kind is float and not math.isfinite(out) and key not in _COORDINATES:
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    return out
+
+
+def _suite_keys(suite: str) -> set[str]:
+    """The settings a check suite takes: its keyword-only parameters."""
+    return set(inspect.signature(CHECK_SUITES[suite]).parameters) - {"params"}
+
+
 def parse_config(source) -> RunConfig:
     """Build a validated RunConfig from a flag set or a config file path.
 
     Precedence is flags > config file > defaults (x0 = 1, 200 steps per unit
-    time).  The seed is demanded only by commands that consume randomness.
+    time); every value is converted once, by its option's kind.  The seed is
+    demanded only by commands that consume randomness.
 
     Raises
     ------
@@ -197,68 +259,49 @@ def parse_config(source) -> RunConfig:
     else:
         raise ConfigError(f"unsupported config source {type(source).__name__!r}")
 
-    file_vals = _load_config_file(flags["config"]) if flags.get("config") else {}
-    merged = dict(_CORE_DEFAULTS)
-    merged.update({k: v for k, v in file_vals.items() if v is not None})
-    merged.update(
-        {k: v for k, v in flags.items() if k not in _IGNORED_FLAG_KEYS}
-    )
-
+    merged = {k: opt[2] for k, opt in _OPTIONS.items() if opt[2] is not None}
+    if flags.get("config"):
+        merged.update(_load_config_file(flags["config"]))
+    merged.update({k: v for k, v in flags.items() if k in _OPTIONS})
     for key in ("a", "b"):
         if key not in merged:
             raise ConfigError(f"missing required key {key!r}")
-    a = _coerce_number("a", merged.pop("a"))
-    b = _coerce_number("b", merged.pop("b"))
-    x0 = _coerce_number("x0", merged.pop("x0"))
-    validate_params(a, b, x0)
+    values = {k: _convert(k, v) for k, v in merged.items()}
 
-    T = _coerce_number("T", merged.pop("T"))
+    validate_params(values["a"], values["b"], values["x0"])
+    T, n_steps, n_paths = values["T"], values["n_steps"], values["n_paths"]
     if T <= 0.0:
         raise ConfigError(f"config key 'T' must be positive, got {T}")
-    n_steps = _coerce_number("n_steps", merged.pop("n_steps"), int)
     if n_steps < 1:
         raise ConfigError(f"config key 'n_steps' must be >= 1, got {n_steps}")
     if round(n_steps * T) < 2:
-        raise ConfigError(
-            f"n_steps*T = {n_steps * T} gives fewer than 2 grid steps"
-        )
-    n_paths = _coerce_number("n_paths", merged.pop("n_paths"), int)
+        raise ConfigError(f"n_steps*T = {n_steps * T} gives fewer than 2 grid steps")
     if n_paths < 1:
         raise ConfigError(f"config key 'n_paths' must be >= 1, got {n_paths}")
 
-    seed = merged.pop("seed")
-    if seed is None:
-        if _seed_required(flags):
-            raise ConfigError(
-                "missing required key 'seed' (this command consumes randomness)"
-            )
+    command = flags.get("command")
+    if command == "check":
+        needs_seed = "seed" in _suite_keys(flags["suite"])
+    elif command == "cgf":
+        needs_seed = values["mc"]
     else:
-        seed = _coerce_number("seed", seed, int)
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"config key 'seed' must be in [0, 2^64), got {seed}")
+        needs_seed = command in (None, "simulate", "estimate")
+    seed = values.get("seed")
+    if seed is None:
+        if needs_seed:
+            raise ConfigError("missing required key 'seed' (this command consumes randomness)")
+    elif not 0 <= seed < 2**64:
+        raise ConfigError(f"config key 'seed' must be in [0, 2^64), got {seed}")
+    n_workers = values.get("n_workers")
+    if n_workers is not None and n_workers < 1:
+        raise ConfigError(f"config key 'n_workers' must be >= 1, got {n_workers}")
 
-    out = str(merged.pop("out"))
-    n_workers = merged.pop("n_workers")
-    if n_workers is not None:
-        n_workers = _coerce_number("n_workers", n_workers, int)
-        if n_workers < 1:
-            raise ConfigError(f"config key 'n_workers' must be >= 1, got {n_workers}")
-
-    settings = {k: v for k, v in merged.items() if v is not None}
-    if "T_grid" in settings:
-        settings["T_grid"] = _parse_T_grid(settings["T_grid"])
-    return RunConfig(
-        a=a,
-        b=b,
-        x0=x0,
-        T=T,
-        n_steps=n_steps,
-        n_paths=n_paths,
-        seed=seed,
-        out=out,
-        n_workers=n_workers,
-        settings=settings,
-    )
+    core = {k: values.pop(k, None) for k in _COMMON}
+    # "suite" rides in the settings so dispatch can route `check`; it is a
+    # positional argument, not a config-file key.
+    if "suite" in flags:
+        values["suite"] = flags["suite"]
+    return RunConfig(**core, settings=values)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +332,28 @@ def _jsonable(obj):
     return obj
 
 
-def _report_text(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-
-
-def _emit_report(cfg: RunConfig, name: str, payload: dict) -> None:
-    text = _report_text(payload)
+def _out_dir(cfg: RunConfig) -> Path:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out_dir / name, text)
+    return out_dir
+
+
+def _write(cfg: RunConfig, name: str, text: str) -> str:
+    """Write one artifact atomically into --out; returns its path."""
+    path = _out_dir(cfg) / name
+    write_text_atomic(path, text)
+    return str(path)
+
+
+def _report(cfg: RunConfig, payload: dict, name: str | None = None) -> None:
+    """Print a JSON report, and write it to ``name`` in --out when given.
+
+    ``params`` and ``"pass": true`` are filled in where the payload has none.
+    """
+    payload = {"params": _param_block(cfg.params), "pass": True, **payload}
+    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    if name is not None:
+        _write(cfg, name, text)
     sys.stdout.write(text)
 
 
@@ -315,10 +371,16 @@ def _fmt_value(v: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def _require_setting(cfg: RunConfig, key: str, context: str) -> float:
+def _require_setting(cfg: RunConfig, key: str, context: str):
     if key not in cfg.settings:
         raise ConfigError(f"missing required key {key!r} for {context}")
-    return _coerce_number(key, cfg.settings[key])
+    return cfg.settings[key]
+
+
+def _run_settings(cfg: RunConfig, **extra) -> dict:
+    """The report settings of a simulating command."""
+    run = {"T": cfg.T, "n_steps": cfg.total_steps, "n_paths": cfg.n_paths, "seed": cfg.seed}
+    return {**run, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +406,7 @@ def _write_paths(
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg)
     n_workers = min(cfg.n_workers or default_workers(), cfg.n_paths)
     # Job w writes paths w, w + n, w + 2n, ...; the files do not depend on n.
     run = (cfg.params, cfg.T, cfg.total_steps, cfg.seed)
@@ -356,40 +417,16 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(n_workers, mp_context=spawn) as pool:
             list(pool.map(_write_paths, *zip(*jobs)))
-    payload = {
-        "experiment": "simulate",
-        "params": _param_block(cfg.params),
-        "settings": {
-            "T": cfg.T,
-            "n_steps": cfg.total_steps,
-            "n_paths": cfg.n_paths,
-            "seed": cfg.seed,
-        },
-        "metrics": {"directory": str(out_dir), "pattern": "traj_#####.csv"},
-        "pass": True,
-    }
-    sys.stdout.write(_report_text(payload))
+    metrics = {"directory": str(out_dir), "pattern": "traj_#####.csv"}
+    _report(cfg, {"experiment": "simulate", "settings": _run_settings(cfg), "metrics": metrics})
     return 0
 
 
 def _cmd_estimate(cfg: RunConfig) -> int:
     selector = cfg.settings.get("estimator", "all")
-    if selector == "all":
-        names = list(ESTIMATORS)
-    elif selector in ESTIMATORS:
-        names = [selector]
-    else:
-        raise ConfigError(
-            f"config key 'estimator' must be one of "
-            f"{sorted(ESTIMATORS) + ['all']}, got {selector!r}"
-        )
+    names = list(ESTIMATORS) if selector == "all" else [selector]
     ens = simulate_ensemble(
-        cfg.params,
-        cfg.T,
-        cfg.total_steps,
-        cfg.n_paths,
-        cfg.seed,
-        n_workers=cfg.n_workers,
+        cfg.params, cfg.T, cfg.total_steps, cfg.n_paths, cfg.seed, n_workers=cfg.n_workers
     )
     pf = functionals_from_summary(ens.T, cfg.x0, ens.x_T, ens.S, ens.Sigma)
     # Plain floats, so repr gives the shortest round-trip text.
@@ -403,160 +440,70 @@ def _cmd_estimate(cfg: RunConfig) -> int:
         for i in range(cfg.n_paths)
         for name, alphas, betas in columns
     )
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "estimates.csv"
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
-    payload = {
+    path = _write(cfg, "estimates.csv", "\n".join(lines) + "\n")
+    _report(cfg, {
         "experiment": "estimate",
-        "params": _param_block(cfg.params),
-        "settings": {
-            "T": cfg.T,
-            "n_steps": cfg.total_steps,
-            "n_paths": cfg.n_paths,
-            "seed": cfg.seed,
-            "estimators": names,
-        },
-        "metrics": {"file": str(csv_path), "rows": cfg.n_paths * len(names)},
-        "pass": True,
-    }
-    sys.stdout.write(_report_text(payload))
+        "settings": _run_settings(cfg, estimators=names),
+        "metrics": {"file": path, "rows": cfg.n_paths * len(names)},
+    })
     return 0
 
 
-# rate --which selector -> (rate function of (params, *coords), coordinate keys).
-_RATE_SELECTORS = {
-    "J": (rate_J, ("alpha", "beta")),
-    "K": (rate_K, ("alpha", "beta")),
-    "I": (rate_I_mle, ("alpha", "beta")),
-    **{
-        m: (lambda p, v, m=m: rate_marginal(p, m, v), ("alpha" if m[1] == "a" else "beta",))
-        for m in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib")
-    },
-    "S": (rate_S, ("x",)),
-    "Sigma": (rate_Sigma, ("y",)),
-    "V": (rate_V, ("v",)),
-    "pair": (rate_pair, ("x", "y")),
-    "triplet_x": (rate_triplet_x, ("x", "y", "z")),
-    "triplet_L": (rate_triplet_L, ("y", "z", "t")),
-}
-
-
-def _rate_point(cfg: RunConfig, which: str) -> float:
-    try:
-        fn, keys = _RATE_SELECTORS[which]
-    except KeyError:
-        raise ConfigError(f"unknown rate selector {which!r}") from None
-    coords = [_require_setting(cfg, k, f"rate --which {which}") for k in keys]
-    return fn(cfg.params, *coords)
-
-
-def _grid_window(cfg: RunConfig) -> tuple[tuple[float, float], tuple[float, float], int, int]:
-    s = cfg.settings
-    (al_lo, al_hi), (be_lo, be_hi), n_al, n_be = FIGURE_WINDOW
-    al_lo = _coerce_number("alpha_min", s.get("alpha_min", al_lo))
-    al_hi = _coerce_number("alpha_max", s.get("alpha_max", al_hi))
-    be_lo = _coerce_number("beta_min", s.get("beta_min", be_lo))
-    be_hi = _coerce_number("beta_max", s.get("beta_max", be_hi))
-    n_al = _coerce_number("n_alpha", s.get("n_alpha", n_al), int)
-    n_be = _coerce_number("n_beta", s.get("n_beta", n_be), int)
-    if n_al < 2 or n_be < 2:
-        raise ConfigError("grid sizes 'n_alpha' and 'n_beta' must be >= 2")
-    return (al_lo, al_hi), (be_lo, be_hi), n_al, n_be
+def _write_surface(cfg: RunConfig, name: str, **window):
+    """Write the (J, K, I) surface over ``window`` to ``name``; returns it and its metrics."""
+    grid = surface_grid(cfg.params, **window)
+    return grid, {"file": _write(cfg, name, grid.to_csv()), "rows": grid.J.size}
 
 
 def _cmd_rate(cfg: RunConfig) -> int:
-    which = cfg.settings.get("which")
-    if which is None:
-        raise ConfigError("missing required key 'which' for rate")
-    if cfg.settings.get("grid"):
+    s = cfg.settings
+    which = _require_setting(cfg, "which", "rate")
+    if s["grid"]:
         if which not in ("J", "K", "I"):
-            raise ConfigError(
-                f"grid evaluation supports which in {{J, K, I}}, got {which!r}"
-            )
-        (al_rng, be_rng, n_al, n_be) = _grid_window(cfg)
-        grid = surface_grid(
-            cfg.params,
-            alpha_range=al_rng,
-            beta_range=be_rng,
-            n_alpha=n_al,
-            n_beta=n_be,
-        )
-        out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / f"rate_{which}_grid.csv"
-        write_text_atomic(csv_path, grid.to_csv())
-        payload = {
-            "experiment": "rate_grid",
-            "params": _param_block(cfg.params),
-            "settings": {
-                "which": which,
-                "alpha_range": list(al_rng),
-                "beta_range": list(be_rng),
-                "n_alpha": n_al,
-                "n_beta": n_be,
-            },
-            "metrics": {"file": str(csv_path), "rows": n_al * n_be},
-            "pass": True,
+            raise ConfigError(f"grid evaluation supports which in {{J, K, I}}, got {which!r}")
+        if s["n_alpha"] < 2 or s["n_beta"] < 2:
+            raise ConfigError("grid sizes 'n_alpha' and 'n_beta' must be >= 2")
+        window = {
+            "alpha_range": (s["alpha_min"], s["alpha_max"]),
+            "beta_range": (s["beta_min"], s["beta_max"]),
+            "n_alpha": s["n_alpha"],
+            "n_beta": s["n_beta"],
         }
-        sys.stdout.write(_report_text(payload))
+        _, metrics = _write_surface(cfg, f"rate_{which}_grid.csv", **window)
+        settings = {"which": which, **window}
+        _report(cfg, {"experiment": "rate_grid", "settings": settings, "metrics": metrics})
         return 0
-    value = _rate_point(cfg, which)
-    sys.stdout.write(_fmt_value(value) + "\n")
+    fn, keys = _RATE_SELECTORS[which]
+    coords = [_require_setting(cfg, k, f"rate --which {which}") for k in keys]
+    sys.stdout.write(_fmt_value(fn(cfg.params, *coords)) + "\n")
     return 0
 
 
 def _cmd_cgf(cfg: RunConfig) -> int:
     s = cfg.settings
-    point = CgfPoint(
-        _coerce_number("lam", s.get("lam", 0.0)),
-        _coerce_number("mu", s.get("mu", 0.0)),
-        _coerce_number("nu", s.get("nu", 0.0)),
-        _coerce_number("gamma", s.get("gamma", 0.0)),
-    )
-    if s.get("mc"):
+    coords = [s["lam"], s["mu"], s["nu"], s["gamma"]]
+    point = CgfPoint(*coords)
+    if s["mc"]:
         estimate, stderr = cgf_finite_T_mc(
-            cfg.params,
-            point,
-            cfg.T,
-            cfg.n_paths,
-            cfg.seed,
-            n_steps=cfg.total_steps,
-            n_workers=cfg.n_workers,
+            cfg.params, point, cfg.T, cfg.n_paths, cfg.seed,
+            n_steps=cfg.total_steps, n_workers=cfg.n_workers,
         )
         limit = cgf_limit(cfg.params, point)
         abs_diff = abs(estimate - limit)
-        payload = {
+        metrics = {"estimate": estimate, "stderr": stderr, "limit": limit, "abs_diff": abs_diff}
+        _report(cfg, {
             "experiment": "cgf_mc",
-            "params": _param_block(cfg.params),
-            "settings": {
-                "point": [point.lam, point.mu, point.nu, point.gamma],
-                "T": cfg.T,
-                "n_steps": cfg.total_steps,
-                "n_paths": cfg.n_paths,
-                "seed": cfg.seed,
-            },
-            "metrics": {
-                "estimate": estimate,
-                "stderr": stderr,
-                "limit": limit,
-                "abs_diff": abs_diff,
-            },
+            "settings": _run_settings(cfg, point=coords),
+            "metrics": metrics,
             "pass": bool(abs_diff <= 3.0 * stderr + 0.05),
-        }
-        _emit_report(cfg, "cgf_mc_report.json", payload)
+        }, "cgf_mc_report.json")
         return 0
-    if s.get("gradient"):
+    if s["gradient"]:
         grad = cgf_gradient(cfg.params, point)
         sys.stdout.write(" ".join(_fmt_value(g) for g in grad) + "\n")
         return 0
     sys.stdout.write(_fmt_value(cgf_limit(cfg.params, point)) + "\n")
     return 0
-
-
-def _suite_keys(suite: str) -> set[str]:
-    """The settings a check suite takes: its keyword-only parameters."""
-    return set(inspect.signature(CHECK_SUITES[suite]).parameters) - {"params"}
 
 
 def _cmd_check(cfg: RunConfig) -> int:
@@ -570,63 +517,54 @@ def _cmd_check(cfg: RunConfig) -> int:
         "n_workers": cfg.n_workers,
     }
     keys = _suite_keys(suite)
-    settings = {k: v for k, v in offered.items() if k in keys}
-    for key in ("tolerance", "c"):
-        if key in settings:
-            settings[key] = _coerce_number(key, settings[key])
-    payload = CHECK_SUITES[suite](cfg.params, **settings)
-    _emit_report(cfg, f"{suite}_report.json", payload)
+    payload = CHECK_SUITES[suite](cfg.params, **{k: v for k, v in offered.items() if k in keys})
+    _report(cfg, payload, f"{suite}_report.json")
     return 0 if payload["pass"] else 1
 
 
 def _cmd_figures(cfg: RunConfig) -> int:
-    fig = _coerce_number("fig", _require_setting(cfg, "fig", "figures"), int)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics: dict
+    fig = _require_setting(cfg, "fig", "figures")
     if fig in (1, 2):
-        which = "J" if fig == 1 else "K"
-        grid = surface_grid(cfg.params)
-        csv_path = out_dir / f"fig{fig}.csv"
-        write_text_atomic(csv_path, grid.to_csv())
-        metrics = {
-            "file": str(csv_path),
-            "rows": grid.J.size,
-            "which": which,
-            "max_shared_branch_diff": grid.max_shared_diff(cfg.params),
-        }
+        grid, metrics = _write_surface(cfg, f"fig{fig}.csv")
+        metrics["which"] = "J" if fig == 1 else "K"
+        metrics["max_shared_branch_diff"] = grid.max_shared_diff(cfg.params)
     elif fig == 3:
         curves = profile_curves(cfg.params)
-        csv_path = out_dir / "fig3.csv"
-        write_text_atomic(csv_path, curves.to_csv())
-        metrics = {"file": str(csv_path), "rows": len(curves.v)}
+        metrics = {"file": _write(cfg, "fig3.csv", curves.to_csv()), "rows": len(curves.v)}
     else:
         raise ConfigError(f"config key 'fig' must be 1, 2, or 3, got {fig}")
-    payload = {
-        "experiment": "figures",
-        "params": _param_block(cfg.params),
-        "settings": {"fig": fig},
-        "metrics": metrics,
-        "pass": True,
-    }
-    sys.stdout.write(_report_text(payload))
+    _report(cfg, {"experiment": "figures", "settings": {"fig": fig}, "metrics": metrics})
     return 0
 
 
+# command -> (help, handler, its own options beyond _COMMON).
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "rate": _cmd_rate,
-    "cgf": _cmd_cgf,
-    "check": _cmd_check,
-    "figures": _cmd_figures,
+    "simulate": ("write exact trajectory CSVs", _cmd_simulate, ()),
+    "estimate": ("write per-path estimator CSV", _cmd_estimate, ("estimator",)),
+    "rate": (
+        "evaluate rate functions at points or grids",
+        _cmd_rate,
+        ("which", *_COORDINATES, "grid",
+         "alpha_min", "alpha_max", "beta_min", "beta_max", "n_alpha", "n_beta"),
+    ),
+    "cgf": (
+        "evaluate the limiting CGF, gradient, or MC",
+        _cmd_cgf,
+        ("lam", "mu", "nu", "gamma", "gradient", "mc"),
+    ),
+    "check": (
+        "run a validation suite, exit 0 iff it passes",
+        _cmd_check,
+        ("estimator", "functional", "c", "T_grid", "tolerance"),
+    ),
+    "figures": ("emit the figure grids as CSV", _cmd_figures, ("fig",)),
 }
 
 
 def dispatch(command: str, cfg: RunConfig) -> int:
     """Run one command against a validated configuration; returns exit code."""
     try:
-        handler = _COMMANDS[command]
+        handler = _COMMANDS[command][1]
     except KeyError:
         raise ConfigError(f"unknown command {command!r}") from None
     return handler(cfg)
@@ -635,35 +573,6 @@ def dispatch(command: str, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 # ---------------------------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat JSON config file (flags override it)")
-    p.add_argument("--a", type=float, help="drift level a (regime a > 2)")
-    p.add_argument("--b", type=float, help="drift slope b (regime b < 0)")
-    p.add_argument("--x0", type=float, help="starting point (default 1)")
-    p.add_argument("--T", type=float, help="time horizon (default 10)")
-    p.add_argument(
-        "--n-steps",
-        dest="n_steps",
-        type=int,
-        help="grid steps per unit time (default 200)",
-    )
-    p.add_argument(
-        "--paths", dest="n_paths", type=int, help="number of paths (default 1000)"
-    )
-    p.add_argument("--seed", type=int, help="master seed (64-bit unsigned)")
-    p.add_argument("--out", help="output directory for artifacts (default .)")
-    p.add_argument(
-        "--workers",
-        dest="n_workers",
-        type=int,
-        help=(
-            "worker processes for simulate, estimate, check clt|slope and "
-            "cgf --mc; artifacts do not depend on it "
-            "(default: CIR_LDP_THREADS or 1)"
-        ),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -676,89 +585,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="write exact trajectory CSVs")
-    _add_common(p)
-
-    p = sub.add_parser("estimate", help="write per-path estimator CSV")
-    _add_common(p)
-    p.add_argument(
-        "--estimator",
-        choices=[*ESTIMATORS, "all"],
-        help="estimator selector (default all)",
-    )
-
-    p = sub.add_parser("rate", help="evaluate rate functions at points or grids")
-    _add_common(p)
-    p.add_argument(
-        "--which",
-        choices=list(_RATE_SELECTORS),
-        help="rate function selector",
-    )
-    p.add_argument("--alpha", type=float, help="alpha coordinate")
-    p.add_argument("--beta", type=float, help="beta coordinate")
-    p.add_argument("--x", type=float, help="x coordinate")
-    p.add_argument("--y", type=float, help="y coordinate")
-    p.add_argument("--z", type=float, help="z coordinate")
-    p.add_argument("--t", type=float, help="t coordinate")
-    p.add_argument("--v", type=float, help="v coordinate")
-    p.add_argument(
-        "--grid",
-        action="store_const",
-        const=True,
-        help="evaluate a (J, K, I) surface grid instead of a point",
-    )
-    p.add_argument("--alpha-min", dest="alpha_min", type=float)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float)
-    p.add_argument("--beta-min", dest="beta_min", type=float)
-    p.add_argument("--beta-max", dest="beta_max", type=float)
-    p.add_argument("--n-alpha", dest="n_alpha", type=int)
-    p.add_argument("--n-beta", dest="n_beta", type=int)
-
-    p = sub.add_parser("cgf", help="evaluate the limiting CGF, gradient, or MC")
-    _add_common(p)
-    p.add_argument("--lam", type=float, help="lambda coordinate (default 0)")
-    p.add_argument("--mu", type=float, help="mu coordinate (default 0)")
-    p.add_argument("--nu", type=float, help="nu coordinate (default 0)")
-    p.add_argument("--gamma", type=float, help="gamma coordinate (default 0)")
-    p.add_argument(
-        "--gradient",
-        action="store_const",
-        const=True,
-        help="print the gradient instead of the value",
-    )
-    p.add_argument(
-        "--mc",
-        action="store_const",
-        const=True,
-        help="estimate the finite-T CGF by Monte Carlo",
-    )
-
-    p = sub.add_parser("check", help="run a validation suite, exit 0 iff it passes")
-    p.add_argument("suite", choices=list(CHECK_SUITES))
-    _add_common(p)
-    p.add_argument(
-        "--estimator",
-        choices=[*ESTIMATORS, "all"],
-        help="clt suite: estimator selector (default mle; all is mle, tilde, check)",
-    )
-    p.add_argument(
-        "--functional",
-        choices=list(SLOPE_FUNCTIONALS),
-        help="slope suite: path functional (default S)",
-    )
-    p.add_argument("--c", type=float, help="slope suite: tail threshold")
-    p.add_argument(
-        "--T-grid",
-        dest="T_grid",
-        help="slope suite: comma-separated horizons (default 5,10,20)",
-    )
-    p.add_argument("--tolerance", type=float, help="suite tolerance override")
-
-    p = sub.add_parser("figures", help="emit the figure grids as CSV")
-    _add_common(p)
-    p.add_argument("--fig", type=int, help="figure number: 1, 2, or 3")
-
+    for command, (command_help, _, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        if command == "check":
+            p.add_argument("suite", choices=list(CHECK_SUITES))
+        p.add_argument("--config", help="flat JSON config file (flags override it)")
+        # No argparse defaults: an absent flag must not hide a config-file value.
+        for dest in (*_COMMON, *own):
+            flag, kind, _, option_help = _OPTIONS[dest]
+            if kind == "switch":
+                how = {"action": "store_const", "const": True}
+            elif isinstance(kind, tuple):
+                how = {"choices": list(kind)}
+            else:
+                how = {"type": kind if kind in (float, int) else None}
+            p.add_argument(flag, dest=dest, help=option_help, **how)
     return parser
 
 
@@ -769,15 +610,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = parse_config(ns)
-    except (ConfigError, RegimeError) as exc:
-        _emit_error(exc)
-        return 2
-    except CirLdpError as exc:
-        _emit_error(exc)
-        return 3
-    try:
-        return dispatch(ns.command, cfg)
+        return dispatch(ns.command, parse_config(ns))
     except (ConfigError, RegimeError) as exc:
         _emit_error(exc)
         return 2

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cir_ldp
 from cir_ldp import (
     ESTIMATORS,
     ProcessParams,
@@ -50,6 +54,35 @@ _RATE_CASES = [
     ("pair", {"x": 3.0, "y": 0.8}, lambda: rate_pair(P44, 3.0, 0.8)),
     ("triplet_x", {"x": 1.0, "y": 3.0, "z": 0.8}, lambda: rate_triplet_x(P44, 1.0, 3.0, 0.8)),
     ("triplet_L", {"y": 3.0, "z": 0.8, "t": -0.5}, lambda: rate_triplet_L(P44, 3.0, 0.8, -0.5)),
+]
+
+
+# Each command once from flags and once from the same values in a config
+# file: (id, command words, flags beyond --a 4 --b -1, the file's keys beyond
+# a, b and out).
+_FLAG_FILE_CASES = [
+    ("simulate", ["simulate"], ["--T", "2.5", "--n-steps", "37", "--paths", "3", "--seed", "7"],
+     {"T": 2.5, "n_steps": 37, "n_paths": 3, "seed": 7}),
+    ("estimate", ["estimate"], ["--T", "2", "--n-steps", "50", "--paths", "3", "--seed", "8",
+                                "--estimator", "tilde"],
+     {"T": 2, "n_steps": 50, "n_paths": 3, "seed": 8, "estimator": "tilde"}),
+    ("rate point", ["rate"], ["--which", "pair", "--x", "4", "--y", "1"],
+     {"which": "pair", "x": 4, "y": 1}),
+    ("rate grid", ["rate"], ["--which", "K", "--grid", "--alpha-min", "3.5", "--beta-max", "-1",
+                             "--n-alpha", "3", "--n-beta", "2"],
+     {"which": "K", "grid": True, "alpha_min": 3.5, "beta_max": -1, "n_alpha": 3, "n_beta": 2}),
+    ("cgf", ["cgf"], ["--lam", "0.1", "--mu", "-0.1", "--nu", "-0.1", "--gamma", "-0.1"],
+     {"lam": 0.1, "mu": -0.1, "nu": -0.1, "gamma": -0.1}),
+    ("cgf mc", ["cgf"], ["--mc", "--T", "1", "--paths", "50", "--seed", "2", "--n-steps", "50"],
+     {"mc": True, "T": 1, "n_paths": 50, "seed": 2, "n_steps": 50}),
+    ("check continuity", ["check", "continuity"], ["--tolerance", "1e-5"], {"tolerance": 1e-5}),
+    ("check clt", ["check", "clt"], ["--T", "2", "--paths", "200", "--seed", "5", "--n-steps",
+                                     "100", "--estimator", "all", "--tolerance", "100"],
+     {"T": 2, "n_paths": 200, "seed": 5, "n_steps": 100, "estimator": "all", "tolerance": 100}),
+    ("check slope", ["check", "slope"], ["--functional", "Sigma", "--c", "0.8", "--T-grid",
+                                         "1,2", "--paths", "1000", "--seed", "3"],
+     {"functional": "Sigma", "c": 0.8, "T_grid": [1, 2], "n_paths": 1000, "seed": 3}),
+    ("figures", ["figures"], ["--fig", "3"], {"fig": 3}),
 ]
 
 
@@ -439,3 +472,94 @@ class TestParser:
     def test_missing_command_is_usage_error(self, capsys):
         rc, _, _ = run(capsys)
         assert rc == 2
+
+
+def _run_config(capsys, tmp_path, command: str, keys: dict) -> tuple[int, str, str]:
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"a": 4.0, "b": -1.0, **keys}))
+    return run(capsys, *command.split(), "--config", str(cfgfile))
+
+
+class TestConfigConversion:
+    def test_file_mc_without_seed_is_config_error(self, capsys, tmp_path):
+        rc, _, err = _run_config(capsys, tmp_path, "cgf", {"mc": True, "T": 2, "n_paths": 100})
+        assert rc == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert "seed" in payload["message"]
+
+    def test_switch_takes_booleans_only(self, capsys, tmp_path):
+        rc, _, err = _run_config(capsys, tmp_path, "cgf", {"mc": "false", "T": 2, "n_paths": 100})
+        assert rc == 2
+        assert json.loads(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("simulate", {"n_paths": 2.7, "seed": 1}),
+            ("simulate", {"n_paths": 2, "seed": 1.9}),
+            ("figures", {"fig": 2.7}),
+        ],
+        ids=["n_paths", "seed", "fig"],
+    )
+    def test_integer_keys_must_be_integral(self, capsys, tmp_path, command, keys):
+        rc, out, err = _run_config(capsys, tmp_path, command, {"T": 1, "out": "out", **keys})
+        assert rc == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert repr(next(v for v in keys.values() if isinstance(v, float))) in payload["message"]
+
+    def test_integral_float_and_number_text_load(self, capsys, tmp_path):
+        keys = {"which": "K", "grid": True, "n_alpha": "3", "n_beta": 2.0, "out": str(tmp_path)}
+        rc, out, _ = _run_config(capsys, tmp_path, "rate", keys)
+        assert rc == 0
+        assert json.loads(out)["settings"]["n_alpha"] == 3
+        assert len((tmp_path / "rate_K_grid.csv").read_text().splitlines()) == 1 + 3 * 2
+
+    def test_bad_clt_estimator_is_config_error(self, capsys, tmp_path):
+        keys = {"T": 2, "n_paths": 100, "seed": 5, "estimator": "nope", "out": str(tmp_path)}
+        rc, _, err = _run_config(capsys, tmp_path, "check clt", keys)
+        assert rc == 2
+        assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "command, flags, keys",
+    [c[1:] for c in _FLAG_FILE_CASES],
+    ids=[c[0] for c in _FLAG_FILE_CASES],
+)
+def test_flags_and_file_agree(capsys, tmp_path, monkeypatch, command, flags, keys):
+    results = []
+    for source in ("flags", "file"):
+        work = tmp_path / source
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if source == "flags":
+            rc, out, err = run(capsys, *command, "--a", "4", "--b", "-1", *flags, "--out", "out")
+        else:
+            rc, out, err = _run_config(capsys, tmp_path, " ".join(command), {"out": "out", **keys})
+        artifacts = {p.name: p.read_bytes() for p in sorted(work.glob("out/*"))}
+        results.append((rc, out, err, artifacts))
+    assert results[0][0] in (0, 1)
+    assert results[0] == results[1]
+
+
+def test_mc_overflow_writes_one_json_line(tmp_path):
+    # A fresh interpreter, so numpy's warnings reach stderr as they would.
+    src = str(Path(cir_ldp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cir_ldp.cli", "cgf", "--a", "4", "--b", "-1", "--mc",
+         "--mu", "1e308", "--T", "1", "--paths", "10", "--seed", "1", "--n-steps", "20",
+         "--out", "out"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"] == "OverflowError"
