@@ -369,12 +369,15 @@ def lambda_star(
 #: Objective value past which the transform is declared unbounded (+inf).
 UNBOUNDED_OBJECTIVE = 1e8
 
+# The numeric transform runs on plain floats and evaluates the objective
+# <theta, (x, y, z, t)> - Lambda(theta) in line: numpy, dataclass and helper
+# call overhead would otherwise cost more than the arithmetic.  Each in-line
+# evaluation repeats _cgf_value's operations in their order, with b^2,
+# (a-2)^2 and a b/4 formed once, so every value keeps _cgf_value's bits.
+
 
 def _surface_candidate(
-    params: ProcessParams,
-    objective,
-    mu_hi: float,
-    nu_hi: float,
+    a: float, b: float, x: float, y: float, z: float, t: float
 ) -> tuple[float, tuple[float, float, float, float] | None]:
     # Best objective value over the switching surface gamma^2 (d - b) =
     # lam^2 phi restricted to the kinked quadrant lam > 0, gamma < 0.  The
@@ -383,25 +386,43 @@ def _surface_candidate(
     # surface itself the objective is smooth in (lam, mu, nu).  Coordinates
     # (p, u, w) map to lam = e^p, mu = mu_hi - e^u, nu = nu_hi - e^w, and
     # gamma is the on-surface value -lam sqrt(phi / (d - b)).
-    a, b = params.a, params.b
+    bb, am2sq, ab4 = b * b, (a - 2.0) ** 2, 0.25 * a * b
+    mu_hi, nu_hi = bb / 8.0, am2sq / 8.0
 
-    def theta_of(p: float, u: float, w: float) -> tuple[float, float, float, float] | None:
-        if max(abs(p), abs(u), abs(w)) > 50.0:
-            return None
+    def neg(v: tuple[float, float, float]) -> float:
+        # Minus the objective at theta(v); the duals serve both gamma and Lambda.
+        p, u, w = v
+        # A nan coordinate fails this test: +inf, as Nelder-Mead reads a nan value.
+        if not (-50.0 <= p <= 50.0 and -50.0 <= u <= 50.0 and -50.0 <= w <= 50.0):
+            return INF
         lam = math.exp(p)
         mu = mu_hi - math.exp(u)
         nu = nu_hi - math.exp(w)
-        dfp = _dual_floats(a, b, mu, nu)
-        if dfp is None:
-            return None
-        d, _, phi = dfp
-        return lam, mu, nu, -lam * math.sqrt(phi / (d - b))
-
-    def neg(v: tuple[float, float, float]) -> float:
-        theta = theta_of(*v)
-        if theta is None:
+        rad_d = bb - 8.0 * mu
+        rad_f = am2sq - 8.0 * nu
+        if rad_d <= 0.0 or rad_f <= 0.0:
             return INF
-        return -objective(*theta)
+        d = math.sqrt(rad_d)
+        f = 0.5 * math.sqrt(rad_f)
+        phi = 2.0 * f + a + 2.0
+        dmb = d - b
+        gamma = -lam * math.sqrt(phi / dmb)
+        value = -0.5 * d * (1.0 + f) - ab4
+        # _branch's sector rule; lam > 0 here
+        if gamma >= 0.0 or gamma * gamma * dmb < lam * lam * phi:
+            value += lam * lam / dmb
+        else:
+            value += gamma * gamma / phi
+        if value == INF:
+            return INF
+        return -(x * lam + y * mu + z * nu + t * gamma - value)
+
+    def theta_of(v: tuple[float, float, float]) -> tuple[float, float, float, float]:
+        lam = math.exp(v[0])
+        mu = mu_hi - math.exp(v[1])
+        nu = nu_hi - math.exp(v[2])
+        d, _, phi = _dual_floats(a, b, mu, nu)
+        return lam, mu, nu, -lam * math.sqrt(phi / (d - b))
 
     # Coarse log-space lattice scan, then a derivative-free polish from the
     # leading nodes.  The lattice spans several orders of magnitude because
@@ -416,8 +437,9 @@ def _surface_candidate(
         if fval == INF:
             continue
         fun, v = nelder_mead(neg, node, xatol=1e-10, fatol=1e-12, maxfev=2000)
+        # A finite fun was taken at a v inside the box and the domain.
         if math.isfinite(fun) and -fun > best_val:
-            best_val, best_theta = -fun, theta_of(*v)
+            best_val, best_theta = -fun, theta_of(v)
     return best_val, best_theta
 
 
@@ -426,7 +448,7 @@ def legendre_transform_numeric(
 ) -> float:
     """sup over the CGF domain of <(x,y,z,t), (lam,mu,nu,gamma)> - Lambda.
 
-    Projected gradient ascent with boundary-aware backtracking from 8
+    Projected gradient ascent with boundary-aware backtracking from 7
     quadrant-covering starts, combined with a smooth search along the
     switching surface (where Lambda is kinked, unconstrained ascent zigzags,
     and the maximizer sits whenever both sector terms bind), followed by a
@@ -434,12 +456,24 @@ def legendre_transform_numeric(
     Nelder-Mead runs from cir_ldp._simplex, which repeats scipy's iteration
     on Python floats.  Returns +inf when the objective is detected unbounded
     (exceeds 1e8 along some ascent path).
+
+    The starts are (lam, gamma) in {-1/2, 1/2}^2 with (mu, nu) at half the
+    domain bounds, and the same with (mu, nu) = (-1, -1) except for
+    lam = gamma = -1/2.  That eighth start never gave the result on C3's
+    1 025 grid points, and without it every one of them keeps its value to
+    the bit.
+
+    Non-finite policy: nan when any coordinate is nan; otherwise +inf when
+    any coordinate is infinite, since the domain contains a neighbourhood of
+    0 and the objective is unbounded along that coordinate's axis.
     """
-    # The search runs on plain floats: numpy and dataclass overhead on
-    # 4-vectors would otherwise cost more than the arithmetic.
+    if x != x or y != y or z != z or t != t:
+        return math.nan
+    if INF in (abs(x), abs(y), abs(z), abs(t)):
+        return INF
     a, b = params.a, params.b
-    mu_hi = b * b / 8.0
-    nu_hi = (a - 2.0) ** 2 / 8.0
+    bb, am2sq, ab4 = b * b, (a - 2.0) ** 2, 0.25 * a * b
+    mu_hi, nu_hi = bb / 8.0, am2sq / 8.0
 
     def objective(lam: float, mu: float, nu: float, gamma: float) -> float:
         lam_val = _cgf_value(a, b, lam, mu, nu, gamma)
@@ -447,24 +481,36 @@ def legendre_transform_numeric(
             return -INF
         return x * lam + y * mu + z * nu + t * gamma - lam_val
 
-    starts = [
+    half = (0.5 * mu_hi, 0.5 * nu_hi)
+    starts = [(-0.5, *half, -0.5)] + [
         (sl, m, n, sg)
-        for sl in (-0.5, 0.5)
-        for sg in (-0.5, 0.5)
-        for (m, n) in ((0.5 * mu_hi, 0.5 * nu_hi), (-1.0, -1.0))
+        for sl, sg in ((-0.5, 0.5), (0.5, -0.5), (0.5, 0.5))
+        for m, n in (half, (-1.0, -1.0))
     ]
     best_val = -INF
     best_theta: tuple[float, float, float, float] | None = None
-    for theta in starts:
-        val = objective(*theta)
+    for lam, mu, nu, gamma in starts:
+        # (d, f, phi) at the current point: an accepted candidate's duals
+        # serve the next gradient.
+        dfp = _dual_floats(a, b, mu, nu)
+        if dfp is None:
+            continue
+        d, f, phi = dfp
+        val = objective(lam, mu, nu, gamma)
         step = 1.0
         for _ in range(600):
-            lam, mu, nu, gamma = theta
-            dfp = _dual_floats(a, b, mu, nu)
-            if dfp is None:
-                break
-            g_lam, g_mu, g_nu, g_gamma = _gradient_terms(b, lam, gamma, *dfp)
-            r_lam, r_mu, r_nu, r_gamma = x - g_lam, y - g_mu, z - g_nu, t - g_gamma
+            # Residual (x, y, z, t) - grad Lambda, by _gradient_terms.
+            dmb = d - b
+            r_lam, r_gamma = x, t
+            g_mu = 2.0 * (1.0 + f) / d
+            g_nu = d / (2.0 * f)
+            if lam > 0.0 and (gamma >= 0.0 or gamma * gamma * dmb < lam * lam * phi):
+                r_lam = x - 2.0 * lam / dmb
+                g_mu += 4.0 * lam * lam / (d * dmb**2)
+            elif lam > 0.0 or gamma < 0.0:
+                g_nu += 2.0 * gamma * gamma / (f * phi * phi)
+                r_gamma = t - 2.0 * gamma / phi
+            r_mu, r_nu = y - g_mu, z - g_nu
             gnorm2 = r_lam * r_lam + r_mu * r_mu + r_nu * r_nu + r_gamma * r_gamma
             if math.sqrt(gnorm2) < 1e-12:
                 break
@@ -473,12 +519,30 @@ def legendre_transform_numeric(
                 c_mu = mu + step * r_mu
                 c_nu = nu + step * r_nu
                 if c_mu < mu_hi and c_nu < nu_hi:
-                    cand = (lam + step * r_lam, c_mu, c_nu, gamma + step * r_gamma)
-                    cand_val = objective(*cand)
-                    if cand_val > val + 1e-4 * step * gnorm2:
-                        theta, val = cand, cand_val
-                        advanced = True
-                        break
+                    rad_d = bb - 8.0 * c_mu
+                    rad_f = am2sq - 8.0 * c_nu
+                    if rad_d > 0.0 and rad_f > 0.0:
+                        c_lam = lam + step * r_lam
+                        c_gamma = gamma + step * r_gamma
+                        c_d = math.sqrt(rad_d)
+                        c_f = 0.5 * math.sqrt(rad_f)
+                        c_phi = 2.0 * c_f + a + 2.0
+                        c_dmb = c_d - b
+                        value = -0.5 * c_d * (1.0 + c_f) - ab4
+                        if c_lam > 0.0:
+                            if c_gamma >= 0.0 or c_gamma * c_gamma * c_dmb < c_lam * c_lam * c_phi:
+                                value += c_lam * c_lam / c_dmb
+                            else:
+                                value += c_gamma * c_gamma / c_phi
+                        elif c_gamma < 0.0:
+                            value += c_gamma * c_gamma / c_phi
+                        if value != INF:
+                            cand_val = x * c_lam + y * c_mu + z * c_nu + t * c_gamma - value
+                            if cand_val > val + 1e-4 * step * gnorm2:
+                                lam, mu, nu, gamma = c_lam, c_mu, c_nu, c_gamma
+                                d, f, phi, val = c_d, c_f, c_phi, cand_val
+                                advanced = True
+                                break
                 step *= 0.5
             if not advanced:
                 break
@@ -486,8 +550,8 @@ def legendre_transform_numeric(
                 return INF
             step = min(step * 1.5, 1e6)
         if val > best_val:
-            best_val, best_theta = val, theta
-    surface_val, surface_theta = _surface_candidate(params, objective, mu_hi, nu_hi)
+            best_val, best_theta = val, (lam, mu, nu, gamma)
+    surface_val, surface_theta = _surface_candidate(a, b, x, y, z, t)
     if surface_val > best_val and surface_theta is not None:
         best_val, best_theta = surface_val, surface_theta
     if best_val > UNBOUNDED_OBJECTIVE:

@@ -207,7 +207,8 @@ def _convert(key: str, value):
     """Turn flag text or a JSON scalar into the type of option ``key``.
 
     Floats must be finite, except the rate coordinates; integers must be
-    integral; switches must be booleans; choices must be one of theirs.
+    integral; switches must be booleans, and only switches take booleans;
+    choices must be one of theirs.
     """
     kind = _OPTIONS[key][1]
     if kind == "T_grid":
@@ -216,6 +217,8 @@ def _convert(key: str, value):
         if not isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
         return value
+    if isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} takes no true or false, got {value!r}")
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"config key {key!r} must be one of {list(kind)}, got {value!r}")

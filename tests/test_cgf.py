@@ -60,6 +60,47 @@ _NON_FINITE_CASES = [
     ((0.0, 1e160, 1e160, 0.0), 6.25e159),
 ]
 
+#: (x, y, z, t) -> legendre_transform_numeric at (a, b) = (4, -1): nan when
+#: any coordinate is nan, else +inf when any coordinate is infinite.
+_NUMERIC_NON_FINITE_CASES = [
+    ((NAN, 2.0, 1.0, -1.0), NAN),
+    ((1.0, NAN, 1.0, -1.0), NAN),
+    ((1.0, 2.0, NAN, -1.0), NAN),
+    ((1.0, 2.0, 1.0, NAN), NAN),
+    ((INF, 2.0, NAN, -1.0), NAN),
+    ((INF, 2.0, 1.0, -1.0), INF),
+    ((-INF, 2.0, 1.0, -1.0), INF),
+    ((1.0, INF, 1.0, -1.0), INF),
+    ((1.0, -INF, 1.0, -1.0), INF),
+    ((1.0, 2.0, INF, -1.0), INF),
+    ((1.0, 2.0, -INF, -1.0), INF),
+    ((1.0, 2.0, 1.0, INF), INF),
+    ((1.0, 2.0, 1.0, -INF), INF),
+]
+
+#: ((a, b), (x, y, z, t), float.hex of legendre_transform_numeric), one row
+#: per search stage that gives the result: an ascent start (lam, mu, nu,
+#: gamma), a rank of the switching-surface Nelder-Mead runs, each with and
+#: without an improving polish, and an unbounded point.
+_NUMERIC_GOLDEN = [
+    # ascent from (-1/2, mu_hi/2, nu_hi/2, -1/2)
+    ((4.0, -1.0), (2.5, 3.0, 1.3, 0.0), "0x1.59afab4152faep+2"),
+    # ascent from (1/2, -1, -1, -1/2)
+    ((4.0, -1.0), (0.0, 2.0, 1.0, -0.5), "0x1.8800000000006p-1"),
+    # ascent from (1/2, -1, -1, 1/2)
+    ((4.0, -1.0), (0.0, 2.0, 1.3, -1.6), "0x1.7e189374bc6abp+2"),
+    # ascent from (1/2, -1, -1, -1/2), polished
+    ((4.0, -1.0), (0.8, 2.0, 0.8, 0.0), "0x1.f1758e2196538p-1"),
+    ((4.0, -1.0), (0.0, 2.0, 0.6, -1.0), "0x1.9333333333340p+2"),  # surface rank 0
+    ((4.0, -1.0), (0.0, 2.0, 0.6, -0.5), "0x1.1066666666678p+1"),  # rank 0, polished
+    ((4.0, -1.0), (0.0, 2.0, 0.8, -1.0), "0x1.888888888888ep+1"),  # surface rank 1
+    ((4.0, -1.0), (0.3, 2.0, 0.6, -1.6), "0x1.b823c022a8898p+4"),  # rank 1, polished
+    ((4.0, -1.0), (0.0, 2.0, 1.7, -1.6), "0x1.60a6921735ee8p+2"),  # surface rank 2
+    ((4.0, -1.0), (0.8, 2.0, 1.7, -1.6), "0x1.50a1a00517aafp+3"),  # rank 2, polished
+    ((3.0, -2.0), (0.8, 2.0, 1.5, -0.5), "0x1.144e63edcd70bp+1"),  # test_other_regime
+    ((4.0, -1.0), (1.0, 2.0, 1.0, 0.5), "inf"),  # unbounded: t > 0
+]
+
 
 def _brute_force_lambda_star(params, x, y, z, t):
     # Independent maximiser of the dual objective h over d, f > 0: a
@@ -312,6 +353,21 @@ class TestNumericTransform:
         closed = lambda_star(p, 0.8, 2.0, 1.5, -0.5)
         numeric = legendre_transform_numeric(p, 0.8, 2.0, 1.5, -0.5)
         assert numeric == pytest.approx(closed, abs=1e-8)
+
+    @pytest.mark.parametrize(("coords", "expected"), _NUMERIC_NON_FINITE_CASES)
+    def test_non_finite_policy(self, params44, coords, expected):
+        got = legendre_transform_numeric(params44, *coords)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert got == expected
+
+    def test_golden_bits(self):
+        got = [
+            legendre_transform_numeric(ProcessParams(*ab), *coords).hex()
+            for ab, coords, _ in _NUMERIC_GOLDEN
+        ]
+        assert got == [bits for _, _, bits in _NUMERIC_GOLDEN]
 
 
 class TestFiniteTMc:

@@ -510,6 +510,25 @@ class TestConfigConversion:
         assert payload["error"] == "ConfigError"
         assert repr(next(v for v in keys.values() if isinstance(v, float))) in payload["message"]
 
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("simulate", {"n_paths": True, "seed": 1}),
+            ("simulate", {"n_paths": 2, "seed": True}),
+            ("figures", {"fig": True}),
+            ("simulate", {"n_paths": 2, "seed": 1, "T": True}),
+            ("simulate", {"n_paths": 2, "seed": 1, "out": False}),
+        ],
+        ids=["n_paths", "seed", "fig", "T", "out"],
+    )
+    def test_only_switches_take_booleans(self, capsys, tmp_path, command, keys):
+        rc, out, err = _run_config(capsys, tmp_path, command, {"T": 1, "out": "out", **keys})
+        assert rc == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert repr(next(v for v in keys.values() if isinstance(v, bool))) in payload["message"]
+
     def test_integral_float_and_number_text_load(self, capsys, tmp_path):
         keys = {"which": "K", "grid": True, "n_alpha": "3", "n_beta": 2.0, "out": str(tmp_path)}
         rc, out, _ = _run_config(capsys, tmp_path, "rate", keys)
