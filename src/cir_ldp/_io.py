@@ -1,9 +1,41 @@
-"""Atomic artifact writes."""
+"""Artifact formats: the JSON report envelope, CSV tables and atomic writes."""
 
 from __future__ import annotations
 
 import os
 import secrets
+from dataclasses import asdict
+from typing import Iterable, Sequence
+
+
+def report(experiment: str, params, settings: dict, metrics, passed: bool = True) -> dict:
+    """The envelope of every JSON report.
+
+    ``params`` is a ``ProcessParams``, written as its fields ``a``, ``b`` and
+    ``x0``; ``settings`` holds the inputs of the run, ``metrics`` its
+    results, and ``pass`` the verdict (true for commands that check nothing).
+    """
+    return {
+        "experiment": experiment,
+        "params": asdict(params),
+        "settings": settings,
+        "metrics": metrics,
+        "pass": passed,
+    }
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A CSV table: the header line, then one line per row, with LF line ends.
+
+    Floats are written as their shortest round-trip ``repr`` (so ``inf``,
+    ``-inf`` and ``nan`` come out as those words), other values with ``str``.
+    """
+    lines = [",".join(header)]
+    lines.extend(
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    )
+    return "\n".join(lines) + "\n"
 
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:

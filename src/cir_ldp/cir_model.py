@@ -481,6 +481,16 @@ def _simulate_block(
     return x, acc_x * w, acc_inv * w
 
 
+def _map_jobs(fn, jobs: list[tuple], n_workers: int) -> list:
+    """[fn(*job) for job in jobs], in this process for one job or one worker,
+    else on a ProcessPoolExecutor of up to ``n_workers`` processes started by
+    the platform's default method."""
+    if n_workers <= 1 or len(jobs) == 1:
+        return [fn(*job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
+
+
 def simulate_ensemble(
     params: ProcessParams,
     T: float,
@@ -512,11 +522,7 @@ def simulate_ensemble(
         (params, T, n_steps, min(BLOCK_SIZE, n_paths - start), seed, start // BLOCK_SIZE)
         for start in range(0, n_paths, BLOCK_SIZE)
     ]
-    if n_workers <= 1 or len(jobs) == 1:
-        parts = [_simulate_block(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
-            parts = list(pool.map(_simulate_block, *zip(*jobs)))
+    parts = _map_jobs(_simulate_block, jobs, n_workers)
     x_T, S, Sigma = (np.concatenate(column) for column in zip(*parts))
     return EnsembleSummary(x_T=x_T, S=S, Sigma=Sigma, T=float(T), n_steps=n_steps)
 

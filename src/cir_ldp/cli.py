@@ -13,19 +13,18 @@ import argparse
 import inspect
 import json
 import math
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._io import write_text_atomic
+from ._io import csv_text, report, write_text_atomic
 from .cgf import CgfPoint, cgf_finite_T_mc, cgf_gradient, cgf_limit
 from .cir_model import (
     ProcessParams,
+    _map_jobs,
     _time_column,
     _write_csv,
     default_workers,
@@ -40,7 +39,6 @@ from .harness import (
     CHECK_SUITES,
     FIGURE_WINDOW,
     SLOPE_FUNCTIONALS,
-    _param_block,
     profile_curves,
     surface_grid,
 )
@@ -349,11 +347,7 @@ def _write(cfg: RunConfig, name: str, text: str) -> str:
 
 
 def _report(cfg: RunConfig, payload: dict, name: str | None = None) -> None:
-    """Print a JSON report, and write it to ``name`` in --out when given.
-
-    ``params`` and ``"pass": true`` are filled in where the payload has none.
-    """
-    payload = {"params": _param_block(cfg.params), "pass": True, **payload}
+    """Print a JSON report, and write it to ``name`` in --out when given."""
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
     if name is not None:
         _write(cfg, name, text)
@@ -414,14 +408,9 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     # Job w writes paths w, w + n, w + 2n, ...; the files do not depend on n.
     run = (cfg.params, cfg.T, cfg.total_steps, cfg.seed)
     jobs = [(*run, range(w, cfg.n_paths, n_workers), str(out_dir)) for w in range(n_workers)]
-    if n_workers == 1:
-        _write_paths(*jobs[0])
-    else:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(n_workers, mp_context=spawn) as pool:
-            list(pool.map(_write_paths, *zip(*jobs)))
+    _map_jobs(_write_paths, jobs, n_workers)
     metrics = {"directory": str(out_dir), "pattern": "traj_#####.csv"}
-    _report(cfg, {"experiment": "simulate", "settings": _run_settings(cfg), "metrics": metrics})
+    _report(cfg, report("simulate", cfg.params, _run_settings(cfg), metrics))
     return 0
 
 
@@ -432,23 +421,18 @@ def _cmd_estimate(cfg: RunConfig) -> int:
         cfg.params, cfg.T, cfg.total_steps, cfg.n_paths, cfg.seed, n_workers=cfg.n_workers
     )
     pf = functionals_from_summary(ens.T, cfg.x0, ens.x_T, ens.S, ens.Sigma)
-    # Plain floats, so repr gives the shortest round-trip text.
     columns = []
     for name in names:
         est = ESTIMATORS[name](pf)
         columns.append((name, est.alpha.tolist(), est.beta.tolist()))
-    lines = ["path_id,estimator,alpha,beta"]
-    lines.extend(
-        f"{i},{name},{alphas[i]!r},{betas[i]!r}"
+    rows = (
+        (i, name, alphas[i], betas[i])
         for i in range(cfg.n_paths)
         for name, alphas, betas in columns
     )
-    path = _write(cfg, "estimates.csv", "\n".join(lines) + "\n")
-    _report(cfg, {
-        "experiment": "estimate",
-        "settings": _run_settings(cfg, estimators=names),
-        "metrics": {"file": path, "rows": cfg.n_paths * len(names)},
-    })
+    path = _write(cfg, "estimates.csv", csv_text(("path_id", "estimator", "alpha", "beta"), rows))
+    metrics = {"file": path, "rows": cfg.n_paths * len(names)}
+    _report(cfg, report("estimate", cfg.params, _run_settings(cfg, estimators=names), metrics))
     return 0
 
 
@@ -473,8 +457,7 @@ def _cmd_rate(cfg: RunConfig) -> int:
             "n_beta": s["n_beta"],
         }
         _, metrics = _write_surface(cfg, f"rate_{which}_grid.csv", **window)
-        settings = {"which": which, **window}
-        _report(cfg, {"experiment": "rate_grid", "settings": settings, "metrics": metrics})
+        _report(cfg, report("rate_grid", cfg.params, {"which": which, **window}, metrics))
         return 0
     fn, keys = _RATE_SELECTORS[which]
     coords = [_require_setting(cfg, k, f"rate --which {which}") for k in keys]
@@ -494,12 +477,9 @@ def _cmd_cgf(cfg: RunConfig) -> int:
         limit = cgf_limit(cfg.params, point)
         abs_diff = abs(estimate - limit)
         metrics = {"estimate": estimate, "stderr": stderr, "limit": limit, "abs_diff": abs_diff}
-        _report(cfg, {
-            "experiment": "cgf_mc",
-            "settings": _run_settings(cfg, point=coords),
-            "metrics": metrics,
-            "pass": bool(abs_diff <= 3.0 * stderr + 0.05),
-        }, "cgf_mc_report.json")
+        passed = bool(abs_diff <= 3.0 * stderr + 0.05)
+        payload = report("cgf_mc", cfg.params, _run_settings(cfg, point=coords), metrics, passed)
+        _report(cfg, payload, "cgf_mc_report.json")
         return 0
     if s["gradient"]:
         grad = cgf_gradient(cfg.params, point)
@@ -536,7 +516,7 @@ def _cmd_figures(cfg: RunConfig) -> int:
         metrics = {"file": _write(cfg, "fig3.csv", curves.to_csv()), "rows": len(curves.v)}
     else:
         raise ConfigError(f"config key 'fig' must be 1, 2, or 3, got {fig}")
-    _report(cfg, {"experiment": "figures", "settings": {"fig": fig}, "metrics": metrics})
+    _report(cfg, report("figures", cfg.params, {"fig": fig}, metrics))
     return 0
 
 

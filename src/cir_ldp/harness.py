@@ -11,15 +11,15 @@ so reports depend only on the master seed, never on worker count.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._io import csv_text, report
 from .cgf import lambda_star, legendre_transform_numeric
 from .cir_model import (
     EnsembleSummary,
@@ -96,8 +96,24 @@ def clt_target_covariance(params: ProcessParams) -> CltCovariance:
     return CltCovariance(C=C, target=target)
 
 
+class _Report:
+    """A report dataclass whose ``to_dict`` is its JSON envelope: the fields in
+    ``_metrics`` are metrics, all others but ``params`` and ``passed`` settings."""
+
+    _experiment: str
+    _metrics: tuple[str, ...]
+
+    def to_dict(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        params, passed = values.pop("params"), values.pop("passed")
+        # Arrays and tuples as plain lists, as JSON writes them.
+        metrics = {k: np.asarray(values.pop(k)).tolist() for k in self._metrics}
+        return report(self._experiment, params, values, metrics, passed)
+
+
 @dataclass(frozen=True, eq=False)
-class CltReport:
+class CltReport(_Report):
+    params: ProcessParams
     estimator: str
     T: float
     n_paths: int
@@ -110,26 +126,8 @@ class CltReport:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": "clt",
-            "params": {},
-            "settings": {
-                "estimator": self.estimator,
-                "T": self.T,
-                "n_paths": self.n_paths,
-                "n_steps": self.n_steps,
-                "seed": self.seed,
-                "tolerance": self.tolerance,
-            },
-            "metrics": {
-                "mean": self.mean.tolist(),
-                "covariance": self.covariance.tolist(),
-                "target": self.target.tolist(),
-                "relative_deviations": self.relative_deviations.tolist(),
-            },
-            "pass": self.passed,
-        }
+    _experiment = "clt"
+    _metrics = ("mean", "covariance", "target", "relative_deviations")
 
 
 def _clt_report(
@@ -150,6 +148,7 @@ def _clt_report(
     rel = np.abs(cov - target) / np.abs(target)
     passed = bool(np.all(rel <= tolerance))
     return CltReport(
+        params=params,
         estimator=estimator,
         T=ens.T,
         n_paths=len(ens.x_T),
@@ -231,7 +230,8 @@ SLOPE_FUNCTIONALS = {
 
 
 @dataclass(frozen=True, eq=False)
-class SlopeReport:
+class SlopeReport(_Report):
+    params: ProcessParams
     functional: str
     c: float
     T_grid: tuple[float, ...]
@@ -246,28 +246,8 @@ class SlopeReport:
     upper_tail: bool
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": "slope",
-            "params": {},
-            "settings": {
-                "functional": self.functional,
-                "c": self.c,
-                "T_grid": list(self.T_grid),
-                "n_paths": self.n_paths,
-                "n_steps_per_unit": self.n_steps_per_unit,
-                "n_min": self.n_min,
-                "seed": self.seed,
-                "tolerance": self.tolerance,
-            },
-            "metrics": {
-                "slopes": list(self.slopes),
-                "hits": list(self.hits),
-                "target_rate": self.target_rate,
-                "upper_tail": self.upper_tail,
-            },
-            "pass": self.passed,
-        }
+    _experiment = "slope"
+    _metrics = ("slopes", "hits", "target_rate", "upper_tail")
 
 
 def slope_experiment(
@@ -326,6 +306,7 @@ def slope_experiment(
         )
     passed = abs(slopes[i_max] - target) <= tolerance * abs(target)
     return SlopeReport(
+        params=params,
         functional=functional,
         c=c,
         T_grid=tuple(float(T) for T in T_grid),
@@ -371,15 +352,10 @@ class SurfaceGrid:
         return float(np.max(np.abs(self.J[mask] - self.K[mask])))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("alpha,beta,J,K,I\n")
-        for i, al in enumerate(self.alphas):
-            for j, be in enumerate(self.betas):
-                buf.write(
-                    f"{float(al)!r},{float(be)!r},{float(self.J[i, j])!r},"
-                    f"{float(self.K[i, j])!r},{float(self.I[i, j])!r}\n"
-                )
-        return buf.getvalue()
+        """``alpha,beta,J,K,I`` rows, alpha outermost."""
+        al, be = np.meshgrid(self.alphas, self.betas, indexing="ij")
+        cols = (al, be, self.J, self.K, self.I)
+        return csv_text(("alpha", "beta", "J", "K", "I"), zip(*(c.ravel().tolist() for c in cols)))
 
 
 #: The figure window, surface_grid's default: (alpha_range, beta_range,
@@ -420,15 +396,9 @@ class ProfileCurves:
     Ib: np.ndarray
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("v,Ja,Ka,Ia,Jb,Kb,Ib\n")
-        for i, v in enumerate(self.v):
-            buf.write(
-                f"{float(v)!r},{float(self.Ja[i])!r},{float(self.Ka[i])!r},"
-                f"{float(self.Ia[i])!r},{float(self.Jb[i])!r},"
-                f"{float(self.Kb[i])!r},{float(self.Ib[i])!r}\n"
-            )
-        return buf.getvalue()
+        """One row per grid point, one column per field."""
+        names = [f.name for f in fields(self)]
+        return csv_text(names, zip(*(getattr(self, n).tolist() for n in names)))
 
 
 def profile_curves(
@@ -470,10 +440,6 @@ INFSUP_POINTS = (
 )
 
 
-def _param_block(params: ProcessParams) -> dict:
-    return {"a": params.a, "b": params.b, "x0": params.x0}
-
-
 def _worst_gap(points: Sequence[dict], closed, numeric) -> tuple[dict, float]:
     """Compare numeric(*point) with closed(*point) over coordinate dicts.
 
@@ -507,16 +473,13 @@ def _check_clt(
         params, names, T, n_paths, seed, n_steps=n_steps, n_workers=n_workers,
         tolerance=tolerance,
     )
-    dicts = [{**r.to_dict(), "params": _param_block(params)} for r in reports]
+    dicts = [r.to_dict() for r in reports]
     if len(dicts) == 1:
         return dicts[0]
-    return {
-        "experiment": "clt",
-        "params": _param_block(params),
-        "settings": {"estimators": names},
-        "reports": dicts,
-        "pass": all(r.passed for r in reports),
-    }
+    # One envelope around the estimators' envelopes, under "reports".
+    wrapper = report("clt", params, {"estimators": names}, dicts, all(r.passed for r in reports))
+    wrapper["reports"] = wrapper.pop("metrics")
+    return wrapper
 
 
 def _check_legendre(params: ProcessParams, *, tolerance: float = 1e-6) -> dict:
@@ -534,13 +497,10 @@ def _check_legendre(params: ProcessParams, *, tolerance: float = 1e-6) -> dict:
     worst_quad, _ = _worst_gap(
         quad, partial(lambda_star, params), partial(legendre_transform_numeric, params)
     )
-    return {
-        "experiment": "legendre",
-        "params": _param_block(params),
-        "settings": {"tolerance": tolerance, "pair_grid": "20x20", "quad_grid": "5^4"},
-        "metrics": {"worst_pair": worst_pair, "worst_quad": worst_quad},
-        "pass": worst_pair["abs_diff"] <= tolerance and worst_quad["abs_diff"] <= tolerance,
-    }
+    settings = {"tolerance": tolerance, "pair_grid": "20x20", "quad_grid": "5^4"}
+    metrics = {"worst_pair": worst_pair, "worst_quad": worst_quad}
+    passed = worst_pair["abs_diff"] <= tolerance and worst_quad["abs_diff"] <= tolerance
+    return report("legendre", params, settings, metrics, passed)
 
 
 def _check_infsup(params: ProcessParams, *, tolerance: float = 1e-4) -> dict:
@@ -549,13 +509,9 @@ def _check_infsup(params: ProcessParams, *, tolerance: float = 1e-4) -> dict:
         partial(rate_I_mle, params),
         partial(rate_I_infsup, params),
     )
-    return {
-        "experiment": "infsup",
-        "params": _param_block(params),
-        "settings": {"tolerance": tolerance, "n_points": len(INFSUP_POINTS)},
-        "metrics": {"worst": worst, "max_excess": max_excess},
-        "pass": worst["abs_diff"] <= tolerance and max_excess <= tolerance,
-    }
+    settings = {"tolerance": tolerance, "n_points": len(INFSUP_POINTS)}
+    passed = worst["abs_diff"] <= tolerance and max_excess <= tolerance
+    return report("infsup", params, settings, {"worst": worst, "max_excess": max_excess}, passed)
 
 
 def _check_slope(
@@ -571,11 +527,10 @@ def _check_slope(
 ) -> dict:
     if c is None:
         c = 5.0 if functional == "S" else 1.0
-    report = slope_experiment(
+    return slope_experiment(
         params, functional, c, T_grid, n_paths, seed, n_workers=n_workers,
         tolerance=tolerance,
-    )
-    return {**report.to_dict(), "params": _param_block(params)}
+    ).to_dict()
 
 
 def _check_continuity(params: ProcessParams, *, tolerance: float = 1e-6) -> dict:
@@ -612,22 +567,19 @@ def _check_continuity(params: ProcessParams, *, tolerance: float = 1e-6) -> dict
         if both_finite.any()
         else 0.0
     )
-    return {
-        "experiment": "continuity",
-        "params": _param_block(params),
-        "settings": {"seam_tolerance": seam_tol, "marginal_tolerance": tolerance},
-        "metrics": {
-            "seams": seams,
-            "marginals": marginals,
-            "max_shared_branch_diff": shared,
-            "max_overall_JK_diff": overall,
-        },
-        "pass": (
-            all(v <= seam_tol for v in seams.values())
-            and all(v <= tolerance for v in marginals.values())
-            and shared <= 1e-9
-        ),
+    metrics = {
+        "seams": seams,
+        "marginals": marginals,
+        "max_shared_branch_diff": shared,
+        "max_overall_JK_diff": overall,
     }
+    passed = (
+        all(v <= seam_tol for v in seams.values())
+        and all(v <= tolerance for v in marginals.values())
+        and shared <= 1e-9
+    )
+    settings = {"seam_tolerance": seam_tol, "marginal_tolerance": tolerance}
+    return report("continuity", params, settings, metrics, passed)
 
 
 #: The check suites by name.  Each takes (params, **settings), where the

@@ -77,6 +77,13 @@ def _sq(x):
     return np.float_power(x, 2.0)
 
 
+def _sq_over(u, w):
+    # u^2 / w, as _sq(u) / w wherever u^2 is finite, else as u (u / w), which
+    # stays finite when u and w are both huge.
+    sq = _sq(u)
+    return np.where(sq < INF, sq / w, u * (u / w))
+
+
 @dataclass(frozen=True)
 class RateRegionConstants:
     """Branch-boundary constants of the simplified-estimator rate functions."""
@@ -115,14 +122,14 @@ def region_constants(params: ProcessParams) -> RateRegionConstants:
 def rate_S(params: ProcessParams, x):
     """LDP rate of the time average S_T; zero at -a/b."""
     a, b = params.a, params.b
-    return np.where(x > 0.0, _sq(a + b * x) / (8.0 * x), INF)
+    return np.where(x > 0.0, _sq_over(a + b * x, 8.0 * x), INF)
 
 
 @_total
 def rate_Sigma(params: ProcessParams, y):
     """LDP rate of the inverse time average Sigma_T; zero at -b/(a-2)."""
     a, b = params.a, params.b
-    return np.where(y > 0.0, _sq((a - 2.0) * y + b) / (8.0 * y), INF)
+    return np.where(y > 0.0, _sq_over((a - 2.0) * y + b, 8.0 * y), INF)
 
 
 @_total
@@ -223,6 +230,18 @@ def _rate_K_branch_2(params: ProcessParams, alpha, beta):
     return _K_common(a, b, alpha, beta) - beta * _sq(a - alpha) / (8.0 * (alpha - 2.0))
 
 
+def _rate_K_combined(params: ProcessParams, alpha, beta, branch_1):
+    # The two branches with their alpha * beta terms cancelled by hand, so
+    # beta is not squared.  Past the constant ab/4, every term is >= 0 on its
+    # branch, so nothing cancels; branch 2 adds its exact -beta/4 last.
+    a, b = params.a, params.b
+    c = np.maximum(region_constants(params).C_alpha(alpha), 0.0)
+    head = 0.25 * a * b - alpha * (b * b) / (8.0 * beta)
+    tail_1 = beta * (1.0 - (0.125 * a * a + 4.0 + 2.0 * np.sqrt(2.0 * c)) / alpha)
+    tail_2 = (head - 0.125 * beta * (a - 2.0) ** 2 / (alpha - 2.0)) - 0.25 * beta
+    return np.where(branch_1, head + tail_1, tail_2)
+
+
 @_total
 def rate_K(params: ProcessParams, alpha, beta):
     """Rate function of the check estimator couple; zero at (a, b)."""
@@ -230,11 +249,18 @@ def rate_K(params: ProcessParams, alpha, beta):
     alpha_a = region_constants(params).alpha_a
     branch_1 = (beta < 0.0) & (0.0 < alpha) & (alpha <= alpha_a) | (beta > 0.0) & (alpha < 0.0)
     branch_2 = (beta < 0.0) & (alpha >= alpha_a)
-    return np.where(
+    value = np.where(
         (alpha == 0.0) & (beta == 0.0), -0.25 * b * (4.0 - a + math.sqrt(a * a + 16.0)),
         np.where(branch_1, _rate_K_branch_1(params, alpha, beta),
                  np.where(branch_2, _rate_K_branch_2(params, alpha, beta), INF)),
     )
+    # Where beta * beta overflows (|beta| > ~1.3e154) the forms above give
+    # -inf or nan.  (.any() on a numpy scalar would cost more than the test.)
+    huge = beta * beta == INF
+    if huge.any() if huge.ndim else huge:
+        combined = _rate_K_combined(params, alpha, beta, branch_1)
+        value = np.where((branch_1 | branch_2) & huge, combined, value)
+    return value
 
 
 @_total

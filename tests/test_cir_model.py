@@ -314,6 +314,24 @@ class TestEnsemble:
         np.testing.assert_array_equal(e1.Sigma, e2.Sigma)
         assert e1.x_T.shape == (n,)
 
+    def test_thread_variable_sets_the_default_worker_count(self, params44, monkeypatch):
+        n = BLOCK_SIZE + 37
+        e1 = simulate_ensemble(params44, 1.0, 20, n, 123, n_workers=1)
+        monkeypatch.setenv("CIR_LDP_THREADS", "2")
+        pools = []
+        map_jobs = cir_model._map_jobs
+
+        def recording(fn, jobs, n_workers):
+            pools.append(n_workers)
+            return map_jobs(fn, jobs, n_workers)
+
+        monkeypatch.setattr(cir_model, "_map_jobs", recording)
+        e2 = simulate_ensemble(params44, 1.0, 20, n, 123, n_workers=None)
+        assert pools == [2]
+        np.testing.assert_array_equal(e1.x_T, e2.x_T)
+        np.testing.assert_array_equal(e1.S, e2.S)
+        np.testing.assert_array_equal(e1.Sigma, e2.Sigma)
+
     def test_seed_changes_output(self, params44):
         e1 = simulate_ensemble(params44, 1.0, 20, 64, 123)
         e2 = simulate_ensemble(params44, 1.0, 20, 64, 124)

@@ -30,7 +30,9 @@ from cir_ldp import (
     simulate_path,
     write_trajectory_csv,
 )
-from cir_ldp.cli import _fmt_value, main, parse_config
+from cir_ldp import harness
+from cir_ldp.cli import _fmt_value, _jsonable, main, parse_config
+from cir_ldp.harness import CHECK_SUITES
 
 P44 = ProcessParams(4.0, -1.0)
 
@@ -83,6 +85,27 @@ _FLAG_FILE_CASES = [
                                          "1,2", "--paths", "1000", "--seed", "3"],
      {"functional": "Sigma", "c": 0.8, "T_grid": [1, 2], "n_paths": 1000, "seed": 3}),
     ("figures", ["figures"], ["--fig", "3"], {"fig": 3}),
+]
+
+
+_ENVELOPE = {"experiment", "params", "settings", "metrics", "pass"}
+
+# Every command that prints a JSON report, with its flags beyond --a 4 --b -1
+# and the file it also writes that report to (None: stdout only).
+_REPORT_CASES = [
+    (["simulate", "--T", "1", "--n-steps", "20", "--paths", "2", "--seed", "7"], None),
+    (["estimate", "--T", "1", "--n-steps", "20", "--paths", "2", "--seed", "7"], None),
+    (["rate", "--which", "I", "--grid", "--n-alpha", "3", "--n-beta", "2"], None),
+    (["cgf", "--mc", "--T", "1", "--n-steps", "20", "--paths", "50", "--seed", "2"],
+     "cgf_mc_report.json"),
+    (["check", "clt", "--T", "2", "--n-steps", "50", "--paths", "100", "--seed", "5"],
+     "clt_report.json"),
+    (["check", "slope", "--functional", "Sigma", "--c", "0.8", "--T-grid", "1,2",
+      "--paths", "1000", "--seed", "3"], "slope_report.json"),
+    (["check", "legendre"], "legendre_report.json"),
+    (["check", "infsup"], "infsup_report.json"),
+    (["check", "continuity"], "continuity_report.json"),
+    *((["figures", "--fig", fig], None) for fig in ("1", "2", "3")),
 ]
 
 
@@ -442,6 +465,42 @@ class TestCheckSuites:
     def test_unknown_suite(self, capsys, tmp_path):
         rc, _, _ = run(capsys, "check", "everything", "--a", "4", "--b", "-1", "--out", str(tmp_path))
         assert rc == 2
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize(
+        "argv, name", _REPORT_CASES, ids=[" ".join(argv[:2]) for argv, _ in _REPORT_CASES]
+    )
+    def test_every_report_is_one_envelope(self, capsys, tmp_path, monkeypatch, argv, name):
+        # The shape, not the numbers: a stub transform keeps check legendre quick.
+        monkeypatch.setattr(harness, "legendre_transform_numeric", lambda params, *point: 0.0)
+        rc, out, _ = run(capsys, *argv, "--a", "4", "--b", "-1", "--out", str(tmp_path))
+        assert rc in (0, 1)
+        payload = json.loads(out)
+        assert set(payload) == _ENVELOPE
+        assert payload["params"] == {"a": 4.0, "b": -1.0, "x0": 1.0}
+        if name is not None:
+            assert json.loads((tmp_path / name).read_text()) == payload
+
+    def test_clt_all_nests_one_envelope_per_estimator(self, capsys, tmp_path):
+        rc, out, _ = run(
+            capsys, "check", "clt", "--a", "4", "--b", "-1", "--T", "2", "--n-steps", "50",
+            "--paths", "100", "--seed", "5", "--estimator", "all", "--out", str(tmp_path),
+        )
+        assert rc in (0, 1)
+        payload = json.loads(out)
+        assert set(payload) == _ENVELOPE - {"metrics"} | {"reports"}
+        assert payload["params"] == {"a": 4.0, "b": -1.0, "x0": 1.0}
+        assert payload["pass"] == all(r["pass"] for r in payload["reports"])
+        for nested in payload["reports"]:
+            assert set(nested) == _ENVELOPE
+            assert nested["params"] == payload["params"]
+
+    def test_library_suite_gives_the_written_report(self, capsys, tmp_path):
+        rc, _, _ = run(capsys, "check", "continuity", "--a", "4", "--b", "-1", "--out", str(tmp_path))
+        assert rc == 0
+        written = json.loads((tmp_path / "continuity_report.json").read_text())
+        assert _jsonable(CHECK_SUITES["continuity"](P44)) == written
 
 
 class TestFigures:
