@@ -22,16 +22,8 @@ the objective.
   test, as it does under numpy's ``max``.
 
 An objective value of NaN ranks as a rejected point: it is replaced by +inf.
-
-For two coordinates, the case of every inf-sup search in ``rates``,
-``nelder_mead`` runs ``_nelder_mead_2d``, the same iteration unrolled on
-scalar coordinates.  There the objective costs a few microseconds, less than
-the general body's per-iteration lists, tuples and convergence loop.  It
-repeats the general body's arithmetic and control flow: the centroid is
-(x0 + x1) / 2, each branch re-sorts the vertices it moved as the stable
-sort would, and the maxfev cut falls at the same call, inside a shrink too.
-The general body serves the 3-D switching-surface search and the 4-D
-Legendre polish.  The tests compare both bodies with scipy.
+It serves the 2-D inf-sup searches at the two special points of ``rates``,
+the 3-D switching-surface search and the 4-D Legendre polish of ``cgf``.
 
 ``minimize_bounded`` is ``minimize_scalar(method="bounded")``, Brent's
 golden-section search with parabolic steps on a closed interval.  Its two
@@ -74,8 +66,6 @@ def nelder_mead(fn, x0, *, xatol: float, fatol: float, maxfev: int) -> tuple[flo
     """
     x0 = tuple(map(float, x0))
     n = len(x0)
-    if n == 2:
-        return _nelder_mead_2d(fn, x0, xatol, fatol, maxfev)
     nfev = 0
 
     def f(x: tuple) -> float:
@@ -134,100 +124,6 @@ def nelder_mead(fn, x0, *, xatol: float, fatol: float, maxfev: int) -> tuple[flo
             pass
         verts.sort(key=_VALUE)
     return verts[0][0], verts[0][1]
-
-
-def _nelder_mead_2d(fn, x0: tuple, xatol: float, fatol: float, maxfev: int) -> tuple[float, tuple]:
-    # nelder_mead's body for N = 2 on scalars.  (f0, a0, b0), (f1, a1, b1)
-    # and (f2, a2, b2) are the vertices in list order, which is sorted by
-    # value at the top of each iteration; each branch re-sorts the vertices
-    # it moved the way the stable sort would.
-    a0, b0 = x0
-    a1, b1 = (1 + 0.05) * a0 if a0 != 0 else 0.00025, b0
-    a2, b2 = a0, (1 + 0.05) * b0 if b0 != 0 else 0.00025
-    init = [INF, INF, INF]
-    nfev = min(max(maxfev, 0), 3)
-    for k, x in enumerate(((a0, b0), (a1, b1), (a2, b2))[:nfev]):
-        v = fn(x)
-        init[k] = INF if v != v else v
-    f0, f1, f2 = init
-    if f1 < f0:
-        f0, a0, b0, f1, a1, b1 = f1, a1, b1, f0, a0, b0
-    if f2 < f1:
-        f1, a1, b1, f2, a2, b2 = f2, a2, b2, f1, a1, b1
-        if f1 < f0:
-            f0, a0, b0, f1, a1, b1 = f1, a1, b1, f0, a0, b0
-    while nfev < maxfev:
-        if (
-            abs(f0 - f1) <= fatol
-            and abs(f0 - f2) <= fatol
-            and abs(a1 - a0) <= xatol
-            and abs(b1 - b0) <= xatol
-            and abs(a2 - a0) <= xatol
-            and abs(b2 - b0) <= xatol
-        ):
-            break
-        mx = (a0 + a1) / 2
-        my = (b0 + b1) / 2
-        ar, br = 2 * mx - a2, 2 * my - b2
-        nfev += 1
-        fr = fn((ar, br))
-        if fr != fr:
-            fr = INF
-        if fr < f0:
-            if nfev >= maxfev:
-                break
-            ae, be = 3 * mx - 2 * a2, 3 * my - 2 * b2
-            nfev += 1
-            fe = fn((ae, be))
-            if fe != fe:
-                fe = INF
-            if fe < fr:
-                fr, ar, br = fe, ae, be
-            f0, a0, b0, f1, a1, b1, f2, a2, b2 = fr, ar, br, f0, a0, b0, f1, a1, b1
-        elif fr < f1:
-            f1, a1, b1, f2, a2, b2 = fr, ar, br, f1, a1, b1
-        else:
-            if nfev >= maxfev:
-                break
-            outside = fr < f2
-            if outside:
-                ac, bc = 1.5 * mx - 0.5 * a2, 1.5 * my - 0.5 * b2
-            else:
-                ac, bc = 0.5 * mx + 0.5 * a2, 0.5 * my + 0.5 * b2
-            nfev += 1
-            fc = fn((ac, bc))
-            if fc != fc:
-                fc = INF
-            if fc <= fr if outside else fc < f2:
-                if fc < f0:
-                    f0, a0, b0, f1, a1, b1, f2, a2, b2 = fc, ac, bc, f0, a0, b0, f1, a1, b1
-                elif fc < f1:
-                    f1, a1, b1, f2, a2, b2 = fc, ac, bc, f1, a1, b1
-                else:
-                    f2, a2, b2 = fc, ac, bc
-            else:
-                # Shrink.  A cut moves the vertex it stops at but keeps its
-                # old value; before the first evaluation nothing is re-sorted.
-                a1, b1 = a0 + 0.5 * (a1 - a0), b0 + 0.5 * (b1 - b0)
-                if nfev >= maxfev:
-                    break
-                nfev += 1
-                f1 = fn((a1, b1))
-                if f1 != f1:
-                    f1 = INF
-                a2, b2 = a0 + 0.5 * (a2 - a0), b0 + 0.5 * (b2 - b0)
-                if nfev < maxfev:
-                    nfev += 1
-                    f2 = fn((a2, b2))
-                    if f2 != f2:
-                        f2 = INF
-                if f1 < f0:
-                    f0, a0, b0, f1, a1, b1 = f1, a1, b1, f0, a0, b0
-                if f2 < f1:
-                    f1, a1, b1, f2, a2, b2 = f2, a2, b2, f1, a1, b1
-                    if f1 < f0:
-                        f0, a0, b0, f1, a1, b1 = f1, a1, b1, f0, a0, b0
-    return f0, (a0, b0)
 
 
 def _sign(v: float) -> float:

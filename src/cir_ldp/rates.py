@@ -399,9 +399,18 @@ def rate_marginal(params: ProcessParams, which: str, v):
 # ---------------------------------------------------------------------------
 # Numerical inf-sup characterization of the MLE rate function.
 #
-# Each search over the admissible set is a set of Nelder-Mead runs from
-# _simplex, which repeats scipy's iteration on Python floats; the objectives
-# take the float tuple and reject points outside the set with +inf.
+# The MLE maps the quadruplet (x, y, z, t) = (sqrt(X_T/T), S, Sigma, curlyL)
+# to (alpha, beta) through y = (x^2 - alpha)/beta and z = (t^2 + beta)/(2 -
+# alpha), and I is the infimum of lambda_star over the preimage (Dembo &
+# Zeitouni, Thm 4.2.1).  No path ends near a point with x > 0 and t < 0:
+# x > 0 means X_T grows like T, so t = log(X_T)/T -> 0, and t < 0 means X_T
+# -> 0, so x -> 0.  The infimum therefore runs over the two faces of the
+# quadruplet's range, {t = 0}, where J lives, and {x = 0}, where K lives.
+# Each face is one 1-D scan-and-refine through lambda_star.  Only the special
+# points (0, 0) and (2, 0), whose preimages are 2-D, use Nelder-Mead from
+# _simplex, which repeats scipy's iteration on Python floats; their
+# objectives take the float tuple and reject points outside the set with
+# +inf.
 # ---------------------------------------------------------------------------
 
 
@@ -409,86 +418,70 @@ def _nelder_mead(fn, x0: tuple[float, float]) -> float:
     return nelder_mead(fn, x0, xatol=1e-7, fatol=1e-9, maxfev=400)[0]
 
 
-def _infsup_generic(params: ProcessParams, alpha: float, beta: float) -> float:
+def _face_min(fn, lo: float, hi: float) -> float:
+    # Minimum of fn on [lo, hi]: the best of 121 scan nodes, refined.
+    nodes = np.linspace(lo, hi, 121)
+    return _scan_refine(fn, nodes, [fn(float(u)) for u in nodes], 1e-10)[1]
+
+
+def _infsup_faces(params: ProcessParams, alpha: float, beta: float) -> float:
+    # beta != 0.  A face whose pinned coordinate leaves the cone is empty.
     a2 = 2.0 - alpha
-
-    def y_of(x: float) -> float:
-        return (x * x - alpha) / beta
-
-    def z_of(t: float) -> float:
-        return (t * t + beta) / a2
-
-    def objective(v: tuple[float, float]) -> float:
-        x, t = v
-        if x < 0.0 or t > 0.0:
-            return INF
-        return lambda_star(params, x, y_of(x), z_of(t), t)
-
-    # Sign-feasible (x, t) box for start placement; the objective itself
-    # rejects anything outside the admissible set via +inf.
-    if beta > 0.0:
-        x_lo = math.sqrt(max(alpha, 0.0))
-        x_hi = x_lo + 8.0
-        t_lo, t_hi = -8.0, 0.0
-    elif alpha < 2.0:
-        x_lo, x_hi = 0.0, math.sqrt(alpha)
-        t_hi = -math.sqrt(-beta)
-        t_lo = t_hi - 8.0
-    else:
-        x_lo, x_hi = 0.0, math.sqrt(alpha)
-        t_lo, t_hi = -math.sqrt(-beta), 0.0
-
-    starts = [
-        (x_lo + qx * (x_hi - x_lo), t_lo + qt * (t_hi - t_lo))
-        for qx in (0.15, 0.4, 0.65, 0.9)
-        for qt in (0.15, 0.4, 0.65, 0.9)
-    ]
-    # Slice seeds: the two candidate minimizers predicted by the theory.
-    seeds: list[float] = []
+    y0 = -alpha / beta
+    if a2 == 0.0:
+        # alpha = 2: t^2 + beta = (2 - alpha) z = 0 pins t at -sqrt(-beta)
+        # and leaves z free, so the x = 0 face is searched over log z; the
+        # t = 0 face is empty.
+        t0 = -math.sqrt(-beta)
+        return _face_min(
+            lambda u: lambda_star(params, 0.0, y0, math.exp(u), t0), -20.0, 20.0
+        )
+    faces = [INF]
     z0 = beta / a2
     if z0 > 0.0:
-        def x_slice(x: float) -> float:
-            return lambda_star(params, x, y_of(x), z0, 0.0)
-
-        nodes = np.linspace(x_lo + 1e-9, x_hi, 121)
-        xs, val = _scan_refine(x_slice, nodes, [x_slice(float(x)) for x in nodes], 1e-10)
-        seeds.append(val)
-        starts.append((xs, -1e-4))
-    y0 = -alpha / beta
+        # t = 0: x >= sqrt(alpha) when beta > 0, x < sqrt(alpha) when beta < 0.
+        if beta > 0.0:
+            x_lo = math.sqrt(max(alpha, 0.0))
+            x_hi = x_lo + 8.0
+        else:
+            x_lo, x_hi = 0.0, math.sqrt(alpha)
+        faces.append(_face_min(
+            lambda x: lambda_star(params, x, (x * x - alpha) / beta, z0, 0.0),
+            x_lo + 1e-9, x_hi,
+        ))
     if y0 > 0.0:
-        def t_slice(t: float) -> float:
-            return lambda_star(params, 0.0, y0, z_of(t), t)
+        # x = 0: the sign of z = (t^2 + beta)/(2 - alpha) bounds t.
+        if beta > 0.0:
+            t_lo, t_hi = -8.0, -1e-9
+        elif alpha < 2.0:
+            t_hi = -math.sqrt(-beta)
+            t_lo = t_hi - 8.0
+        else:
+            t_lo, t_hi = -math.sqrt(-beta), -1e-9
+        faces.append(_face_min(
+            lambda t: lambda_star(params, 0.0, y0, (t * t + beta) / a2, t), t_lo, t_hi
+        ))
+    return min(faces)
 
-        nodes = np.linspace(t_lo, t_hi - 1e-9 if t_hi == 0.0 else t_hi, 121)
-        ts, val = _scan_refine(t_slice, nodes, [t_slice(float(t)) for t in nodes], 1e-10)
-        seeds.append(val)
-        starts.append((1e-4, ts))
-    return min(*seeds, *(_nelder_mead(objective, s) for s in starts))
 
-
-def _infsup_beta0(params: ProcessParams, alpha: float) -> float:
-    # Limit of the constraint set as beta -> 0 for 0 <= alpha < 2: the first
-    # coordinate is pinned at sqrt(alpha), z = t^2/(2-alpha), and y is free.
-    x0 = math.sqrt(alpha)
-    denom = 2.0 - alpha
-
+def _infsup_00(params: ProcessParams) -> float:
+    # (0, 0): x is pinned at 0, z = t^2/2, and y is free.
     def objective(v: tuple[float, float]) -> float:
         t, log_y = v
         if t >= 0.0 or abs(log_y) > 50.0:
             return INF
         y = math.exp(log_y)
-        return lambda_star(params, x0, y, t * t / denom, t)
+        return lambda_star(params, 0.0, y, t * t / 2.0, t)
 
     return min(
-        _nelder_mead(objective, (t0, math.log(m / (t0 * t0 / denom))))
+        _nelder_mead(objective, (t0, math.log(m / (t0 * t0 / 2.0))))
         for t0 in (-0.5, -1.0, -2.0, -4.0)
         for m in (1.5, 3.0, 8.0, 20.0)
     )
 
 
 def _infsup_20(params: ProcessParams) -> float:
-    # (2, 0): the first coordinate is pinned at sqrt(2) and t at 0; minimize
-    # the triplet rate over the free (y, z) cone.
+    # (2, 0): x is pinned at sqrt(2) and t at 0; y and z are free.
     def objective(v: tuple[float, float]) -> float:
         log_y, log_z = v
         if abs(log_y) > 50.0 or abs(log_z) > 50.0:
@@ -504,38 +497,28 @@ def _infsup_20(params: ProcessParams) -> float:
     )
 
 
-def _infsup_alpha2(params: ProcessParams, beta: float) -> float:
-    # alpha = 2, beta < 0: t is pinned at -sqrt(-beta), y = (x^2 - 2)/beta
-    # with x in [0, sqrt(2)), and z is free above 1/y.
-    t0 = -math.sqrt(-beta)
-
-    def objective(v: tuple[float, float]) -> float:
-        x, log_z = v
-        if x < 0.0 or x >= _SQRT2 or abs(log_z) > 50.0:
-            return INF
-        z = math.exp(log_z)
-        y = (x * x - 2.0) / beta
-        return lambda_star(params, x, y, z, t0)
-
-    return min(
-        _nelder_mead(objective, (x, math.log(m / ((x * x - 2.0) / beta))))
-        for x in (qx * _SQRT2 for qx in (0.05, 0.35, 0.65, 0.95))
-        for m in (1.5, 3.0, 8.0, 20.0)
-    )
-
-
 @_total
 def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
     """MLE rate via the inf-sup characterization, evaluated numerically.
 
-    The outer infimum runs over the admissible (x, t) set of the quadruplet
-    contraction; the inner supremum is the concave maximization performed by
-    lambda_star.  Valid on D1 = {alpha <= 0, beta > 0}, D2 = {0 < alpha < 2},
-    D3 = {alpha >= 2, beta < 0}, plus the special points (0, 0) and (2, 0);
-    the constraint parameterization degenerates at beta = 0 and alpha = 2,
-    where the limiting preimage sets are used instead.  A NaN coordinate
-    gives NaN, otherwise a +-inf coordinate gives +inf, as for the closed
-    forms.  Unlike them it takes float coordinates only.
+    The outer infimum runs over the quadruplets (x, y, z, t) that the MLE
+    maps to (alpha, beta); the inner supremum is the concave maximization
+    performed by lambda_star.  The infimum is the smaller of two face
+    searches, each a 1-D scan refined by a bounded search:
+
+    * t = 0, where z = beta/(2 - alpha) > 0 and y = (x^2 - alpha)/beta, over x;
+    * x = 0, where y = -alpha/beta > 0 and z = (t^2 + beta)/(2 - alpha), over
+      t <= 0.  On alpha = 2, t is pinned at -sqrt(-beta) and the search runs
+      over log z.
+
+    Where both faces are empty, as on beta = 0 with 0 < alpha < 2, the value
+    is +inf.  The special points (0, 0) and (2, 0) have 2-D preimages, which
+    a Nelder-Mead search covers: over (t, y) at x = 0, and over (y, z) at
+    x = sqrt(2), t = 0.  Valid on D1 = {alpha <= 0, beta > 0},
+    D2 = {0 < alpha < 2}, D3 = {alpha >= 2, beta < 0} and the two special
+    points.  A NaN coordinate gives NaN, otherwise a +-inf coordinate gives
+    +inf, as for the closed forms.  Unlike them it takes float coordinates
+    only.
 
     Raises
     ------
@@ -552,10 +535,12 @@ def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
         raise DomainError(
             f"({alpha}, {beta}) is outside the inf-sup domain D1 u D2 u D3"
         )
-    if alpha == 2.0 and beta == 0.0:
-        return _infsup_20(params)
-    if beta == 0.0:
-        return _infsup_beta0(params, alpha)
+    if beta != 0.0:
+        return _infsup_faces(params, alpha, beta)
+    if alpha == 0.0:
+        return _infsup_00(params)
     if alpha == 2.0:
-        return _infsup_alpha2(params, beta)
-    return _infsup_generic(params, alpha, beta)
+        return _infsup_20(params)
+    # 0 < alpha < 2: x = sqrt(alpha) > 0 forces t = 0, where z = 0 is
+    # outside the cone.
+    return INF

@@ -334,10 +334,11 @@ class TestMarginals:
 
 
 #: rate_I_infsup at (a, b) = (4, -1), as float hex: the 30 C4 points (the
-#: generic search: its slice seeds and 2-D Nelder-Mead from up to 18 starts),
-#: then (2, 0), (1, 0) and (2, -1), one on each special search.  Any change
-#: to the float arithmetic of the searches or of lambda_star shows here; the
-#: special searches also go through the libm's exp and log.
+#: smaller of the t = 0 and x = 0 face searches), then (2, 0) (the 2-D
+#: Nelder-Mead search), (1, 0) (both faces empty) and (2, -1) (the x = 0 face
+#: over log z).  Any change to the float arithmetic of the searches or of
+#: lambda_star shows here; the searches at (2, 0) and on alpha = 2 also go
+#: through the libm's exp and log.
 _INFSUP_GOLDEN = [
     ((2.5, -0.5), "0x1.0000000000000p-2"),
     ((2.5, -2.0), "0x1.a800000000000p+0"),
@@ -369,10 +370,10 @@ _INFSUP_GOLDEN = [
     ((-2.5, 2.5), "0x1.802d82d82d82ep+2"),
     ((-4.0, 1.2), "0x1.d000000000000p+1"),
     ((-0.8, 0.4), "0x1.1f8af8af8af8ap+1"),
-    # _infsup_20, _infsup_beta0 and _infsup_alpha2
+    # (2, 0), beta = 0 with 0 < alpha < 2, and alpha = 2
     ((2.0, 0.0), "0x1.0000000000000p+0"),
-    ((1.0, 0.0), "0x1.345f33b195100p+1"),
-    ((2.0, -1.0), "0x1.2000000000005p+1"),
+    ((1.0, 0.0), "inf"),
+    ((2.0, -1.0), "0x1.2000000000000p+1"),
 ]
 
 
@@ -394,9 +395,10 @@ class TestInfSup:
             (pt, float.fromhex(h).hex()) for pt, h in _INFSUP_GOLDEN
         ]
 
-    def test_beta_zero_sliver_is_finite(self, params44):
-        v = rate_I_infsup(params44, 1.0, 0.0)
-        assert 0.0 < v < INF
+    def test_beta_zero_sliver_is_infinite(self, params44):
+        # x = sqrt(alpha) > 0 forces t = 0, and there z = beta/(2 - alpha) = 0
+        # leaves the cone: no quadruplet maps to the sliver.
+        assert rate_I_infsup(params44, 1.0, 0.0) == INF
 
     def test_domain_errors(self, params44):
         for al, be in [(3.0, 1.0), (-1.0, -1.0), (-0.5, 0.0), (0.0, -0.5), (3.0, 0.0)]:
@@ -411,6 +413,63 @@ class TestInfSup:
             assert rate_I_mle(params44, al, be) == min(
                 rate_J(params44, al, be), rate_K(params44, al, be)
             )
+
+    @pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0), (6.0, -3.0)])
+    def test_band_around_beta_zero(self, a, b):
+        # Points near beta = 0, near K's apex in D1 and on alpha = 2, where a
+        # search between the two faces would find values below I.  Both
+        # sides are +inf on the sliver beta = 0, 0 < alpha < 2.
+        p = ProcessParams(a, b)
+        pts = [
+            (-0.01, 0.02), (-0.05, 0.05), (-0.3, 0.1), (0.1, 0.01), (1.0, 0.01),
+            (1.0, -0.01), (1.9, -0.01), (1.0, 0.0), (0.5, 0.0), (1.5, 0.0),
+            (-0.25, 0.25), (0.0, 0.25), (0.25, 0.25), (-0.1, 0.1), (-0.36, 0.31),
+        ]
+        pts += [
+            (al, be)
+            for al in (0.1, 1.0, 1.9)
+            for be in (-0.3, -0.03, -0.003, 0.0, 0.003, 0.03, 0.3)
+        ]
+        pts += [(2.0, be) for be in (-0.01, -0.1, -0.5, -1.0, -2.0, -3.0, -5.0)]
+        for al, be in pts:
+            want = rate_I_mle(p, al, be)
+            got = rate_I_infsup(p, al, be)
+            if want == INF:
+                assert got == INF, (al, be)
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (al, be)
+
+
+@pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0), (6.0, -3.0), (2.5, -0.5)])
+@pytest.mark.parametrize("rate", [rate_J, rate_K, rate_I_mle, rate_I_infsup])
+def test_hessian_at_the_centre_is_a_quarter_of_fisher(rate, a, b):
+    # The LDP's curvature at (a, b) matches the CLT: C/4, with
+    # C = [[E 1/X, 1], [1, E X]] under the stationary Gamma law.
+    p = ProcessParams(a, b)
+    want = np.array([[-b / (a - 2.0), 1.0], [1.0, -a / b]]) / 4.0
+    h = 1e-4
+
+    def f(da, db):
+        return rate(p, a + da * h, b + db * h)
+
+    f0 = f(0, 0)
+    haa = (f(1, 0) - 2.0 * f0 + f(-1, 0)) / h**2
+    hbb = (f(0, 1) - 2.0 * f0 + f(0, -1)) / h**2
+    hab = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4.0 * h * h)
+    np.testing.assert_allclose([[haa, hab], [hab, hbb]], want, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0), (6.0, -3.0), (2.5, -0.5)])
+def test_j_is_relative_entropy_below_b_over_3(a, b):
+    # For beta <= b/3, J is the stationary relative-entropy rate of
+    # CIR(alpha, beta) from CIR(a, b), written out here from scratch.
+    al, be = np.meshgrid(
+        np.linspace(2.2, 9.0, 35), np.linspace(3.0 * b, b / 3.0, 30, endpoint=False)
+    )
+    re = (
+        (al - a) ** 2 * (-be) / (al - 2.0) + 2.0 * (al - a) * (be - b) + (be - b) ** 2 * al / (-be)
+    ) / 8.0
+    np.testing.assert_allclose(rate_J(ProcessParams(a, b), al, be), re, rtol=1e-13, atol=0.0)
 
 
 def _bits(x) -> np.ndarray:

@@ -15,7 +15,8 @@ INF = float("inf")
 NAN = float("nan")
 
 #: (xatol, fatol, maxfev) of the library's three searches: the inf-sup
-#: outer search, the switching-surface search and the Legendre polish.
+#: searches at rates' two special points, the switching-surface search and
+#: the Legendre polish.
 _RATES, _SURFACE, _POLISH = (1e-7, 1e-9, 400), (1e-10, 1e-12, 2000), (1e-9, 1e-13, 4000)
 
 
@@ -28,7 +29,7 @@ def _quadratic(v):
 
 
 def _rejecting(v):
-    # Like the inf-sup objective: +inf outside x >= 0, t <= 0, with the
+    # Like _infsup_objective: +inf outside x >= 0, t <= 0, with the
     # bowl's centre outside, so the minimum sits on the rejection edge.
     x, t = v[0], v[1]
     if x < 0.0 or t > 0.0:
@@ -68,8 +69,10 @@ def _shrinking(v):
 
 
 def _infsup_objective(alpha, beta):
-    # The inf-sup search's objective of rates at (a, b) = (4, -1): lambda_star
-    # on the constraint set of (alpha, beta), +inf outside x >= 0, t <= 0.
+    # lambda_star at (a, b) = (4, -1) on the 2-D (x, t) constraint set of
+    # (alpha, beta), +inf outside x >= 0, t <= 0: an objective of the
+    # library's own cost and shape.  rate_I_infsup searches only the set's
+    # two faces x = 0 and t = 0, each in one dimension.
     params = ProcessParams(4.0, -1.0)
 
     def objective(v):
@@ -187,8 +190,7 @@ def test_maxfev_cut_inside_a_shrink_matches_scipy_1_17(maxfev, fun_hex, x_hex):
     assert x == tuple(float.fromhex(h) for h in x_hex)
 
 
-#: scipy 1.17.1 on _rejecting cut at maxfev before it converges, as 89 of the
-#: 529 inf-sup searches of the C4 points are.
+#: scipy 1.17.1 on _rejecting cut at maxfev before it converges.
 _EXHAUSTED_CUTS = [
     (
         (0.5, -0.5),
