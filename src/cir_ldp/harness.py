@@ -557,7 +557,9 @@ def _check_continuity(params: ProcessParams, *, tolerance: float = 1e-6) -> dict
             partial(rate_marginal, params, name),
             partial(marginal_inf_numeric, params, name[0], name[1]),
         )[0]["abs_diff"]
-        for name, lo, hi in (("Ja", 0.5, 5.5), ("Jb", -3.0, 0.8), ("Ka", -2.0, 5.0))
+        for name, lo, hi in (
+            ("Ja", 0.5, 5.5), ("Jb", -3.0, 0.8), ("Ka", -2.0, 5.0), ("Kb", -3.0, 1.0)
+        )
     }
     surf = surface_grid(params)
     shared = surf.max_shared_diff(params)

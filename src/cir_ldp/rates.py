@@ -106,6 +106,7 @@ class RateRegionConstants:
         )
 
 
+@functools.cache
 def region_constants(params: ProcessParams) -> RateRegionConstants:
     a, b = params.a, params.b
     ell_a = 10.0 / 9.0 + math.sqrt(64.0 + 9.0 * (a - 2.0) ** 2) / 9.0
@@ -242,6 +243,11 @@ def _rate_K_combined(params: ProcessParams, alpha, beta, branch_1):
     return np.where(branch_1, head + tail_1, tail_2)
 
 
+def _K_apex(a: float, b: float) -> float:
+    # K at its apex (0, 0), the only point of the line beta = 0 where it is finite.
+    return -0.25 * b * (4.0 - a + math.sqrt(a * a + 16.0))
+
+
 @_total
 def rate_K(params: ProcessParams, alpha, beta):
     """Rate function of the check estimator couple; zero at (a, b)."""
@@ -250,7 +256,7 @@ def rate_K(params: ProcessParams, alpha, beta):
     branch_1 = (beta < 0.0) & (0.0 < alpha) & (alpha <= alpha_a) | (beta > 0.0) & (alpha < 0.0)
     branch_2 = (beta < 0.0) & (alpha >= alpha_a)
     value = np.where(
-        (alpha == 0.0) & (beta == 0.0), -0.25 * b * (4.0 - a + math.sqrt(a * a + 16.0)),
+        (alpha == 0.0) & (beta == 0.0), _K_apex(a, b),
         np.where(branch_1, _rate_K_branch_1(params, alpha, beta),
                  np.where(branch_2, _rate_K_branch_2(params, alpha, beta), INF)),
     )
@@ -301,11 +307,114 @@ def _Ka(params: ProcessParams, alpha):
     )
 
 
+# Kb(beta) is the infimum of rate_K over alpha.  Its candidates:
+#
+# * Branch 2 (beta < 0, alpha >= alpha_a) is convex in alpha, with minimiser
+#   alpha* = 2 + (a - 2) beta / b and minimum -(beta - b)^2 / (4 beta), the
+#   relative entropy RE(alpha*, beta).  Where alpha* < alpha_a its minimum
+#   is at alpha_a, which branch 1 covers.
+# * Branch 1 (0 < alpha <= alpha_a for beta < 0, alpha < 0 for beta > 0),
+#   searched in z = |b alpha / beta|, which stays O(1) at the minimiser as
+#   |beta| -> 0 or inf.  With s = sqrt(C(alpha)) and z^2 = (b/beta)^2 alpha^2,
+#   K = ab/4 + |b| z / 8 + beta + |b| (a^2/8 + 4 + 2 sqrt(2) s) / z, and dK/dz
+#   has the sign of H(z) = z^2 - (a^2 + 32) - 2 sqrt(2) (a^2 + 16 - (a + 4)
+#   alpha) / s, which is 8 F(alpha) for the stationarity condition
+#   F = alpha (sqrt(2) + s)(alpha - a - 4) / (4 s) - (sqrt(2) + s)^2 +
+#   ((b/beta)^2 - 1) alpha^2 / 8.  H < 0 below z = sqrt(a^2 + 32), and H > 0
+#   above the cap of _kb_bracket, so each local minimum is an upward
+#   crossing of H between them: one for beta > 0, at most one for beta < 0,
+#   where a downward crossing (a local maximum) may follow and leave the
+#   minimum at alpha_a.
+#
+# Each crossing is bracketed on _KB_NODES nodes in z and refined by
+# _KB_STEPS Illinois steps; K is stationary there, so the root's error
+# enters K squared.  Every step is elementwise, so a point gets the same
+# bits as a float or inside an array.
+_KB_NODES = 16
+_KB_STEPS = 16
+
+
+def _C_sqrt_parts(a: float, alpha):
+    # sqrt(C(alpha)) = m q with m = a - alpha > 0 on branch 1, which stays
+    # finite where (a - alpha)^2 overflows.
+    m = a - alpha
+    return m, np.sqrt(np.maximum(0.125 + (2.0 - alpha) / m / m, 0.0))
+
+
+def _kb_slope(a: float, z, alpha):
+    # H(z) of the notes above, at alpha = alpha(z).
+    m, q = _C_sqrt_parts(a, alpha)
+    return z * z - (a * a + 32.0) - 2.0 * _SQRT2 * ((a * a + 16.0) / m - (a + 4.0) * (alpha / m)) / q
+
+
+def _kb_branch_1(a: float, b: float, beta, z, alpha):
+    # K on branch 1 in z, with no alpha * beta terms to cancel.
+    m, q = _C_sqrt_parts(a, alpha)
+    return 0.25 * a * b + 0.125 * abs(b) * z + beta + abs(b) * (
+        0.125 * a * a + 4.0 + 2.0 * _SQRT2 * m * q
+    ) / z
+
+
+def _kb_bracket(a: float, alpha_a: float):
+    # z = sqrt(a^2 + 32) and the caps above which H > 0: for beta > 0 from
+    # s >= (a - alpha) / sqrt(8), for beta < 0 from s >= s(alpha_a).  As a
+    # numpy float, an s(alpha_a) that rounds to 0 (a next to 2) gives an
+    # infinite cap instead of raising.
+    m, q = _C_sqrt_parts(a, np.float64(alpha_a))
+    base = a * a + 32.0
+    return (
+        math.sqrt(base),
+        np.sqrt(base + 2.0 * _SQRT2 * (a * a + 16.0) / (m * q)),
+        math.sqrt(base + 8.0 * (a + max(4.0, 16.0 / a)) + 8.0),
+    )
+
+
+def _illinois(fn, lo, hi, f_lo, f_hi):
+    # Elementwise root of fn in [lo, hi], where f_lo < 0 <= f_hi: _KB_STEPS
+    # steps of regula falsi, an end kept twice in a row having its value
+    # halved (Illinois), and a bisection wherever the step leaves the bracket.
+    kept = np.zeros_like(lo)
+    x = lo
+    for _ in range(_KB_STEPS):
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        fx = fn(x)
+        up = fx >= 0.0
+        f_hi = np.where(up, fx, np.where(kept < 0.0, 0.5 * f_hi, f_hi))
+        f_lo = np.where(up, np.where(kept > 0.0, 0.5 * f_lo, f_lo), fx)
+        hi = np.where(up, x, hi)
+        lo = np.where(up, lo, x)
+        kept = np.where(up, 1.0, -1.0)
+    return x
+
+
 def _Kb(params: ProcessParams, beta):
-    # Kb has no closed form: one numeric infimum per point.
-    return np.array(
-        [marginal_inf_numeric(params, "K", "b", float(v)) for v in np.ravel(beta)]
-    ).reshape(np.shape(beta))
+    a, b = params.a, params.b
+    alpha_a = region_constants(params).alpha_a
+    flat = np.reshape(beta, -1)
+    neg = flat < 0.0
+    # alpha = unit * z on branch 1.
+    scale = np.abs(flat / b)
+    unit = np.where(neg, scale, -scale)
+    z_a = alpha_a / scale
+    z_lo, cap_neg, cap_pos = _kb_bracket(a, alpha_a)
+    z_hi = np.where(neg, np.minimum(z_a, cap_neg), cap_pos)
+    z = z_lo + (z_hi - z_lo)[:, None] * np.linspace(0.0, 1.0, _KB_NODES)
+    h = _kb_slope(a, z, unit[:, None] * z)
+    # Where z_hi < z_lo (beta < 0 with alpha_a below z_lo) the nodes leave
+    # branch 1 and bracket nothing.
+    up = (h[:, :-1] < 0.0) & (h[:, 1:] >= 0.0) & (z_hi > z_lo)[:, None]
+    p, k = np.nonzero(up)
+    root = _illinois(
+        lambda x: _kb_slope(a, x, unit[p] * x), z[p, k], z[p, k + 1], h[p, k], h[p, k + 1]
+    )
+    out = np.full(flat.shape, INF)
+    np.minimum.at(out, p, _kb_branch_1(a, b, flat[p], root, unit[p] * root))
+    at_alpha_a = _kb_branch_1(a, b, flat, z_a, alpha_a)
+    relative_entropy = _sq_over(flat - b, -4.0 * flat)
+    out = np.minimum(out, np.where(neg, at_alpha_a, INF))
+    out = np.minimum(out, np.where(neg & (2.0 + (a - 2.0) * flat / b >= alpha_a), relative_entropy, INF))
+    return np.where(flat == 0.0, _K_apex(a, b), out).reshape(np.shape(beta))
 
 
 def _scan_refine(fn, xs: np.ndarray, vals, xatol: float) -> tuple[float, float]:
@@ -332,8 +441,8 @@ def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float)
     ``which`` picks the surface (J or K); ``axis`` names the held coordinate:
     axis='a' holds alpha=v and minimizes over beta, axis='b' holds beta=v and
     minimizes over alpha, on the half-line from the surface's apex where the
-    surface is finite.  It is the Kb marginal and cross-checks the
-    closed-form Ja, Jb and Ka.
+    surface is finite.  It is the independent cross-check of the closed-form
+    marginals Ja, Jb, Ka and Kb.
     """
     if which not in _APEX_ALPHA:
         raise DomainError(f"which must be 'J' or 'K', got {which!r}")
@@ -385,9 +494,11 @@ _MARGINALS = {
 def rate_marginal(params: ProcessParams, which: str, v):
     """Marginal rate functions: which in {Ja, Jb, Ka, Kb, Ia, Ib}.
 
-    Ja, Jb, Ka use their closed piecewise forms; Kb has none and is
-    marginal_inf_numeric(params, "K", "b", v) at each point; Ia and Ib are
-    pointwise minima of the corresponding pair.
+    Ja, Jb, Ka use their closed piecewise forms.  Kb is the smaller of
+    branch 2's relative entropy and branch 1 at its stationary point, a root
+    found by a fixed number of elementwise steps; see the notes above _Kb.
+    Ia and Ib are pointwise minima of the corresponding pair.  All six take
+    arrays, and each element gets the bits of its float call.
     """
     try:
         marginal = _MARGINALS[which]
