@@ -2,7 +2,7 @@
 
 The two functions here repeat scipy 1.17.1's iterations step for step on
 Python floats, so they return scipy's values to the bit while the library
-imports no scipy.  On the library's 1- to 4-dimensional searches they are
+imports no scipy.  On the library's 1- and 2-dimensional searches they are
 also cheaper: scipy's ``minimize`` spends more time on its own arrays than on
 the objective.
 
@@ -22,8 +22,7 @@ the objective.
   test, as it does under numpy's ``max``.
 
 An objective value of NaN ranks as a rejected point: it is replaced by +inf.
-It serves the 2-D inf-sup searches at the two special points of ``rates``,
-the 3-D switching-surface search and the 4-D Legendre polish of ``cgf``.
+It serves the 2-D inf-sup searches at the two special points of ``rates``.
 
 ``minimize_bounded`` is ``minimize_scalar(method="bounded")``, Brent's
 golden-section search with parabolic steps on a closed interval.  Its two

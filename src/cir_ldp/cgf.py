@@ -11,19 +11,18 @@ to a piecewise closed form Lambda, finite on
 This module evaluates Lambda, its gradient, a finite-horizon Monte Carlo
 estimate of it, the variational form of its Fenchel-Legendre transform
 (a concave 2-D maximization over (d, f)), and an independent numerical 4-D
-Fenchel-Legendre transform used to cross-check the variational form.
+Fenchel-Legendre transform used to cross-check the variational form (one
+Newton solve in (mu, nu) on Lambda's smooth sectors).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cir_model
-from ._simplex import nelder_mead
 from .cir_model import ProcessParams
 from .errors import BoundaryError, DomainError
 
@@ -105,8 +104,8 @@ def _branch(lam: float, gamma: float, d_minus_b: float, phi: float) -> int:
 
 
 def _cgf_value(a: float, b: float, lam: float, mu: float, nu: float, gamma: float) -> float:
-    # cgf_limit on plain floats: the numeric transform evaluates it thousands
-    # of times per point, where CgfPoint/DualVars construction dominates.
+    # cgf_limit on plain floats, for the numeric transform's solve, where
+    # CgfPoint/DualVars construction would cost more than the arithmetic.
     dfp = _dual_floats(a, b, mu, nu)
     if dfp is None:
         return INF
@@ -369,78 +368,120 @@ def lambda_star(
 #: Objective value past which the transform is declared unbounded (+inf).
 UNBOUNDED_OBJECTIVE = 1e8
 
-# The numeric transform runs on plain floats and evaluates the objective
-# <theta, (x, y, z, t)> - Lambda(theta) in line: numpy, dataclass and helper
-# call overhead would otherwise cost more than the arithmetic.  Each in-line
-# evaluation repeats _cgf_value's operations in their order, with b^2,
-# (a-2)^2 and a b/4 formed once, so every value keeps _cgf_value's bits.
+#: The Newton solve stops once the full step is predicted to gain less.
+LEGENDRE_GAIN_TOL = 1e-13
 
 
-def _surface_candidate(
+def _legendre_solve(
     a: float, b: float, x: float, y: float, z: float, t: float
-) -> tuple[float, tuple[float, float, float, float] | None]:
-    # Best objective value over the switching surface gamma^2 (d - b) =
-    # lam^2 phi restricted to the kinked quadrant lam > 0, gamma < 0.  The
-    # surface is the one locus where Lambda is nonsmooth, so unconstrained
-    # ascent can zigzag indefinitely when the maximizer sits on it; along the
-    # surface itself the objective is smooth in (lam, mu, nu).  Coordinates
-    # (p, u, w) map to lam = e^p, mu = mu_hi - e^u, nu = nu_hi - e^w, and
-    # gamma is the on-surface value -lam sqrt(phi / (d - b)).
-    bb, am2sq, ab4 = b * b, (a - 2.0) ** 2, 0.25 * a * b
-    mu_hi, nu_hi = bb / 8.0, am2sq / 8.0
+) -> tuple[float, tuple[float, float, float, float] | None, str, float]:
+    # (value, theta*, stage, s) of legendre_transform_numeric; see its
+    # docstring.  s is sector 1's weight in p = s grad Lambda_1(theta*) +
+    # (1 - s) grad Lambda_2(theta*), nan where no solve runs.
+    if x != x or y != y or z != z or t != t:
+        return math.nan, None, "nan", math.nan
+    if INF in (abs(x), abs(y), abs(z), abs(t)) or x < 0.0 or t > 0.0:
+        return INF, None, "exterior", math.nan
+    if t == 0.0:
+        stage = "pair" if x == 0.0 else "t0_face"
+    else:
+        stage = "x0_face" if x == 0.0 else "interior"
+    tau = -t
+    mu_hi, nu_hi = b * b / 8.0, (a - 2.0) ** 2 / 8.0
 
-    def neg(v: tuple[float, float, float]) -> float:
-        # Minus the objective at theta(v); the duals serve both gamma and Lambda.
-        p, u, w = v
-        # A nan coordinate fails this test: +inf, as Nelder-Mead reads a nan value.
-        if not (-50.0 <= p <= 50.0 and -50.0 <= u <= 50.0 and -50.0 <= w <= 50.0):
-            return INF
-        lam = math.exp(p)
-        mu = mu_hi - math.exp(u)
-        nu = nu_hi - math.exp(w)
-        rad_d = bb - 8.0 * mu
-        rad_f = am2sq - 8.0 * nu
-        if rad_d <= 0.0 or rad_f <= 0.0:
-            return INF
-        d = math.sqrt(rad_d)
-        f = 0.5 * math.sqrt(rad_f)
-        phi = 2.0 * f + a + 2.0
+    def point(mu: float, nu: float):
+        # theta(mu, nu) with the stage's multipliers at their maximiser, the
+        # objective there, and the surface multiplier lam_s that maximises
+        # over lam with gamma = -lam sqrt(phi / (d - b)); None outside the
+        # domain.
+        dfp = _dual_floats(a, b, mu, nu)
+        if dfp is None:
+            return None
+        d, f, phi = dfp
         dmb = d - b
-        gamma = -lam * math.sqrt(phi / dmb)
-        value = -0.5 * d * (1.0 + f) - ab4
-        # _branch's sector rule; lam > 0 here
-        if gamma >= 0.0 or gamma * gamma * dmb < lam * lam * phi:
-            value += lam * lam / dmb
+        lam_s = 0.5 * (x * dmb + tau * math.sqrt(phi * dmb))
+        if stage == "x0_face":
+            theta = (0.0, mu, nu, 0.5 * t * phi)
+        elif stage == "interior":
+            theta = (lam_s, mu, nu, -lam_s * math.sqrt(phi / dmb))
         else:
-            value += gamma * gamma / phi
-        if value == INF:
-            return INF
-        return -(x * lam + y * mu + z * nu + t * gamma - value)
+            theta = (lam_s, mu, nu, 0.0)
+        lam, _, _, gamma = theta
+        value = x * lam + y * mu + z * nu + t * gamma - _cgf_value(a, b, *theta)
+        return theta, value, d, f, phi, lam_s
 
-    def theta_of(v: tuple[float, float, float]) -> tuple[float, float, float, float]:
-        lam = math.exp(v[0])
-        mu = mu_hi - math.exp(v[1])
-        nu = nu_hi - math.exp(v[2])
-        d, _, phi = _dual_floats(a, b, mu, nu)
-        return lam, mu, nu, -lam * math.sqrt(phi / (d - b))
-
-    # Coarse log-space lattice scan, then a derivative-free polish from the
-    # leading nodes.  The lattice spans several orders of magnitude because
-    # the maximizer's scale grows with the query point.
-    axis = np.log(np.array([1e-2, 0.1, 0.7, 4.0, 25.0, 150.0, 1e3])).tolist()
-    nodes = sorted(
-        ((neg(node), node) for node in itertools.product(axis, repeat=3)),
-        key=lambda item: item[0],
-    )
-    best_val, best_theta = -INF, None
-    for fval, node in nodes[:3]:
-        if fval == INF:
-            continue
-        fun, v = nelder_mead(neg, node, xatol=1e-10, fatol=1e-12, maxfev=2000)
-        # A finite fun was taken at a v inside the box and the domain.
-        if math.isfinite(fun) and -fun > best_val:
-            best_val, best_theta = -fun, theta_of(v)
-    return best_val, best_theta
+    mu = nu = 0.0
+    theta, val, d, f, phi, lam = point(mu, nu)
+    for _ in range(200):
+        if not val <= UNBOUNDED_OBJECTIVE:
+            break
+        # G(lam, mu, nu) = x lam + y mu + z nu + t gamma - Lambda on the
+        # surface gamma = -lam sq, sq = sqrt(phi / (d - b)), is
+        # x lam + y mu + z nu + P(lam, d, f) + a b / 4 with
+        # P = tau lam sq - lam^2 / (d - b) + d (1 + f) / 2.  Its partials
+        # in (lam, d, f) at lam = lam_s, where G_lam = 0.  They serve the
+        # faces too: there tau = 0, or x = 0 and the surface point has the
+        # face's gamma = t phi / 2 and value.
+        dmb = d - b
+        sq = math.sqrt(phi / dmb)
+        tl, r = tau * lam * sq, lam / dmb
+        p_d = -0.5 * tl / dmb + r * r + 0.5 * (1.0 + f)
+        p_f = tl / phi + 0.5 * d
+        p_ld = (2.0 * r - 0.5 * tau * sq) / dmb
+        p_lf = tau * sq / phi
+        p_dd = (0.75 * tl / dmb - 2.0 * r * r) / dmb
+        p_df = 0.5 - 0.5 * tl / (dmb * phi)
+        p_ff = -tl / (phi * phi)
+        # The Newton system in (lam, mu, nu) with lam's row eliminated (P_ll
+        # = -2/(d - b)), scaled by d_mu = -4/d and f_nu = -1/f: the step is
+        # (dmu, dnu) = (-d w_d / 4, -f w_f) with -Q w = e.  The d_mumu =
+        # -16/d^3 and f_nunu = -1/f^3 terms give -P_d/d and -P_f/f.
+        q_dd = -p_dd + p_d / d - 0.5 * dmb * p_ld * p_ld
+        q_df = -p_df - 0.5 * dmb * p_ld * p_lf
+        q_ff = -p_ff + p_f / f - 0.5 * dmb * p_lf * p_lf
+        e_d = p_d - 0.25 * d * y
+        e_f = p_f - f * z
+        det = q_dd * q_ff - q_df * q_df
+        if not det > 0.0:
+            break
+        w_d = (q_ff * e_d - q_df * e_f) / det
+        w_f = (q_dd * e_f - q_df * e_d) / det
+        # A coordinate within an ulp of its bound can move no closer to it:
+        # the step then solves for the other coordinate alone.
+        if w_f < 0.0 and not nu < nu + 0.5 * (nu_hi - nu) < nu_hi:
+            w_d, w_f = e_d / q_dd, 0.0
+        elif w_d < 0.0 and not mu < mu + 0.5 * (mu_hi - mu) < mu_hi:
+            w_d, w_f = 0.0, e_f / q_ff
+        gain = 0.5 * (e_d * w_d + e_f * w_f)
+        if not gain >= 0.0:
+            break
+        step_mu, step_nu = -0.25 * d * w_d, -f * w_f
+        # Keep mu < mu_hi and nu < nu_hi: at most half the distance.
+        scale = 1.0
+        if mu + step_mu >= mu_hi:
+            scale = 0.5 * (mu_hi - mu) / step_mu
+        if nu + scale * step_nu >= nu_hi:
+            scale = 0.5 * (nu_hi - nu) / step_nu
+        # Once the predicted gain is below LEGENDRE_GAIN_TOL, the full step is
+        # tried once more and the solve stops.
+        last = gain < LEGENDRE_GAIN_TOL
+        for _ in range(1 if last else 60):
+            cand = point(mu + scale * step_mu, nu + scale * step_nu)
+            if cand is not None and cand[1] > val:
+                break
+            scale *= 0.5
+        else:
+            break
+        theta, val, d, f, phi, lam = cand
+        _, mu, nu, _ = theta
+        if last:
+            break
+    if not val <= UNBOUNDED_OBJECTIVE:
+        return INF, theta, "unbounded", math.nan
+    # s = x (d - b) / (2 lam_s): 1 on the t = 0 face and at the pair point,
+    # 0 on the x = 0 face.
+    s = x / (x + tau * math.sqrt(phi / (d - b))) if x + tau > 0.0 else 1.0
+    return val, theta, stage, s
 
 
 def legendre_transform_numeric(
@@ -448,127 +489,33 @@ def legendre_transform_numeric(
 ) -> float:
     """sup over the CGF domain of <(x,y,z,t), (lam,mu,nu,gamma)> - Lambda.
 
-    Projected gradient ascent with boundary-aware backtracking from 7
-    quadrant-covering starts, combined with a smooth search along the
-    switching surface (where Lambda is kinked, unconstrained ascent zigzags,
-    and the maximizer sits whenever both sector terms bind), followed by a
-    derivative-free polish.  The surface search and the polish are
-    Nelder-Mead runs from cir_ldp._simplex, which repeats scipy's iteration
-    on Python floats.  Returns +inf when the objective is detected unbounded
-    (exceeds 1e8 along some ascent path).
+    Lambda = max(Lambda_1, Lambda_2), where Lambda_1 adds lam^2/(d-b) for
+    lam > 0 and Lambda_2 adds gamma^2/phi for gamma < 0 to the common part
+    -d (1 + f)/2 - a b/4.  Each sector is smooth, so the supremum is one
+    damped Newton solve, picked by the signs of x and t:
 
-    The starts are (lam, gamma) in {-1/2, 1/2}^2 with (mu, nu) at half the
-    domain bounds, and the same with (mu, nu) = (-1, -1) except for
-    lam = gamma = -1/2.  That eighth start never gave the result on C3's
-    1 025 grid points, and without it every one of them keeps its value to
-    the bit.
+    * t = 0 (and x >= 0): only Lambda_1 binds; lam = x (d - b)/2 and
+      gamma = 0.  x = t = 0 is the pair point, where lam = gamma = 0.
+    * x = 0, t < 0: only Lambda_2 binds; lam = 0 and gamma = t phi/2.
+    * x > 0, t < 0: both bind, so theta* lies on the switching surface
+      gamma = -lam sqrt(phi/(d-b)).  The solve is the 3-D Newton system in
+      (lam, mu, nu) on that surface, with lam kept at its maximiser
+      (x (d-b) + |t| sqrt(phi (d-b)))/2 and its row eliminated.
+
+    What remains is a concave maximisation over (mu, nu), solved from
+    (0, 0) by Newton steps with analytic derivatives.  Each step is clipped
+    to keep mu < b^2/8 and nu < (a-2)^2/8 (at most half the distance) and
+    halved until the objective increases; a coordinate within an ulp of its
+    bound is left out of the step.  Once the predicted gain of the full
+    step falls below LEGENDRE_GAIN_TOL, that step is tried once more and
+    the solve stops; it also stops when no halving increases the objective,
+    or after 200 steps.  The value returned is <theta*, (x, y, z, t)> -
+    Lambda(theta*), with Lambda evaluated by cgf_limit's own arithmetic.
 
     Non-finite policy: nan when any coordinate is nan; otherwise +inf when
-    any coordinate is infinite, since the domain contains a neighbourhood of
-    0 and the objective is unbounded along that coordinate's axis.
+    any coordinate is infinite, when x < 0 or t > 0 (Lambda does not change
+    along -lam or +gamma), and when the objective exceeds
+    UNBOUNDED_OBJECTIVE during the solve (outside the cone y > 0, z > 0,
+    y z > 1).
     """
-    if x != x or y != y or z != z or t != t:
-        return math.nan
-    if INF in (abs(x), abs(y), abs(z), abs(t)):
-        return INF
-    a, b = params.a, params.b
-    bb, am2sq, ab4 = b * b, (a - 2.0) ** 2, 0.25 * a * b
-    mu_hi, nu_hi = bb / 8.0, am2sq / 8.0
-
-    def objective(lam: float, mu: float, nu: float, gamma: float) -> float:
-        lam_val = _cgf_value(a, b, lam, mu, nu, gamma)
-        if lam_val == INF:
-            return -INF
-        return x * lam + y * mu + z * nu + t * gamma - lam_val
-
-    half = (0.5 * mu_hi, 0.5 * nu_hi)
-    starts = [(-0.5, *half, -0.5)] + [
-        (sl, m, n, sg)
-        for sl, sg in ((-0.5, 0.5), (0.5, -0.5), (0.5, 0.5))
-        for m, n in (half, (-1.0, -1.0))
-    ]
-    best_val = -INF
-    best_theta: tuple[float, float, float, float] | None = None
-    for lam, mu, nu, gamma in starts:
-        # (d, f, phi) at the current point: an accepted candidate's duals
-        # serve the next gradient.
-        dfp = _dual_floats(a, b, mu, nu)
-        if dfp is None:
-            continue
-        d, f, phi = dfp
-        val = objective(lam, mu, nu, gamma)
-        step = 1.0
-        for _ in range(600):
-            # Residual (x, y, z, t) - grad Lambda, by _gradient_terms.
-            dmb = d - b
-            r_lam, r_gamma = x, t
-            g_mu = 2.0 * (1.0 + f) / d
-            g_nu = d / (2.0 * f)
-            if lam > 0.0 and (gamma >= 0.0 or gamma * gamma * dmb < lam * lam * phi):
-                r_lam = x - 2.0 * lam / dmb
-                g_mu += 4.0 * lam * lam / (d * dmb**2)
-            elif lam > 0.0 or gamma < 0.0:
-                g_nu += 2.0 * gamma * gamma / (f * phi * phi)
-                r_gamma = t - 2.0 * gamma / phi
-            r_mu, r_nu = y - g_mu, z - g_nu
-            gnorm2 = r_lam * r_lam + r_mu * r_mu + r_nu * r_nu + r_gamma * r_gamma
-            if math.sqrt(gnorm2) < 1e-12:
-                break
-            advanced = False
-            while step > 1e-18:
-                c_mu = mu + step * r_mu
-                c_nu = nu + step * r_nu
-                if c_mu < mu_hi and c_nu < nu_hi:
-                    rad_d = bb - 8.0 * c_mu
-                    rad_f = am2sq - 8.0 * c_nu
-                    if rad_d > 0.0 and rad_f > 0.0:
-                        c_lam = lam + step * r_lam
-                        c_gamma = gamma + step * r_gamma
-                        c_d = math.sqrt(rad_d)
-                        c_f = 0.5 * math.sqrt(rad_f)
-                        c_phi = 2.0 * c_f + a + 2.0
-                        c_dmb = c_d - b
-                        value = -0.5 * c_d * (1.0 + c_f) - ab4
-                        if c_lam > 0.0:
-                            if c_gamma >= 0.0 or c_gamma * c_gamma * c_dmb < c_lam * c_lam * c_phi:
-                                value += c_lam * c_lam / c_dmb
-                            else:
-                                value += c_gamma * c_gamma / c_phi
-                        elif c_gamma < 0.0:
-                            value += c_gamma * c_gamma / c_phi
-                        if value != INF:
-                            cand_val = x * c_lam + y * c_mu + z * c_nu + t * c_gamma - value
-                            if cand_val > val + 1e-4 * step * gnorm2:
-                                lam, mu, nu, gamma = c_lam, c_mu, c_nu, c_gamma
-                                d, f, phi, val = c_d, c_f, c_phi, cand_val
-                                advanced = True
-                                break
-                step *= 0.5
-            if not advanced:
-                break
-            if val > UNBOUNDED_OBJECTIVE:
-                return INF
-            step = min(step * 1.5, 1e6)
-        if val > best_val:
-            best_val, best_theta = val, (lam, mu, nu, gamma)
-    surface_val, surface_theta = _surface_candidate(a, b, x, y, z, t)
-    if surface_val > best_val and surface_theta is not None:
-        best_val, best_theta = surface_val, surface_theta
-    if best_val > UNBOUNDED_OBJECTIVE:
-        return INF
-    if best_theta is None:
-        return INF
-
-    def neg_polish(th: tuple[float, float, float, float]) -> float:
-        _, mu, nu, _ = th
-        if mu < mu_hi and nu < nu_hi:
-            return -objective(*th)
-        return INF
-
-    # Derivative-free polish around the best ascent result.
-    fun, _ = nelder_mead(neg_polish, best_theta, xatol=1e-9, fatol=1e-13, maxfev=4000)
-    polished = -fun if math.isfinite(fun) else -INF
-    best_val = max(best_val, polished)
-    if best_val > UNBOUNDED_OBJECTIVE:
-        return INF
-    return best_val
+    return _legendre_solve(params.a, params.b, x, y, z, t)[0]

@@ -478,6 +478,11 @@ def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float)
     while hi < 1e6 and fn(hi) < ceiling:
         hi *= 2.0
     xs = np.linspace(lo, hi, 241)
+    if which == "K" and axis == "b" and v < 0.0:
+        # K's branch 2 has an (alpha - 2)^-1 wall, so its minimum at
+        # alpha* = 2 + (a - 2) v / b can sit in a valley narrower than the
+        # linear spacing: nodes at 2 + 10^k resolve it.
+        xs = np.union1d(xs, 2.0 + np.logspace(-6.0, 0.0, 7))
     return _scan_refine(fn, xs, fn(xs), 1e-11)[1]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cir_ldp import (
     rate_triplet_L,
     rate_triplet_x,
 )
+from cir_ldp.cgf import _legendre_solve
 
 INF = float("inf")
 NAN = float("nan")
@@ -61,7 +63,9 @@ _NON_FINITE_CASES = [
 ]
 
 #: (x, y, z, t) -> legendre_transform_numeric at (a, b) = (4, -1): nan when
-#: any coordinate is nan, else +inf when any coordinate is infinite.
+#: any coordinate is nan, else +inf when any coordinate is infinite, when
+#: x < 0 or t > 0 (Lambda does not change along -lam or +gamma), and outside
+#: the cone y > 0, z > 0, y z > 1, where the objective is unbounded.
 _NUMERIC_NON_FINITE_CASES = [
     ((NAN, 2.0, 1.0, -1.0), NAN),
     ((1.0, NAN, 1.0, -1.0), NAN),
@@ -76,29 +80,25 @@ _NUMERIC_NON_FINITE_CASES = [
     ((1.0, 2.0, -INF, -1.0), INF),
     ((1.0, 2.0, 1.0, INF), INF),
     ((1.0, 2.0, 1.0, -INF), INF),
+    ((-1e-3, 2.0, 1.0, -0.5), INF),
+    ((0.8, 2.0, 1.0, 1e-3), INF),
+    ((0.8, 0.0, 1.0, -0.5), INF),
+    ((0.8, 2.0, 0.0, -0.5), INF),
+    ((0.8, 2.0, 0.4, -0.5), INF),
+    ((0.0, 2.0, 0.5, 0.0), INF),
+    ((0.8, 2.0, 0.5, -0.5), INF),
 ]
 
-#: ((a, b), (x, y, z, t), float.hex of legendre_transform_numeric), one row
-#: per search stage that gives the result: an ascent start (lam, mu, nu,
-#: gamma), a rank of the switching-surface Nelder-Mead runs, each with and
-#: without an improving polish, and an unbounded point.
+#: ((a, b), (x, y, z, t), float.hex of legendre_transform_numeric, stage of
+#: _legendre_solve), one row per stage of the solve.
 _NUMERIC_GOLDEN = [
-    # ascent from (-1/2, mu_hi/2, nu_hi/2, -1/2)
-    ((4.0, -1.0), (2.5, 3.0, 1.3, 0.0), "0x1.59afab4152faep+2"),
-    # ascent from (1/2, -1, -1, -1/2)
-    ((4.0, -1.0), (0.0, 2.0, 1.0, -0.5), "0x1.8800000000006p-1"),
-    # ascent from (1/2, -1, -1, 1/2)
-    ((4.0, -1.0), (0.0, 2.0, 1.3, -1.6), "0x1.7e189374bc6abp+2"),
-    # ascent from (1/2, -1, -1, -1/2), polished
-    ((4.0, -1.0), (0.8, 2.0, 0.8, 0.0), "0x1.f1758e2196538p-1"),
-    ((4.0, -1.0), (0.0, 2.0, 0.6, -1.0), "0x1.9333333333340p+2"),  # surface rank 0
-    ((4.0, -1.0), (0.0, 2.0, 0.6, -0.5), "0x1.1066666666678p+1"),  # rank 0, polished
-    ((4.0, -1.0), (0.0, 2.0, 0.8, -1.0), "0x1.888888888888ep+1"),  # surface rank 1
-    ((4.0, -1.0), (0.3, 2.0, 0.6, -1.6), "0x1.b823c022a8898p+4"),  # rank 1, polished
-    ((4.0, -1.0), (0.0, 2.0, 1.7, -1.6), "0x1.60a6921735ee8p+2"),  # surface rank 2
-    ((4.0, -1.0), (0.8, 2.0, 1.7, -1.6), "0x1.50a1a00517aafp+3"),  # rank 2, polished
-    ((3.0, -2.0), (0.8, 2.0, 1.5, -0.5), "0x1.144e63edcd70bp+1"),  # test_other_regime
-    ((4.0, -1.0), (1.0, 2.0, 1.0, 0.5), "inf"),  # unbounded: t > 0
+    ((4.0, -1.0), (2.5, 3.0, 1.3, 0.0), "0x1.59afab4152fabp+2", "t0_face"),
+    ((4.0, -1.0), (0.0, 2.0, 1.0, -0.5), "0x1.87ffffffffffep-1", "x0_face"),
+    ((4.0, -1.0), (0.0, 2.0, 1.0, 0.0), "0x1.0000000000000p-2", "pair"),
+    ((4.0, -1.0), (0.8, 2.0, 1.7, -1.6), "0x1.50a1a00517aaap+3", "interior"),
+    ((3.0, -2.0), (0.8, 2.0, 1.5, -0.5), "0x1.144e63edcd709p+1", "interior"),  # test_other_regime
+    ((4.0, -1.0), (1.0, 2.0, 1.0, 0.5), "inf", "exterior"),  # t > 0
+    ((4.0, -1.0), (0.0, 2.0, 0.5, 0.0), "inf", "unbounded"),  # y z = 1
 ]
 
 
@@ -365,9 +365,73 @@ class TestNumericTransform:
     def test_golden_bits(self):
         got = [
             legendre_transform_numeric(ProcessParams(*ab), *coords).hex()
-            for ab, coords, _ in _NUMERIC_GOLDEN
+            for ab, coords, _, _ in _NUMERIC_GOLDEN
         ]
-        assert got == [bits for _, _, bits in _NUMERIC_GOLDEN]
+        assert got == [bits for _, _, bits, _ in _NUMERIC_GOLDEN]
+        stages = [_legendre_solve(*ab, *coords)[2] for ab, coords, _, _ in _NUMERIC_GOLDEN]
+        assert stages == [stage for _, _, _, stage in _NUMERIC_GOLDEN]
+
+    def test_mixing_weight(self):
+        # s = 1 on the t = 0 face, 0 on the x = 0 face, in (0, 1) between,
+        # and p = s grad Lambda_1 + (1 - s) grad Lambda_2 at theta*.
+        for coords, want in [((2.5, 3.0, 1.3, 0.0), 1.0), ((0.0, 2.0, 1.0, -0.5), 0.0)]:
+            assert _legendre_solve(4.0, -1.0, *coords)[3] == want
+        x, t = 0.8, -1.6
+        _, (lam, mu, nu, gamma), _, s = _legendre_solve(4.0, -1.0, x, 2.0, 1.7, t)
+        d, f, phi, _ = astuple(dual_vars(ProcessParams(4.0, -1.0), mu, nu))
+        assert 0.0 < s < 1.0
+        assert s * 2.0 * lam / (d + 1.0) == pytest.approx(x, rel=1e-13)
+        assert (1.0 - s) * 2.0 * gamma / phi == pytest.approx(t, rel=1e-13)
+
+    @pytest.mark.parametrize("gap", _CONE_EDGE_GAPS[:3])
+    @pytest.mark.parametrize("x", [0.0, 0.8])
+    @pytest.mark.parametrize("t", [0.0, -0.5])
+    def test_cone_edge(self, params44, gap, x, t):
+        # Lambda* grows like 1/(y z - 1), and so does the rounding of the
+        # objective <theta*, p> - Lambda(theta*).
+        y, z = 2.0, (1.0 + gap) / 2.0
+        closed = lambda_star(params44, x, y, z, t)
+        numeric = legendre_transform_numeric(params44, x, y, z, t)
+        assert numeric == pytest.approx(closed, rel=1e-13 / (y * z - 1.0))
+
+    @pytest.mark.parametrize("y, z", [(1e5, 1e5), (1e6, 1e7), (3e6, 3e5)])
+    @pytest.mark.parametrize("x, t", [(0.0, 0.0), (0.8, 0.0), (0.0, -0.5), (0.8, -0.5)])
+    def test_deep_in_the_cone(self, params44, x, y, z, t):
+        # With y z >= 1e10, mu* and nu* sit within an ulp or so of b^2/8 and
+        # (a-2)^2/8; the solve must still converge in the other coordinate.
+        closed = lambda_star(params44, x, y, z, t)
+        numeric = legendre_transform_numeric(params44, x, y, z, t)
+        assert numeric == pytest.approx(closed, rel=1e-13)
+
+    @pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0)])
+    def test_hessian_at_the_centre_inverts_the_cgf_hessian(self, a, b):
+        # Central second differences (step 1e-4): the Hessian of
+        # Lambda*(0, y, z, 0) at the centre (-a/b, -b/(a-2)) is the inverse
+        # of the Hessian of Lambda(0, mu, nu, 0) at 0, [[16, -2], [-2, 0.5]]
+        # at (4, -1).
+        p, h = ProcessParams(a, b), 1e-4
+
+        def hessian(fn, c):
+            out = np.empty((2, 2))
+            for i, j in ((0, 0), (0, 1), (1, 1)):
+                ei, ej = h * np.eye(2)[i], h * np.eye(2)[j]
+                if i == j:
+                    out[i, i] = (fn(*(c + ei)) - 2.0 * fn(*c) + fn(*(c - ei))) / h**2
+                else:
+                    out[i, j] = out[j, i] = (
+                        fn(*(c + ei + ej)) - fn(*(c + ei - ej))
+                        - fn(*(c - ei + ej)) + fn(*(c - ei - ej))
+                    ) / (4.0 * h * h)
+            return out
+
+        star = hessian(
+            lambda y, z: legendre_transform_numeric(p, 0.0, y, z, 0.0),
+            np.array([-a / b, -b / (a - 2.0)]),
+        )
+        inverse = np.linalg.inv(
+            hessian(lambda mu, nu: cgf_limit(p, CgfPoint(0.0, mu, nu, 0.0)), np.zeros(2))
+        )
+        assert np.abs(star - inverse).max() <= 1e-5 * np.abs(inverse).max()
 
 
 class TestFiniteTMc:

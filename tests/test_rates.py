@@ -318,6 +318,15 @@ class TestMarginals:
         numeric = np.array([marginal_inf_numeric(p, "K", "b", float(v)) for v in betas])
         assert np.all(np.abs(closed - numeric) <= _KB_GAP * np.maximum(1.0, numeric))
 
+    def test_kb_numeric_search_finds_the_narrow_valley(self):
+        # At (2.05, -0.05) branch 2's minimum alpha* = 2.0083 sits in a
+        # valley narrower than the linear scan's spacing (>= 0.033), next to
+        # K's (alpha - 2)^-1 wall; Kb = 0.0524964 there.
+        p, beta = ProcessParams(2.05, -0.05), -0.0082864
+        assert marginal_inf_numeric(p, "K", "b", beta) == pytest.approx(
+            rate_marginal(p, "Kb", beta), rel=1e-9
+        )
+
     def test_profile_identities(self, params44):
         for v in (-1.5, 0.0, 2.0, 4.5):
             ia = rate_marginal(params44, "Ia", v)

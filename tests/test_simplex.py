@@ -14,9 +14,10 @@ from cir_ldp._simplex import minimize_bounded, nelder_mead
 INF = float("inf")
 NAN = float("nan")
 
-#: (xatol, fatol, maxfev) of the library's three searches: the inf-sup
-#: searches at rates' two special points, the switching-surface search and
-#: the Legendre polish.
+#: (xatol, fatol, maxfev) of the inf-sup searches at rates' two special
+#: points, the library's one use; and of the 3-D switching-surface search and
+#: the 4-D polish that the numeric Legendre transform once ran, kept as the
+#: 3-D and 4-D parity settings.
 _RATES, _SURFACE, _POLISH = (1e-7, 1e-9, 400), (1e-10, 1e-12, 2000), (1e-9, 1e-13, 4000)
 
 
