@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import secrets
 from dataclasses import asdict
 from typing import Iterable, Sequence
 
@@ -47,7 +46,7 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
     its previous content (or stays absent).
     """
     head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -487,6 +486,10 @@ def _map_jobs(fn, jobs: list[tuple], n_workers: int) -> list:
     the platform's default method."""
     if n_workers <= 1 or len(jobs) == 1:
         return [fn(*job) for job in jobs]
+    # Imported here: concurrent.futures.process and multiprocessing cost an
+    # import of cir_ldp about 25 ms, which a run on one worker never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
         return list(pool.map(fn, *zip(*jobs)))
 

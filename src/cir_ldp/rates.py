@@ -12,6 +12,16 @@ NaN, as cgf_limit does, and otherwise a +-inf coordinate gives +inf, the
 limit of a good rate function (its level sets are compact).  At finite
 coordinates whose evaluation overflows (a -inf or NaN result) the value is
 +inf.  rate_I_infsup follows the same policy but takes floats only.
+
+Each body is written once, for both kinds of coordinate.  Its numpy calls go
+through the typed helpers below (_where, _any, _sq, _pow, _sq_over, _sqrt,
+_maximum, _minimum), which send Python floats to math or to a conditional
+expression and arrays to numpy.  Both sides call libm's pow and a correctly
+rounded sqrt, so a point gets the same bits either way.  When every
+coordinate is a finite Python float or int, ``_total`` runs the body in
+plain float arithmetic.  Where that divides by zero (both branches are
+evaluated, so at alpha = 0, alpha = 2, beta = 0 or yz = 1) it runs the numpy
+path instead, so the value and the policy there are unchanged.
 """
 
 from __future__ import annotations
@@ -48,14 +58,33 @@ INF = math.inf
 
 _SQRT2 = math.sqrt(2.0)
 
+# Coordinate types that _total evaluates in plain float arithmetic (not bool,
+# not numpy scalars).
+_PLAIN_REALS = frozenset((float, int))
+
 
 def _total(rate):
-    """Apply the non-finite policy elementwise to a rate of (params, *coords)."""
+    """Apply the non-finite policy elementwise to a rate of (params, *coords).
+
+    Finite Python float (or int) coordinates run the body on Python floats:
+    no array is made, and no warning can be raised.  A -inf or NaN result is
+    an overflow and gives +inf.  If the float arithmetic divides by zero, or
+    any coordinate is an array, a numpy scalar or not finite, the body runs
+    on numpy arrays under errstate, where the policy is applied elementwise.
+    """
 
     @functools.wraps(rate)
     def guarded(params: ProcessParams, *coords):
-        # [()] makes 0-d arrays numpy scalars, whose arithmetic is cheaper.
-        xs = [np.asarray(c, dtype=float)[()] for c in coords]
+        if _PLAIN_REALS.issuperset(map(type, coords)):
+            xs = list(map(float, coords))
+            if all(map(math.isfinite, xs)):
+                try:
+                    value = rate(params, *xs)
+                except ZeroDivisionError:
+                    pass
+                else:
+                    return value if value > -INF else INF
+        xs = [np.asarray(c, dtype=float) for c in coords]
         # max |x_i| is NaN where some coordinate is NaN, else +inf where some
         # is infinite: the policy's value wherever it is not finite.
         out = functools.reduce(np.maximum, map(np.abs, xs))
@@ -71,17 +100,62 @@ def _total(rate):
     return guarded
 
 
+# The helpers of the closed forms: a Python float goes to math or to a
+# conditional expression, anything else to numpy.  On floats each returns
+# what numpy returns, inf and NaN included (a NaN's sign aside), without a
+# warning.
+
+
+def _where(cond, x, y):
+    if type(cond) is bool:
+        return x if cond else y
+    return np.where(cond, x, y)
+
+
+def _any(mask) -> bool:
+    return mask if type(mask) is bool else mask.any()
+
+
+def _maximum(x, y):
+    # np.maximum propagates NaN and returns y on a tie (so -0.0 vs 0.0 is y).
+    if type(x) is float and type(y) is float:
+        return x if x > y or x != x else y
+    return np.maximum(x, y)
+
+
+def _minimum(x, y):
+    if type(x) is float and type(y) is float:
+        return x if x < y or x != x else y
+    return np.minimum(x, y)
+
+
+def _sqrt(x):
+    if type(x) is float:
+        return math.nan if x < 0.0 else math.sqrt(x)
+    return np.sqrt(x)
+
+
+def _pow(x, p: float):
+    # libm pow, as Python's float ** p is; numpy's x ** 2 is x * x, which
+    # differs from it by an ulp on some inputs.  p is even, so where
+    # math.pow overflows the power is +inf.
+    if type(x) is not float:
+        return np.float_power(x, p)
+    try:
+        return math.pow(x, p)
+    except OverflowError:
+        return INF
+
+
 def _sq(x):
-    # libm pow, as Python's float ** 2 is; numpy's x ** 2 is x * x, which
-    # differs from it by an ulp on some inputs.
-    return np.float_power(x, 2.0)
+    return _pow(x, 2.0)
 
 
 def _sq_over(u, w):
     # u^2 / w, as _sq(u) / w wherever u^2 is finite, else as u (u / w), which
     # stays finite when u and w are both huge.
     sq = _sq(u)
-    return np.where(sq < INF, sq / w, u * (u / w))
+    return _where(sq < INF, sq / w, u * (u / w))
 
 
 @dataclass(frozen=True)
@@ -100,9 +174,9 @@ class RateRegionConstants:
         """Minimizing beta of K along the alpha-section, for alpha < alpha_a."""
         # C_alpha is positive below alpha_a but can round to a tiny negative
         # right at the boundary.
-        c = np.maximum(self.C_alpha(alpha), 0.0)
-        return self.b * alpha / np.sqrt(
-            16.0 * _SQRT2 * np.sqrt(c) + self.a * self.a - 8.0 * alpha + 32.0
+        c = _maximum(self.C_alpha(alpha), 0.0)
+        return self.b * alpha / _sqrt(
+            16.0 * _SQRT2 * _sqrt(c) + self.a * self.a - 8.0 * alpha + 32.0
         )
 
 
@@ -123,22 +197,22 @@ def region_constants(params: ProcessParams) -> RateRegionConstants:
 def rate_S(params: ProcessParams, x):
     """LDP rate of the time average S_T; zero at -a/b."""
     a, b = params.a, params.b
-    return np.where(x > 0.0, _sq_over(a + b * x, 8.0 * x), INF)
+    return _where(x > 0.0, _sq_over(a + b * x, 8.0 * x), INF)
 
 
 @_total
 def rate_Sigma(params: ProcessParams, y):
     """LDP rate of the inverse time average Sigma_T; zero at -b/(a-2)."""
     a, b = params.a, params.b
-    return np.where(y > 0.0, _sq_over((a - 2.0) * y + b, 8.0 * y), INF)
+    return _where(y > 0.0, _sq_over((a - 2.0) * y + b, 8.0 * y), INF)
 
 
 @_total
 def rate_V(params: ProcessParams, v):
     """LDP rate of V_T = S_T Sigma_T - 1; zero at 2/(a-2)."""
     a, b = params.a, params.b
-    value = -0.25 * b * np.sqrt((v + 1.0) * ((a - 2.0) ** 2 + 4.0 / v)) + 0.25 * a * b
-    return np.where(v > 0.0, value, INF)
+    value = -0.25 * b * _sqrt((v + 1.0) * ((a - 2.0) ** 2 + 4.0 / v)) + 0.25 * a * b
+    return _where(v > 0.0, value, INF)
 
 
 @_total
@@ -151,7 +225,7 @@ def rate_pair(params: ProcessParams, x, y):
         + (a - 2.0) ** 2 * y / 8.0
         + 0.25 * a * b
     )
-    return np.where((x > 0.0) & (y > 0.0) & (x * y - 1.0 > 0.0), value, INF)
+    return _where((x > 0.0) & (y > 0.0) & (x * y - 1.0 > 0.0), value, INF)
 
 
 @_total
@@ -165,7 +239,7 @@ def rate_triplet_x(params: ProcessParams, x, y, z):
         - 0.25 * b * x * x
         + _sq(x * x + 2.0) * z / (8.0 * (y * z - 1.0))
     )
-    return np.where((x >= 0.0) & (y > 0.0) & (z > 0.0) & (y * z - 1.0 > 0.0), value, INF)
+    return _where((x >= 0.0) & (y > 0.0) & (z > 0.0) & (y * z - 1.0 > 0.0), value, INF)
 
 
 @_total
@@ -177,9 +251,9 @@ def rate_triplet_L(params: ProcessParams, y, z, t):
         + b * b * y / 8.0
         + (a - 2.0) ** 2 * z / 8.0
         + 0.25 * a * t * t
-        + (4.0 * z * (y * t * t + 1.0) + np.float_power(t, 4.0) * y) / (8.0 * (y * z - 1.0))
+        + (4.0 * z * (y * t * t + 1.0) + _pow(t, 4.0) * y) / (8.0 * (y * z - 1.0))
     )
-    return np.where((t <= 0.0) & (y > 0.0) & (z > 0.0) & (y * z - 1.0 > 0.0), value, INF)
+    return _where((t <= 0.0) & (y > 0.0) & (z > 0.0) & (y * z - 1.0 > 0.0), value, INF)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +262,12 @@ def rate_triplet_L(params: ProcessParams, y, z, t):
 
 
 def _J_first_term(a: float, b: float, alpha, beta):
-    return ((a - 2.0) ** 2 * beta / (8.0 * (2.0 - alpha))) * _sq(
-        1.0 + (2.0 - alpha) * b / (beta * (a - 2.0))
-    )
+    # k u^2, as (k u) u where u^2 overflows (huge alpha, or beta next to 0):
+    # there k is tiny and the product can still be finite.
+    k = (a - 2.0) ** 2 * beta / (8.0 * (2.0 - alpha))
+    u = 1.0 + (2.0 - alpha) * b / (beta * (a - 2.0))
+    sq = _sq(u)
+    return _where(sq < INF, k * sq, (k * u) * u)
 
 
 def _rate_J_branch_A(params: ProcessParams, alpha, beta):
@@ -209,10 +286,10 @@ def rate_J(params: ProcessParams, alpha, beta):
     b = params.b
     branch_A = (alpha > 2.0) & (b / 3.0 <= beta) & (beta < 0.0) | (alpha < 2.0) & (beta > 0.0)
     branch_B = (alpha > 2.0) & (beta <= b / 3.0)
-    return np.where(
+    return _where(
         (alpha == 2.0) & (beta == 0.0), -b,
-        np.where(branch_A, _rate_J_branch_A(params, alpha, beta),
-                 np.where(branch_B, _rate_J_branch_B(params, alpha, beta), INF)),
+        _where(branch_A, _rate_J_branch_A(params, alpha, beta),
+               _where(branch_B, _rate_J_branch_B(params, alpha, beta), INF)),
     )
 
 
@@ -222,8 +299,8 @@ def _K_common(a: float, b: float, alpha, beta):
 
 def _rate_K_branch_1(params: ProcessParams, alpha, beta):
     a, b = params.a, params.b
-    c = np.maximum(region_constants(params).C_alpha(alpha), 0.0)
-    return _K_common(a, b, alpha, beta) - (beta / alpha) * _sq(_SQRT2 + np.sqrt(c))
+    c = _maximum(region_constants(params).C_alpha(alpha), 0.0)
+    return _K_common(a, b, alpha, beta) - (beta / alpha) * _sq(_SQRT2 + _sqrt(c))
 
 
 def _rate_K_branch_2(params: ProcessParams, alpha, beta):
@@ -236,11 +313,11 @@ def _rate_K_combined(params: ProcessParams, alpha, beta, branch_1):
     # beta is not squared.  Past the constant ab/4, every term is >= 0 on its
     # branch, so nothing cancels; branch 2 adds its exact -beta/4 last.
     a, b = params.a, params.b
-    c = np.maximum(region_constants(params).C_alpha(alpha), 0.0)
+    c = _maximum(region_constants(params).C_alpha(alpha), 0.0)
     head = 0.25 * a * b - alpha * (b * b) / (8.0 * beta)
-    tail_1 = beta * (1.0 - (0.125 * a * a + 4.0 + 2.0 * np.sqrt(2.0 * c)) / alpha)
+    tail_1 = beta * (1.0 - (0.125 * a * a + 4.0 + 2.0 * _sqrt(2.0 * c)) / alpha)
     tail_2 = (head - 0.125 * beta * (a - 2.0) ** 2 / (alpha - 2.0)) - 0.25 * beta
-    return np.where(branch_1, head + tail_1, tail_2)
+    return _where(branch_1, head + tail_1, tail_2)
 
 
 def _K_apex(a: float, b: float) -> float:
@@ -255,24 +332,24 @@ def rate_K(params: ProcessParams, alpha, beta):
     alpha_a = region_constants(params).alpha_a
     branch_1 = (beta < 0.0) & (0.0 < alpha) & (alpha <= alpha_a) | (beta > 0.0) & (alpha < 0.0)
     branch_2 = (beta < 0.0) & (alpha >= alpha_a)
-    value = np.where(
+    value = _where(
         (alpha == 0.0) & (beta == 0.0), _K_apex(a, b),
-        np.where(branch_1, _rate_K_branch_1(params, alpha, beta),
-                 np.where(branch_2, _rate_K_branch_2(params, alpha, beta), INF)),
+        _where(branch_1, _rate_K_branch_1(params, alpha, beta),
+               _where(branch_2, _rate_K_branch_2(params, alpha, beta), INF)),
     )
-    # Where beta * beta overflows (|beta| > ~1.3e154) the forms above give
-    # -inf or nan.  (.any() on a numpy scalar would cost more than the test.)
-    huge = beta * beta == INF
-    if huge.any() if huge.ndim else huge:
+    # Where beta * beta overflows (|beta| > ~1.3e154), or branch 2's
+    # (a - alpha)^2 does, the forms above give +-inf or nan.
+    huge = (beta * beta == INF) | branch_2 & (_sq(a - alpha) == INF)
+    if _any(huge):
         combined = _rate_K_combined(params, alpha, beta, branch_1)
-        value = np.where((branch_1 | branch_2) & huge, combined, value)
+        value = _where((branch_1 | branch_2) & huge, combined, value)
     return value
 
 
 @_total
 def rate_I_mle(params: ProcessParams, alpha, beta):
     """Rate function of the MLE couple: pointwise min of rate_J and rate_K."""
-    return np.minimum(rate_J(params, alpha, beta), rate_K(params, alpha, beta))
+    return _minimum(rate_J(params, alpha, beta), rate_K(params, alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +359,27 @@ def rate_I_mle(params: ProcessParams, alpha, beta):
 
 def _Ja_low(params: ProcessParams, alpha):
     a, b = params.a, params.b
-    return 0.25 * b * (a - 6.0 - np.sqrt((a - 2.0) ** 2 + 16.0 * (2.0 - alpha)))
+    return 0.25 * b * (a - 6.0 - _sqrt((a - 2.0) ** 2 + 16.0 * (2.0 - alpha)))
 
 
 def _Ja_high(params: ProcessParams, alpha):
     a, b = params.a, params.b
-    return 0.25 * b * (a - np.sqrt(alpha * ((a - 2.0) ** 2 / (alpha - 2.0) + 2.0)))
+    return 0.25 * b * (a - _sqrt(alpha * ((a - 2.0) ** 2 / (alpha - 2.0) + 2.0)))
 
 
 def _Ja(params: ProcessParams, alpha):
     ell_a = region_constants(params).ell_a
-    return np.where(alpha <= ell_a, _Ja_low(params, alpha), _Ja_high(params, alpha))
+    return _where(alpha <= ell_a, _Ja_low(params, alpha), _Ja_high(params, alpha))
 
 
 def _Jb(params: ProcessParams, beta):
     b = params.b
-    return np.where(beta <= b / 3.0, -0.25 * beta * _sq(1.0 - b / beta), 2.0 * beta - b)
+    return _where(beta <= b / 3.0, -0.25 * beta * _sq(1.0 - b / beta), 2.0 * beta - b)
 
 
 def _Ka(params: ProcessParams, alpha):
     rc = region_constants(params)
-    return np.where(
+    return _where(
         alpha < rc.alpha_a, rate_K(params, alpha, rc.beta_b(alpha)), _Ja_high(params, alpha)
     )
 
@@ -389,6 +466,11 @@ def _illinois(fn, lo, hi, f_lo, f_hi):
 
 
 def _Kb(params: ProcessParams, beta):
+    if type(beta) is float:
+        # The bracket is an array whatever beta is: a float runs as a
+        # 1-element array, with warnings silenced as on _total's array path.
+        with np.errstate(all="ignore"):
+            return float(_Kb(params, np.array([beta]))[0])
     a, b = params.a, params.b
     alpha_a = region_constants(params).alpha_a
     flat = np.reshape(beta, -1)
@@ -491,8 +573,8 @@ _MARGINALS = {
     "Jb": _total(_Jb),
     "Ka": _total(_Ka),
     "Kb": _total(_Kb),
-    "Ia": _total(lambda params, v: np.minimum(_Ja(params, v), _Ka(params, v))),
-    "Ib": _total(lambda params, v: np.minimum(_Jb(params, v), _Kb(params, v))),
+    "Ia": _total(lambda params, v: _minimum(_Ja(params, v), _Ka(params, v))),
+    "Ib": _total(lambda params, v: _minimum(_Jb(params, v), _Kb(params, v))),
 }
 
 

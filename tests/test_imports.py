@@ -1,4 +1,5 @@
-"""The library runs on numpy alone: no module of it loads scipy."""
+"""The library runs on numpy alone: no module of it loads scipy, and an import
+of the CLI loads nothing that a run on one worker does not use."""
 
 from __future__ import annotations
 
@@ -52,3 +53,16 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     assert (tmp_path / "out" / "continuity_report.json").is_file()
     kb = _fmt_value(rate_marginal(ProcessParams(4.0, -1.0), "Kb", -0.5))
     assert proc.stdout.splitlines()[-1] == kb
+
+
+def test_import_loads_no_process_pool_or_secrets(tmp_path):
+    # The process pool is imported where a run starts one; temporary file
+    # names come from os.urandom.
+    proc = _run(
+        "import sys, cir_ldp.cli\n"
+        "heavy = ('multiprocessing', 'concurrent.futures', 'secrets')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import defaultdict
@@ -32,11 +33,18 @@ from cir_ldp import (
 from cir_ldp.rates import (
     _Ja_high,
     _Ja_low,
+    _maximum,
+    _minimum,
     _rate_J_branch_A,
     _rate_J_branch_B,
     _rate_K_branch_1,
     _rate_K_branch_2,
+    _sq,
+    _sqrt,
 )
+
+# Every rate evaluation here is quiet: a RuntimeWarning fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 INF = float("inf")
 
@@ -167,8 +175,6 @@ _NON_FINITE_CASES = [
     (rate_I_infsup, (1.0, -INF), INF),
     (rate_I_infsup, (INF, 1.0), INF),
     # Finite coordinates whose evaluation overflows give +inf.
-    (rate_J, (1e200, -0.1), INF),
-    (rate_K, (1e200, -0.1), INF),
     (rate_K, (-1e200, 0.1), INF),
     # Where a square would overflow, K, S and Sigma take a form without it,
     # so these stay finite.  The values are the closed forms in 800-digit
@@ -177,7 +183,12 @@ _NON_FINITE_CASES = [
     (rate_K, (5.0, -1e200), 4.166666666666667e199),
     (rate_S, (1e300,), 1.25e299),
     (rate_Sigma, (1e300,), 5e299),
-    (rate_I_mle, (1e200, -0.1), INF),
+    # Where a square of a term in alpha would overflow, J's first term is
+    # (k u) u and K's branch 2 takes the form without beta^2.  The values are
+    # the closed forms in 3000-bit mpmath, correctly rounded.
+    (rate_J, (1e200, -0.1), 1.2499999999999999e200),
+    (rate_K, (1e200, -0.1), 1.2499999999999999e200),
+    (rate_I_mle, (1e200, -0.1), 1.2499999999999999e200),
     # I = min(J, K), and J = K at these two points, so K's form without beta^2
     # must give J's correctly rounded value.  Its alpha * beta terms are
     # cancelled by hand; as two floats they would cancel to 0 at the first.
@@ -507,6 +518,10 @@ def _branch_points(p: ProcessParams) -> tuple[np.ndarray, np.ndarray]:
 
 _ARRAY_REGIMES = [ProcessParams(4.0, -1.0), ProcessParams(3.0, -2.0), ProcessParams(2.5, -0.5)]
 
+#: Coordinates added to the branch points: signed zeros, tiny and huge
+#: magnitudes (1e155 squares past the largest float), and the non-finite ones.
+_EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 1e155, -1e155, 1e200, -1e200, 1e300, -1e300, INF, -INF, NAN]
+
 
 class TestArrays:
     """Array coordinates broadcast and give the scalar results bit for bit."""
@@ -552,6 +567,59 @@ class TestArrays:
         assert got.shape == v.shape
         assert np.array_equal(_bits(got), _bits([rate_marginal(p, which, float(x)) for x in v]))
 
+    @pytest.mark.parametrize("p", _ARRAY_REGIMES, ids=str)
+    def test_float_path_matches_the_array_path(self, p):
+        # Python floats run the closed forms in plain float arithmetic, and
+        # 1-element arrays run them in numpy: every point must get the same
+        # bits, as a Python float.  The grids hold the points where the float
+        # arithmetic divides by zero and the numpy path takes over: alpha = 0,
+        # alpha = 2 and beta = 0 from _branch_points, and x y = 1 or y z = 1
+        # at (0.5, 2), (1, 1) and (2, 0.5) of the cone grid.
+        alphas, betas = (v.tolist() + _EXTREMES for v in _branch_points(p))
+        cone = [-1.0, 0.0, 0.5, 1.0, 2.0, *_EXTREMES]
+        calls = [
+            (fn, (), pt)
+            for fn in (rate_J, rate_K, rate_I_mle)
+            for pt in itertools.product(alphas, betas)
+        ]
+        calls += [(rate_pair, (), pt) for pt in itertools.product(cone, repeat=2)]
+        calls += [
+            (fn, (), pt)
+            for fn in (rate_triplet_x, rate_triplet_L)
+            for pt in itertools.product(cone, repeat=3)
+        ]
+        calls += [(fn, (), (x,)) for fn in (rate_S, rate_Sigma, rate_V) for x in alphas + betas]
+        calls += [
+            (rate_marginal, (which,), (v,))
+            for which in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib")
+            for v in (alphas if which[1] == "a" else betas)
+        ]
+        mismatched = []
+        for fn, head, coords in calls:
+            value = fn(p, *head, *coords)
+            array = fn(p, *head, *(np.array([c]) for c in coords))
+            if type(value) is not float or _bits(value) != _bits(array)[0]:
+                mismatched.append((fn.__name__, *head, coords, value, array))
+        assert mismatched == []
+
+    def test_float_helpers_follow_numpy(self):
+        # On Python floats the helpers return what numpy returns: NaN
+        # propagates through _maximum and _minimum, a tie returns the second
+        # argument (which fixes the sign of a zero), the root of a negative
+        # is NaN and a power that overflows is +inf.  A NaN's sign and
+        # payload are not compared.
+        vals = [-2.0, -0.0, 0.0, 1e-300, 0.5, 2.0, 1e200, INF, -INF, NAN]
+        cases = [(_maximum, np.maximum, pt) for pt in itertools.product(vals, repeat=2)]
+        cases += [(_minimum, np.minimum, pt) for pt in itertools.product(vals, repeat=2)]
+        cases += [(_sqrt, np.sqrt, (x,)) for x in vals]
+        cases += [(_sq, lambda x: np.float_power(x, 2.0), (x,)) for x in vals]
+        with np.errstate(all="ignore"):
+            got = [helper(*args) for helper, _, args in cases]
+            want = [ufunc(*(np.array([x]) for x in args))[0] for _, ufunc, args in cases]
+        assert all(type(g) is float for g in got)
+        same = [math.isnan(g) and math.isnan(w) or _bits(g) == _bits(w) for g, w in zip(got, want)]
+        assert [case for case, ok in zip(cases, same) if not ok] == []
+
     def test_scalar_inputs_give_python_floats(self, params44):
         calls = [
             (rate_S, (3.0,)), (rate_Sigma, (0.5,)), (rate_V, (1,)), (rate_pair, (4.0, 1.0)),
@@ -579,7 +647,8 @@ class TestArrays:
 
     def test_squares_are_libm_pow(self, params44):
         # Python's float ** 2 is libm pow, and numpy's array ** 2 is x * x,
-        # which differs from it in the last bit at these inputs.
+        # which differs from it in the last bit at these inputs.  Array and
+        # float calls must both give the Python-float formula.
         a, b = params44.a, params44.b
         rng = np.random.default_rng(11)
 
@@ -589,12 +658,12 @@ class TestArrays:
         xs = [x for x in rng.uniform(0.01, 12.0, 200_000).tolist() if differs(a + b * x)]
         ys = [y for y in rng.uniform(0.01, 3.0, 200_000).tolist() if differs((a - 2.0) * y + b)]
         assert len(xs) >= 20 and len(ys) >= 20
-        assert rate_S(params44, np.array(xs)).tolist() == [
-            (a + b * x) ** 2 / (8.0 * x) for x in xs
-        ]
-        assert rate_Sigma(params44, np.array(ys)).tolist() == [
-            ((a - 2.0) * y + b) ** 2 / (8.0 * y) for y in ys
-        ]
+        want = [(a + b * x) ** 2 / (8.0 * x) for x in xs]
+        assert rate_S(params44, np.array(xs)).tolist() == want
+        assert [rate_S(params44, x) for x in xs] == want
+        want = [((a - 2.0) * y + b) ** 2 / (8.0 * y) for y in ys]
+        assert rate_Sigma(params44, np.array(ys)).tolist() == want
+        assert [rate_Sigma(params44, y) for y in ys] == want
         pts = [
             (al, be)
             for al, be in zip(
@@ -612,5 +681,6 @@ class TestArrays:
                 return first + 2.0 * be - b
             return first - 0.25 * be * (1.0 - b / be) ** 2
 
-        al, be = map(np.array, zip(*pts))
-        assert rate_J(params44, al, be).tolist() == [j_formula(x, y) for x, y in pts]
+        want = [j_formula(x, y) for x, y in pts]
+        assert rate_J(params44, *map(np.array, zip(*pts))).tolist() == want
+        assert [rate_J(params44, x, y) for x, y in pts] == want
