@@ -317,13 +317,25 @@ def _step_constants(params: ProcessParams, dt: float) -> tuple[float, float, flo
     return k.scale, k.noncentrality, 0.5 * (params.a - 1.0)
 
 
-def _step(x, g, z, c: float, rate: float, sqrt=math.sqrt):
+def _step(x: float, g: float, z: float, c: float, rate: float) -> float:
     # One exact transition from x, given G ~ Gamma((a-1)/2) and Z ~ N(0, 1):
     # c chi^2_a(lam) = c (chi^2_{a-1} + (Z + sqrt(lam))^2) with lam = rate x,
-    # exact for a > 1.  Floats take math.sqrt, arrays np.sqrt; both are
-    # correctly rounded, so the two forms give the same bits.
-    u = z + sqrt(x * rate)
+    # exact for a > 1.
+    u = z + math.sqrt(x * rate)
     return c * (2.0 * g + u * u)
+
+
+def _step_into(x: np.ndarray, g: np.ndarray, z: np.ndarray, u: np.ndarray, c: float, rate: float) -> None:
+    # _step on arrays, in place: x becomes the next state, and g and u are
+    # overwritten.  Each ufunc is the same correctly rounded IEEE operation as
+    # its float counterpart (np.sqrt like math.sqrt), so the bits are _step's.
+    np.multiply(x, rate, out=u)
+    np.sqrt(u, out=u)
+    u += z
+    u *= u
+    g *= 2.0
+    g += u
+    np.multiply(g, c, out=x)
 
 
 def sample_transition(
@@ -458,26 +470,41 @@ class EnsembleSummary:
     n_steps: int
 
 
-def _simulate_block(
-    params: ProcessParams, T: float, n_steps: int, size: int, seed: int, block: int
+def _simulate_blocks(
+    params: ProcessParams, T: float, n_steps: int, seed: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rng = _substream(seed, 0, block)
+    # Paths start..stop, which begin and end on block boundaries, advanced in
+    # lockstep.  Each step, every block fills its slice of g and then of z
+    # from its own substream, so a block draws what it would draw alone; one
+    # in-place step and one trapezoid update then run over all the paths.
     dt = T / n_steps
     c, rate, shape = _step_constants(params, dt)
-    x = np.full(size, params.x0)
+    width = stop - start
+    g, z, u = np.empty(width), np.empty(width), np.empty(width)
+    fills = []
+    for first in range(start, stop, BLOCK_SIZE):
+        block = slice(first - start, min(first + BLOCK_SIZE, stop) - start)
+        fills.append((_substream(seed, 0, first // BLOCK_SIZE), g[block], z[block]))
+    x = np.full(width, params.x0)
     acc_x = 0.5 * x
     acc_inv = 0.5 / x
     for k in range(1, n_steps + 1):
-        g = rng.standard_gamma(shape, size)
-        x = _step(x, g, rng.standard_normal(size), c, rate, np.sqrt)
+        for rng, g_block, z_block in fills:
+            rng.standard_gamma(shape, out=g_block)
+            rng.standard_normal(out=z_block)
+        _step_into(x, g, z, u, c, rate)
         if k < n_steps:
             acc_x += x
-            acc_inv += np.reciprocal(x)
+            acc_inv += np.reciprocal(x, out=u)
         else:
-            acc_x += 0.5 * x
-            acc_inv += 0.5 * np.reciprocal(x)
+            acc_x += np.multiply(x, 0.5, out=u)
+            np.reciprocal(x, out=u)
+            u *= 0.5
+            acc_inv += u
     w = dt / T
-    return x, acc_x * w, acc_inv * w
+    acc_x *= w
+    acc_inv *= w
+    return x, acc_x, acc_inv
 
 
 def _map_jobs(fn, jobs: list[tuple], n_workers: int) -> list:
@@ -506,11 +533,12 @@ def simulate_ensemble(
 
     Paths are partitioned into fixed blocks of BLOCK_SIZE; block j draws from
     its own PCG64DXSM substream keyed by (master seed, j), so the output is a
-    deterministic function of the seed alone.  A block advances one step at a
-    time: its Gamma variates, then its normals, then the transition step of
-    sample_transition.  ``n_workers`` (default: the CIR_LDP_THREADS
-    environment variable, else 1) only controls how many blocks run
-    concurrently, never the result.
+    deterministic function of the seed alone.  Each step, every block draws
+    its Gamma variates, then its normals, and the transition step of
+    sample_transition then moves all paths at once.  ``n_workers`` (default:
+    the CIR_LDP_THREADS environment variable, else 1) only sets how many
+    processes share the blocks, each taking one contiguous run of them,
+    never the result.
     """
     if T <= 0.0:
         raise DomainError(f"horizon T must be positive, got {T}")
@@ -521,11 +549,13 @@ def simulate_ensemble(
     seed = _coerce_seed(rng)
     if n_workers is None:
         n_workers = default_workers()
-    jobs = [
-        (params, T, n_steps, min(BLOCK_SIZE, n_paths - start), seed, start // BLOCK_SIZE)
-        for start in range(0, n_paths, BLOCK_SIZE)
-    ]
-    parts = _map_jobs(_simulate_block, jobs, n_workers)
+    # Job j advances blocks j n_blocks // n_jobs up to the next job's first
+    # block, so every worker gets one contiguous run of whole blocks.
+    n_blocks = -(-n_paths // BLOCK_SIZE)
+    n_jobs = max(1, min(n_workers, n_blocks))
+    edges = [min(n_paths, j * n_blocks // n_jobs * BLOCK_SIZE) for j in range(n_jobs + 1)]
+    jobs = [(params, T, n_steps, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    parts = _map_jobs(_simulate_blocks, jobs, n_workers)
     x_T, S, Sigma = (np.concatenate(column) for column in zip(*parts))
     return EnsembleSummary(x_T=x_T, S=S, Sigma=Sigma, T=float(T), n_steps=n_steps)
 

@@ -261,14 +261,15 @@ class TestSharedStep:
     def test_scalar_and_array_forms_are_bit_identical(self, params44):
         c, rate, shape = cir_model._step_constants(params44, 0.05)
         rng = np.random.default_rng(5)
-        x = rng.gamma(2.0, 2.0, 2000)
+        x = np.concatenate([rng.gamma(2.0, 2.0, 2000), 10.0 ** rng.uniform(-12.0, 12.0, 2000)])
         g = rng.standard_gamma(shape, x.size)
         z = rng.standard_normal(x.size)
-        array_form = cir_model._step(x, g, z, c, rate, np.sqrt)
         scalar_form = [
             cir_model._step(xi, gi, zi, c, rate)
             for xi, gi, zi in zip(x.tolist(), g.tolist(), z.tolist())
         ]
+        array_form = x.copy()
+        cir_model._step_into(array_form, g.copy(), z, np.empty_like(x), c, rate)
         np.testing.assert_array_equal(array_form, np.array(scalar_form))
 
     def test_callers_agree_on_one_step(self, params44):
@@ -313,6 +314,16 @@ class TestEnsemble:
         np.testing.assert_array_equal(e1.S, e2.S)
         np.testing.assert_array_equal(e1.Sigma, e2.Sigma)
         assert e1.x_T.shape == (n,)
+
+    def test_block_grouping_does_not_change_the_bits(self, params44):
+        # Four blocks, the last of 5 paths: one worker advances all four in
+        # lockstep, two take two each, four take one each.
+        n = 3 * BLOCK_SIZE + 5
+        runs = [simulate_ensemble(params44, 1.0, 20, n, 2024, n_workers=w) for w in (1, 2, 4)]
+        for other in runs[1:]:
+            for field in ("x_T", "S", "Sigma"):
+                np.testing.assert_array_equal(getattr(runs[0], field), getattr(other, field))
+        assert runs[0].x_T.shape == (n,)
 
     def test_thread_variable_sets_the_default_worker_count(self, params44, monkeypatch):
         n = BLOCK_SIZE + 37
