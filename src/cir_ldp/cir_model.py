@@ -13,9 +13,10 @@ Contents:
   Bessel function of the first kind),
 * one exact transition step, X' = c (chi^2_{a-1} + (Z + sqrt(lambda))^2),
   shared by the scalar draw, the stored path and large path ensembles reduced
-  on the fly to time averages,
-* deterministic substream derivation so ensembles are reproducible for a
-  given seed regardless of worker count.
+  on the fly to time averages; an ensemble advances all the blocks of one
+  worker in lockstep, in place,
+* deterministic SFC64 substreams keyed by (seed, namespace, index), so
+  ensembles are reproducible for a given seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def _coerce_seed(rng: int | np.random.Generator) -> int:
 
 def _substream(master_seed: int, namespace: int, index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(namespace, index))
-    return np.random.Generator(np.random.PCG64DXSM(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
@@ -532,7 +533,7 @@ def simulate_ensemble(
     """Simulate n_paths exact paths, reduced on the fly to (X_T, S_T, Sigma_T).
 
     Paths are partitioned into fixed blocks of BLOCK_SIZE; block j draws from
-    its own PCG64DXSM substream keyed by (master seed, j), so the output is a
+    its own SFC64 substream keyed by (master seed, j), so the output is a
     deterministic function of the seed alone.  Each step, every block draws
     its Gamma variates, then its normals, and the transition step of
     sample_transition then moves all paths at once.  ``n_workers`` (default:
