@@ -171,13 +171,20 @@ class RateRegionConstants:
         return 0.125 * _sq(self.a - alpha) + 2.0 - alpha
 
     def beta_b(self, alpha):
-        """Minimizing beta of K along the alpha-section, for alpha < alpha_a."""
+        """Minimizing beta of K along the alpha-section, for alpha < alpha_a.
+
+        Past alpha_a, at alpha = (a^2 + 32)/8, the root is 0 and the value
+        is b alpha / 0 = -inf, for floats and arrays alike, without a warning.
+        """
         # C_alpha is positive below alpha_a but can round to a tiny negative
         # right at the boundary.
         c = _maximum(self.C_alpha(alpha), 0.0)
-        return self.b * alpha / _sqrt(
-            16.0 * _SQRT2 * _sqrt(c) + self.a * self.a - 8.0 * alpha + 32.0
-        )
+        root = _sqrt(16.0 * _SQRT2 * _sqrt(c) + self.a * self.a - 8.0 * alpha + 32.0)
+        # The root is 0 only where 8 alpha >= a^2 + 32, so b alpha < 0 there.
+        if type(root) is float:
+            return self.b * alpha / root if root != 0.0 else -INF
+        with np.errstate(divide="ignore"):
+            return self.b * alpha / root
 
 
 @functools.cache

@@ -10,11 +10,13 @@ from scipy import integrate, special, stats
 
 from cir_ldp import (
     BLOCK_SIZE,
+    CgfPoint,
     ProcessParams,
     RegimeError,
     DomainError,
     Trajectory,
     bessel_log_i,
+    cgf_limit,
     conditional_moments,
     path_rng,
     read_trajectory_csv,
@@ -360,6 +362,29 @@ class TestEnsemble:
         ens = simulate_ensemble(params44, T, 1, n, 31)
         res = stats.kstest(ens.x_T / k.scale, stats.ncx2(params44.a, k.noncentrality).cdf)
         assert res.pvalue > 0.01
+
+    def test_time_average_covariance_is_the_cgf_hessian(self, params44):
+        # T Cov(S_T, Sigma_T) tends to the Hessian of Lambda in (mu, nu) at 0,
+        # [[16, -2], [-2, 0.5]] at (4, -1); the reference is taken here by
+        # central differences of cgf_limit.  Each entry is the mean of
+        # per-path products, and its standard error is theirs.
+        T, n, h = 100.0, 4000, 1e-4
+        ens = simulate_ensemble(params44, T, 5000, n, 6)
+        dev = math.sqrt(T) * np.stack([ens.S - ens.S.mean(), ens.Sigma - ens.Sigma.mean()])
+
+        def lam(mu, nu):
+            return cgf_limit(params44, CgfPoint(0.0, mu, nu, 0.0))
+
+        hessian = np.array([
+            [(lam(h, 0.0) - 2.0 * lam(0.0, 0.0) + lam(-h, 0.0)) / h**2,
+             (lam(h, h) - lam(h, -h) - lam(-h, h) + lam(-h, -h)) / (4.0 * h * h)],
+            [0.0, (lam(0.0, h) - 2.0 * lam(0.0, 0.0) + lam(0.0, -h)) / h**2],
+        ])
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            products = dev[i] * dev[j]
+            cov = float(products.sum()) / (n - 1)
+            se = float(products.std(ddof=1)) / math.sqrt(n)
+            assert abs(cov - hessian[i, j]) <= 4.0 * se, (i, j, cov, hessian[i, j], se)
 
     def test_quadrature_matches_functionals_module(self, params44):
         # The on-the-fly (S, Sigma) reduction must agree with the trapezoid

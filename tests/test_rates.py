@@ -138,6 +138,11 @@ class TestScalarRates:
 
 NAN = float("nan")
 
+def beta_b(params: ProcessParams, alpha):
+    """RateRegionConstants.beta_b as a function of (params, alpha), for the table."""
+    return region_constants(params).beta_b(alpha)
+
+
 # (rate function, coordinates after params, expected): a NaN coordinate gives
 # NaN, otherwise a +-inf coordinate gives +inf.  rate_marginal takes its
 # selector as the first coordinate.
@@ -206,6 +211,9 @@ _NON_FINITE_CASES = [
     # Ia = min(Ja, Ka) holds where Ka overflows: Ja(-1e200) = 1e100.
     (rate_marginal, ("Ia", -1e200), 1e100),
     (rate_marginal, ("Ia", -1e300), 1e150),
+    # beta_b is not a rate: at alpha = (a^2 + 32)/8 = 6 its root is exactly 0,
+    # and it gives b alpha / 0 = -inf.
+    (beta_b, (6.0,), -INF),
 ]
 
 
