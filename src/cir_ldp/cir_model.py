@@ -318,15 +318,18 @@ def _step_constants(params: ProcessParams, dt: float) -> tuple[float, float, flo
     return k.scale, k.noncentrality, 0.5 * (params.a - 1.0)
 
 
-def _step(x: float, g: float, z: float, c: float, rate: float) -> float:
+def _step(x: float, g: float, z: float, c: float, rate: float, sqrt=math.sqrt) -> float:
     # One exact transition from x, given G ~ Gamma((a-1)/2) and Z ~ N(0, 1):
     # c chi^2_a(lam) = c (chi^2_{a-1} + (Z + sqrt(lam))^2) with lam = rate x,
-    # exact for a > 1.
-    u = z + math.sqrt(x * rate)
+    # exact for a > 1.  sqrt is bound here so that simulate_path's loop looks
+    # it up as a local.
+    u = z + sqrt(x * rate)
     return c * (2.0 * g + u * u)
 
 
-def _step_into(x: np.ndarray, g: np.ndarray, z: np.ndarray, u: np.ndarray, c: float, rate: float) -> None:
+def _step_into(
+    x: np.ndarray, g: np.ndarray, z: np.ndarray, u: np.ndarray, c: float, rate: float
+) -> None:
     # _step on arrays, in place: x becomes the next state, and g and u are
     # overwritten.  Each ufunc is the same correctly rounded IEEE operation as
     # its float counterpart (np.sqrt like math.sqrt), so the bits are _step's.
