@@ -138,6 +138,7 @@ class TestScalarRates:
 
 NAN = float("nan")
 
+
 def beta_b(params: ProcessParams, alpha):
     """RateRegionConstants.beta_b as a function of (params, alpha), for the table."""
     return region_constants(params).beta_b(alpha)
