@@ -13,8 +13,8 @@ Contents:
   Bessel function of the first kind),
 * one exact transition step, X' = c (chi^2_{a-1} + (Z + sqrt(lambda))^2),
   shared by the scalar draw, the stored path and large path ensembles reduced
-  on the fly to time averages; an ensemble advances all the blocks of one
-  worker in lockstep, in place,
+  on the fly to time averages; an ensemble advances a few blocks at a time
+  in lockstep,
 * deterministic SFC64 substreams keyed by (seed, namespace, index), so
   ensembles are reproducible for a given seed regardless of worker count.
 """
@@ -58,6 +58,11 @@ _LOG2 = math.log(2.0)
 #: Paths per independent substream block in ensemble simulation.  Fixed so that
 #: results depend only on the master seed, never on the worker count.
 BLOCK_SIZE = 4096
+
+# Most blocks an ensemble job advances in lockstep.  Its arrays, about 60
+# bytes a path, then take about 1 MB however many paths there are, so they
+# stay in a core's L2 cache.
+_LOCKSTEP_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -318,28 +323,13 @@ def _step_constants(params: ProcessParams, dt: float) -> tuple[float, float, flo
     return k.scale, k.noncentrality, 0.5 * (params.a - 1.0)
 
 
-def _step(x: float, g: float, z: float, c: float, rate: float, sqrt=math.sqrt) -> float:
+def _step(x, g, z, c: float, rate: float, sqrt=math.sqrt):
     # One exact transition from x, given G ~ Gamma((a-1)/2) and Z ~ N(0, 1):
     # c chi^2_a(lam) = c (chi^2_{a-1} + (Z + sqrt(lam))^2) with lam = rate x,
-    # exact for a > 1.  sqrt is bound here so that simulate_path's loop looks
-    # it up as a local.
+    # exact for a > 1.  Floats take math.sqrt, arrays np.sqrt; both are
+    # correctly rounded, so the two forms give the same bits.
     u = z + sqrt(x * rate)
     return c * (2.0 * g + u * u)
-
-
-def _step_into(
-    x: np.ndarray, g: np.ndarray, z: np.ndarray, u: np.ndarray, c: float, rate: float
-) -> None:
-    # _step on arrays, in place: x becomes the next state, and g and u are
-    # overwritten.  Each ufunc is the same correctly rounded IEEE operation as
-    # its float counterpart (np.sqrt like math.sqrt), so the bits are _step's.
-    np.multiply(x, rate, out=u)
-    np.sqrt(u, out=u)
-    u += z
-    u *= u
-    g *= 2.0
-    g += u
-    np.multiply(g, c, out=x)
 
 
 def sample_transition(
@@ -479,16 +469,16 @@ def _simulate_blocks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Paths start..stop, which begin and end on block boundaries, advanced in
     # lockstep.  Each step, every block fills its slice of g and then of z
-    # from its own substream, so a block draws what it would draw alone; one
-    # in-place step and one trapezoid update then run over all the paths.
+    # from its own substream, so a block draws what it would draw alone; the
+    # shared step and the trapezoid update then run over all the paths.
     dt = T / n_steps
     c, rate, shape = _step_constants(params, dt)
     width = stop - start
-    g, z, u = np.empty(width), np.empty(width), np.empty(width)
+    g, z = np.empty(width), np.empty(width)
     fills = []
-    for first in range(start, stop, BLOCK_SIZE):
-        block = slice(first - start, min(first + BLOCK_SIZE, stop) - start)
-        fills.append((_substream(seed, 0, first // BLOCK_SIZE), g[block], z[block]))
+    for i in range(0, width, BLOCK_SIZE):
+        rng = _substream(seed, 0, (start + i) // BLOCK_SIZE)
+        fills.append((rng, g[i : i + BLOCK_SIZE], z[i : i + BLOCK_SIZE]))
     x = np.full(width, params.x0)
     acc_x = 0.5 * x
     acc_inv = 0.5 / x
@@ -496,19 +486,15 @@ def _simulate_blocks(
         for rng, g_block, z_block in fills:
             rng.standard_gamma(shape, out=g_block)
             rng.standard_normal(out=z_block)
-        _step_into(x, g, z, u, c, rate)
+        x = _step(x, g, z, c, rate, np.sqrt)
         if k < n_steps:
             acc_x += x
-            acc_inv += np.reciprocal(x, out=u)
+            acc_inv += np.reciprocal(x)
         else:
-            acc_x += np.multiply(x, 0.5, out=u)
-            np.reciprocal(x, out=u)
-            u *= 0.5
-            acc_inv += u
+            acc_x += 0.5 * x
+            acc_inv += 0.5 * np.reciprocal(x)
     w = dt / T
-    acc_x *= w
-    acc_inv *= w
-    return x, acc_x, acc_inv
+    return x, acc_x * w, acc_inv * w
 
 
 def _map_jobs(fn, jobs: list[tuple], n_workers: int) -> list:
@@ -539,10 +525,10 @@ def simulate_ensemble(
     its own SFC64 substream keyed by (master seed, j), so the output is a
     deterministic function of the seed alone.  Each step, every block draws
     its Gamma variates, then its normals, and the transition step of
-    sample_transition then moves all paths at once.  ``n_workers`` (default:
-    the CIR_LDP_THREADS environment variable, else 1) only sets how many
-    processes share the blocks, each taking one contiguous run of them,
-    never the result.
+    sample_transition then moves the paths of up to four consecutive blocks
+    at once.  ``n_workers`` (default: the CIR_LDP_THREADS environment
+    variable, else 1) only sets how many processes share the blocks, never
+    the result.
     """
     if T <= 0.0:
         raise DomainError(f"horizon T must be positive, got {T}")
@@ -554,9 +540,10 @@ def simulate_ensemble(
     if n_workers is None:
         n_workers = default_workers()
     # Job j advances blocks j n_blocks // n_jobs up to the next job's first
-    # block, so every worker gets one contiguous run of whole blocks.
+    # block: contiguous runs of whole blocks, at least one per worker and
+    # none longer than _LOCKSTEP_BLOCKS blocks.
     n_blocks = -(-n_paths // BLOCK_SIZE)
-    n_jobs = max(1, min(n_workers, n_blocks))
+    n_jobs = max(min(n_workers, n_blocks), -(-n_blocks // _LOCKSTEP_BLOCKS))
     edges = [min(n_paths, j * n_blocks // n_jobs * BLOCK_SIZE) for j in range(n_jobs + 1)]
     jobs = [(params, T, n_steps, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
     parts = _map_jobs(_simulate_blocks, jobs, n_workers)

@@ -266,12 +266,11 @@ class TestSharedStep:
         x = np.concatenate([rng.gamma(2.0, 2.0, 2000), 10.0 ** rng.uniform(-12.0, 12.0, 2000)])
         g = rng.standard_gamma(shape, x.size)
         z = rng.standard_normal(x.size)
+        array_form = cir_model._step(x, g, z, c, rate, np.sqrt)
         scalar_form = [
             cir_model._step(xi, gi, zi, c, rate)
             for xi, gi, zi in zip(x.tolist(), g.tolist(), z.tolist())
         ]
-        array_form = x.copy()
-        cir_model._step_into(array_form, g.copy(), z, np.empty_like(x), c, rate)
         np.testing.assert_array_equal(array_form, np.array(scalar_form))
 
     def test_callers_agree_on_one_step(self, params44):
@@ -326,6 +325,28 @@ class TestEnsemble:
             for field in ("x_T", "S", "Sigma"):
                 np.testing.assert_array_equal(getattr(runs[0], field), getattr(other, field))
         assert runs[0].x_T.shape == (n,)
+
+    def test_lockstep_is_capped_and_does_not_change_the_bits(self, params44, monkeypatch):
+        # One worker splits 2 cap + 1 blocks into three runs of at most cap
+        # blocks; with a cap of one it steps every block alone.
+        cap = cir_model._LOCKSTEP_BLOCKS
+        n = (2 * cap + 1) * BLOCK_SIZE - 3
+        runs = []
+        simulate_blocks = cir_model._simulate_blocks
+
+        def recorded(params, T, n_steps, seed, start, stop):
+            runs.append((start, stop))
+            return simulate_blocks(params, T, n_steps, seed, start, stop)
+
+        monkeypatch.setattr(cir_model, "_simulate_blocks", recorded)
+        capped = simulate_ensemble(params44, 1.0, 5, n, 77, n_workers=1)
+        assert len(runs) == 3 and runs[0][0] == 0 and runs[-1][1] == n
+        assert all(stop - start <= cap * BLOCK_SIZE for start, stop in runs)
+        monkeypatch.setattr(cir_model, "_LOCKSTEP_BLOCKS", 1)
+        alone = simulate_ensemble(params44, 1.0, 5, n, 77, n_workers=1)
+        assert len(runs) == 3 + 2 * cap + 1
+        for field in ("x_T", "S", "Sigma"):
+            np.testing.assert_array_equal(getattr(capped, field), getattr(alone, field))
 
     def test_thread_variable_sets_the_default_worker_count(self, params44, monkeypatch):
         n = BLOCK_SIZE + 37
