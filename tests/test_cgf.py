@@ -89,6 +89,28 @@ _NUMERIC_NON_FINITE_CASES = [
     ((0.8, 2.0, 0.5, -0.5), INF),
 ]
 
+#: ((a, b), (x, y, z, t), float.hex of lambda_star).  On the faces x = 0 and
+#: t = 0 the Newton term k = -x t / 2 is +-0.0 and the value is h(u0); the
+#: rows there cover k = -0.0 (t = 0) and +0.0 (x = 0), a product y z that
+#: overflows, and an h that overflows to +inf.  The last rows are off both
+#: faces, where the Newton ascent runs.
+_LAMBDA_STAR_GOLDEN = [
+    ((4.0, -1.0), (1.0, 4.0, 0.5, 0.0), "0x1.2000000000000p-1"),
+    ((4.0, -1.0), (0.3, 3.0, 1.0, 0.0), "0x1.5d32617c1bda2p-3"),
+    ((3.0, -2.0), (1.5, 2.0, 0.8, 0.0), "0x1.de22222222222p+1"),
+    ((4.0, -1.0), (0.0, 4.0, 0.5, -1.0), "0x1.4000000000000p+1"),
+    ((3.0, -2.0), (0.0, 2.0, 1.3, -0.2), "0x1.0d4fdf3b645a6p-3"),
+    ((4.0, -1.0), (0.0, 3.0, 0.8, 0.0), "0x1.f15f15f15f158p-5"),
+    ((4.0, -1.0), (0.5, 1e200, 1e200, 0.0), "0x1.a20df0dcd3af0p+663"),
+    ((4.0, -1.0), (0.0, 1e200, 1e170, -1.0), "0x1.4e718d7d7625ap+661"),
+    ((4.0, -1.0), (0.0, 1.0, 1e308, 0.0), "inf"),
+    ((4.0, -1.0), (0.0, 1.0, 1e308, -1.0), "inf"),
+    ((3.0, -2.0), (0.3, 4.0, 1.3, -0.2), "0x1.0c23e6b8caccbp+0"),
+    ((4.0, -1.0), (0.7, 2.0, 1.0, -0.4), "0x1.d697f4882d59cp+0"),
+    ((4.0, -1.0), (2.0, 5.0, 0.9, -1.5), "0x1.2646c57c3badcp+4"),
+    ((4.0, -1.0), (1.0, 2.0, 1.0, -1.0), "0x1.fd8e106ee25b9p+2"),
+]
+
 #: ((a, b), (x, y, z, t), float.hex of legendre_transform_numeric, stage of
 #: _legendre_solve), one row per stage of the solve.
 _NUMERIC_GOLDEN = [
@@ -323,6 +345,12 @@ class TestLambdaStar:
                 oracle = _brute_force_lambda_star(p, x, y, z, t)
                 assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9), (p, x, y, z, t)
                 assert got >= oracle - 1e-12 * max(1.0, abs(oracle))
+
+    def test_golden_bits(self):
+        got = [
+            lambda_star(ProcessParams(*ab), *coords).hex() for ab, coords, _ in _LAMBDA_STAR_GOLDEN
+        ]
+        assert got == [bits for _, _, bits in _LAMBDA_STAR_GOLDEN]
 
     @pytest.mark.parametrize(("coords", "expected"), _NON_FINITE_CASES)
     def test_non_finite_policy(self, params44, coords, expected):

@@ -293,6 +293,43 @@ class TestSliceIdentities:
             assert rate_Sigma(params44, y) == pytest.approx(float(res.fun), abs=1e-8)
 
 
+#: C5's grids: alpha for Ja and Ka, beta for Jb and Kb (its first 20 are < 0).
+_C5_ALPHA = np.linspace(-1.0, 7.0, 40).tolist()
+_C5_BETA = np.concatenate([np.linspace(-3.0, -0.08, 20), np.linspace(0.08, 1.5, 20)]).tolist()
+
+#: marginal_inf_numeric at (a, b) = (4, -1) as float hex, on every third
+#: point of C5's grids (every second negative beta for K/b, where the scan
+#: adds its nodes at 2 + 10^k): (surface, axis, abscissae, hexes).
+_MARGINAL_GOLDEN = [
+    ("J", "a", _C5_ALPHA[::3], [
+        "0x1.26c15a230acfap+1", "0x1.0fc35faf6e62fp+1", "0x1.ebc66b8a5d7a7p+0",
+        "0x1.af51aeeded912p+0", "0x1.6350eccdcee86p+0", "0x1.d5013f82cee73p-1",
+        "0x1.26ef20d05dba4p-3", "0x1.731bf94824a9bp-6", "0x1.93427b102fe6cp-13",
+        "0x1.d22ef484fa99ep-8", "0x1.aab6a12413be5p-6", "0x1.9eb25931abe4cp-5",
+        "0x1.3f8a8d10e118cp-4", "0x1.b570f5ff3fecep-4",
+    ]),
+    ("K", "a", _C5_ALPHA[1::3], [
+        "0x1.99d2e80e037d9p+0", "0x1.75599ecbe9fd7p+0", "0x1.4cf4d5fd3639ap+0",
+        "0x1.1e94596decd58p+0", "0x1.ca31119d6b6ccp-1", "0x1.046386772ca52p-1",
+        "0x1.4d37d9989458fp-4", "0x1.3fbf4a274b92ap-7", "0x1.fa068b9c1bcb4p-12",
+        "0x1.9a2c7c9e3785ap-7", "0x1.14d3d4807f51ep-5", "0x1.e7a8fca49dabcp-5",
+        "0x1.666684c941154p-4",
+    ]),
+    ("J", "b", _C5_BETA[::3], [
+        "0x1.5555555555556p-2", "0x1.dd9974135f9dfp-3", "0x1.1e490c8726972p-3",
+        "0x1.e1f59491e005ap-5", "0x1.580bf5fd9e51ap-8", "0x1.12b328bf68711p-5",
+        "0x1.10b51618caa50p-1", "0x1.4f39aad8a826dp+0", "0x1.c20563b48c206p+0",
+        "0x1.1a688e48380cep+1", "0x1.53ce6ab62a09bp+1", "0x1.8d3447241c068p+1",
+        "0x1.c69a23920e034p+1", "0x1.0000000000000p+2",
+    ]),
+    ("K", "b", _C5_BETA[:20:2], [
+        "0x1.5555555555554p-2", "0x1.1063516950fe8p-2", "0x1.9be7f67d7bdf8p-3",
+        "0x1.1e490c8726968p-3", "0x1.5760c77884144p-4", "0x1.2c42750e677d1p-5",
+        "0x1.580bf5fd9e4cfp-8", "0x1.bbb26022cac9ap-8", "0x1.8ea5181394088p-4",
+        "0x1.41a8c9a260e7ap-1",
+    ]),
+]
+
 #: |closed-form Kb - marginal_inf_numeric| <= _KB_GAP * max(1, Kb): measured
 #: up to 1.6e-15 on the grids of the two tests below.
 _KB_GAP = 4e-15
@@ -346,6 +383,12 @@ class TestMarginals:
         assert marginal_inf_numeric(p, "K", "b", beta) == pytest.approx(
             rate_marginal(p, "Kb", beta), rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "which, axis, grid, bits", _MARGINAL_GOLDEN, ids=[f"{w}/{ax}" for w, ax, _, _ in _MARGINAL_GOLDEN]
+    )
+    def test_numeric_infimum_golden_bits(self, params44, which, axis, grid, bits):
+        assert [marginal_inf_numeric(params44, which, axis, v).hex() for v in grid] == bits
 
     def test_profile_identities(self, params44):
         for v in (-1.5, 0.0, 2.0, 4.5):
@@ -418,6 +461,22 @@ _INFSUP_GOLDEN = [
 ]
 
 
+#: rate_I_infsup at (a, b) = (3, -2) as float hex, at the 30 C4 points of
+#: _INFSUP_GOLDEN.
+_INFSUP_GOLDEN_3_2 = [
+    "0x1.2000000000000p+0", "0x1.0000000000000p-3", "0x1.8000000000000p-2",
+    "0x1.0000000000000p-3", "0x1.3bbbbbbbbbbbap+0", "0x1.4ccccccccccd0p-4",
+    "0x1.7851eb851eb86p-1", "0x1.2aaaaaaaaaaaep-2", "0x1.3ccccccccccccp+1",
+    "0x1.1777777777770p-1", "0x1.01e79e79e79e8p+2", "0x1.32fa6ba8a94ebp+3",
+    "0x1.c800000000002p+1", "0x1.a5b3d742c2655p+2", "0x1.1a22222222222p+2",
+    "0x1.c2aaaaaaaaaaep+2", "0x1.849c9c9c9c9c8p+2", "0x1.e0583fbdf65aep+0",
+    "0x1.d1a2222222222p+4", "0x1.f149f49f49f48p+1", "0x1.2200000000001p+2",
+    "0x1.2cf5c28f5c290p+2", "0x1.42aaaaaaaaaacp+2", "0x1.9c92492492492p+2",
+    "0x1.246c69b2b1c13p+2", "0x1.8d11111111110p+2", "0x1.017beb3922e02p+3",
+    "0x1.de0b60b60b60bp+2", "0x1.76f6f8f7fde7ep+2", "0x1.5fd3bbc00b784p+2",
+]
+
+
 class TestInfSup:
     def test_equals_min_of_j_and_k(self, params44):
         pts = [(1.0, 0.5), (-1.0, 1.0), (1.2, -0.8), (3.0, -1.0), (4.5, -1.2), (0.5, 0.7)]
@@ -435,6 +494,11 @@ class TestInfSup:
         assert [(pt, rate_I_infsup(params44, *pt).hex()) for pt, _ in _INFSUP_GOLDEN] == [
             (pt, float.fromhex(h).hex()) for pt, h in _INFSUP_GOLDEN
         ]
+
+    def test_golden_bits_at_3_minus2(self):
+        p = ProcessParams(3.0, -2.0)
+        got = [rate_I_infsup(p, *pt).hex() for pt, _ in _INFSUP_GOLDEN[:30]]
+        assert got == _INFSUP_GOLDEN_3_2
 
     def test_beta_zero_sliver_is_infinite(self, params44):
         # x = sqrt(alpha) > 0 forces t = 0, and there z = beta/(2 - alpha) = 0
