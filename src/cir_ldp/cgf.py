@@ -275,9 +275,13 @@ def lambda_star(
     cone h is strictly concave: h_dd <= -y/4, h_ff <= -z and
     h_dd h_ff - h_df^2 >= det M = (y z - 1)/4 > 0.  M^-1 has positive
     entries and l, grad r >= 0, so the maximiser u0 = M^-1 l of q and the
-    maximiser u* = u0 + M^-1 grad r(u*) >= u0 of h are interior.  A damped
-    Newton ascent in (d, f) starts at u0, which is u* when x = 0 or t = 0
-    (and is (-b, (a-2)/2) at the ergodic limits).  Each step is clipped to
+    maximiser u* = u0 + M^-1 grad r(u*) >= u0 of h are interior.  On the
+    faces x = 0 and t = 0, k = +-0.0, so r and its gradient vanish and
+    u* = u0 (which is (-b, (a-2)/2) at the ergodic limits): h(u0) is
+    returned without a Newton step.  That is exact, not a shortcut: the
+    step would be 0 (or NaN where h is), and the ascent would stop at u0
+    with the same bits.  Elsewhere a damped Newton ascent in (d, f) starts
+    at u0.  Each step is clipped to
     keep d and f positive (at most half the distance to 0) and halved until
     h increases; the ascent stops once the full step's predicted gain
     (h_d step_d + h_f step_f)/2 falls below NEWTON_GAIN_TOL, or once no
@@ -324,6 +328,9 @@ def lambda_star(
     # h(v) = q_star - v'Mv/2 + r(u0 + v), here at v = 0 and in the line search
     v_d = v_f = 0.0
     h = q_star + k * math.sqrt(2.0 * f0 + a + 2.0) * math.sqrt(d0 - b)
+    if k == 0.0:
+        # On a face r vanishes, so u0 is the maximiser and h(u0) the value.
+        return INF if math.isnan(h) else h
     for _ in range(100):
         d, f = d0 + v_d, f0 + v_f
         sdb = math.sqrt(d - b)

@@ -563,7 +563,9 @@ def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float)
         hi = max(8.0, 2.0 * a)
         if which == "J":
             lo = 1e-7  # rate_J divides by 2 - alpha
-    ceiling = fn(np.array(probes)).min() + 10.0
+    # The probes run as float calls: as a 4-element array each would pay
+    # _total's numpy path for the same bits.
+    ceiling = min(fn(u) for u in probes) + 10.0
     while hi < 1e6 and fn(hi) < ceiling:
         hi *= 2.0
     xs = np.linspace(lo, hi, 241)
@@ -611,11 +613,13 @@ def rate_marginal(params: ProcessParams, which: str, v):
 # x > 0 means X_T grows like T, so t = log(X_T)/T -> 0, and t < 0 means X_T
 # -> 0, so x -> 0.  The infimum therefore runs over the two faces of the
 # quadruplet's range, {t = 0}, where J lives, and {x = 0}, where K lives.
-# Each face is one 1-D scan-and-refine through lambda_star.  Only the special
-# points (0, 0) and (2, 0), whose preimages are 2-D, use Nelder-Mead from
-# _simplex, which repeats scipy's iteration on Python floats; their
-# objectives take the float tuple and reject points outside the set with
-# +inf.
+# Each face is one 1-D scan-and-refine through lambda_star, on Python floats.
+# Only the special points (0, 0) and (2, 0), whose preimages are 2-D, use
+# Nelder-Mead from _simplex, which repeats scipy's iteration on Python
+# floats; their objectives take the float tuple and reject points outside
+# the set with +inf.  Every lambda_star call here lies on a face, where its
+# Newton term k = -x t / 2 is 0, so it returns its start value h(u0) without
+# a Newton step.
 # ---------------------------------------------------------------------------
 
 
@@ -626,7 +630,7 @@ def _nelder_mead(fn, x0: tuple[float, float]) -> float:
 def _face_min(fn, lo: float, hi: float) -> float:
     # Minimum of fn on [lo, hi]: the best of 121 scan nodes, refined.
     nodes = np.linspace(lo, hi, 121)
-    return _scan_refine(fn, nodes, [fn(float(u)) for u in nodes], 1e-10)[1]
+    return _scan_refine(fn, nodes, [fn(u) for u in nodes.tolist()], 1e-10)[1]
 
 
 def _infsup_faces(params: ProcessParams, alpha: float, beta: float) -> float:
