@@ -344,12 +344,20 @@ def rate_K(params: ProcessParams, alpha, beta):
         _where(branch_1, _rate_K_branch_1(params, alpha, beta),
                _where(branch_2, _rate_K_branch_2(params, alpha, beta), INF)),
     )
-    # Where beta * beta overflows (|beta| > ~1.3e154), or branch 2's
-    # (a - alpha)^2 does, the forms above give +-inf or nan.
-    huge = (beta * beta == INF) | branch_2 & (_sq(a - alpha) == INF)
-    if _any(huge):
+    # _K_common and the branch terms each hold alpha beta / 8, which cancel,
+    # so the forms above lose about eps |alpha beta| / 8: all of K once
+    # |alpha beta| nears K / eps, and they go negative.  _rate_K_combined
+    # rounds only terms of total size K - ab/2 (ab/4 < 0, the rest >= 0).
+    # It takes over where |alpha beta| / 8 exceeds twice that size, or where
+    # the forms above overflow (+-inf or nan, as where beta^2 does).  Below
+    # that the forms above keep their bits, every artifact's with them; on a
+    # log grid to |alpha|, |beta| = 1e300 they are within 10 ulps of K (in
+    # 80-digit mpmath) wherever K >= |ab|, and the combined form within 3.
+    lossy = (abs(alpha * beta) > 16.0 * value - 8.0 * a * b) | (value == INF) | (value != value)
+    lossy = (branch_1 | branch_2) & lossy
+    if _any(lossy):
         combined = _rate_K_combined(params, alpha, beta, branch_1)
-        value = _where((branch_1 | branch_2) & huge, combined, value)
+        value = _where(lossy, combined, value)
     return value
 
 

@@ -212,6 +212,17 @@ _NON_FINITE_CASES = [
     # Ia = min(Ja, Ka) holds where Ka overflows: Ja(-1e200) = 1e100.
     (rate_marginal, ("Ia", -1e200), 1e100),
     (rate_marginal, ("Ia", -1e300), 1e150),
+    # K's alpha * beta / 8 terms cancel in the branch forms, which lost all
+    # of K here and gave I < 0, I = 0, or I = K < J.  The values are the
+    # closed forms in 200-digit mpmath, correctly rounded; Ka(-1e20) is K at
+    # beta_b(-1e20), and equals the infimum of K over beta to 20 digits.
+    (rate_I_mle, (-1e17, 1e17), 2e17),
+    (rate_I_mle, (1e17, -1e8), 149999999.0),
+    (rate_I_mle, (-1e150, 1e150), 2e150),
+    (rate_I_mle, (-1e9, 1e9), 2000000001.125),
+    (rate_K, (-1e12, 1e12), 2000000000013.125),
+    (rate_marginal, ("Ka", -1e20), 9999999999.0),
+    (rate_marginal, ("Ia", -1e20), 9999999999.0),
     # beta_b is not a rate: at alpha = (a^2 + 32)/8 = 6 its root is exactly 0,
     # and it gives b alpha / 0 = -inf.
     (beta_b, (6.0,), -INF),
@@ -242,6 +253,19 @@ class TestNonFinitePolicy:
             warnings.simplefilter("error")
             value = marginal_inf_numeric(params44, which, axis, v)
         assert value == INF or (math.isfinite(value) and value >= 0.0)
+
+
+@pytest.mark.parametrize("p", [ProcessParams(4.0, -1.0), ProcessParams(3.0, -2.0)], ids=str)
+def test_no_rate_is_negative_on_a_log_grid(p):
+    # |alpha| and |beta| from 1e-10 to 1e300 in all four sign quadrants:
+    # K's branch forms cancel alpha * beta / 8 and went negative past
+    # |alpha| ~ 1e16.  +inf is allowed; nothing may be negative or NaN.
+    mags = np.logspace(-10.0, 300.0, 311)
+    axis = np.concatenate([-mags[::-1], mags])
+    al, be = axis[:, None], axis[None, :]
+    values = {fn.__name__: fn(p, al, be) for fn in (rate_J, rate_K, rate_I_mle)}
+    values.update({w: rate_marginal(p, w, axis) for w in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib")})
+    assert {name: int(np.sum(~(v >= 0.0))) for name, v in values.items()} == dict.fromkeys(values, 0)
 
 
 class TestSeamContinuity:
