@@ -158,33 +158,53 @@ def _sq_over(u, w):
     return _where(sq < INF, sq / w, u * (u / w))
 
 
+def _quiet(method):
+    # An array (or any non-float) argument runs the method under errstate, so
+    # it gives the float call's inf and NaN without a warning.
+    @functools.wraps(method)
+    def quiet(self, alpha):
+        if type(alpha) is float:
+            return method(self, alpha)
+        with np.errstate(all="ignore"):
+            return method(self, alpha)
+
+    return quiet
+
+
 @dataclass(frozen=True)
 class RateRegionConstants:
-    """Branch-boundary constants of the simplified-estimator rate functions."""
+    """Branch-boundary constants of the simplified-estimator rate functions.
+
+    C_alpha and beta_b take floats or arrays.  Outside their domains (the
+    square of a - alpha overflows at |alpha| >= ~1.3e154, and beta_b's root
+    is of a negative past alpha = (a^2 + 32)/8) they give +-inf, 0 or NaN,
+    as arrays the same as floats, without a warning.
+    """
 
     a: float
     b: float
     ell_a: float
     alpha_a: float
 
+    @_quiet
     def C_alpha(self, alpha):
         return 0.125 * _sq(self.a - alpha) + 2.0 - alpha
 
+    @_quiet
     def beta_b(self, alpha):
         """Minimizing beta of K along the alpha-section, for alpha < alpha_a.
 
         Past alpha_a, at alpha = (a^2 + 32)/8, the root is 0 and the value
-        is b alpha / 0 = -inf, for floats and arrays alike, without a warning.
+        is b alpha / 0 = -inf.
         """
         # C_alpha is positive below alpha_a but can round to a tiny negative
         # right at the boundary.
         c = _maximum(self.C_alpha(alpha), 0.0)
         root = _sqrt(16.0 * _SQRT2 * _sqrt(c) + self.a * self.a - 8.0 * alpha + 32.0)
         # The root is 0 only where 8 alpha >= a^2 + 32, so b alpha < 0 there.
-        if type(root) is float:
-            return self.b * alpha / root if root != 0.0 else -INF
-        with np.errstate(divide="ignore"):
-            return self.b * alpha / root
+        if type(root) is float and root == 0.0:
+            return -INF
+        return self.b * alpha / root
 
 
 @functools.cache

@@ -717,6 +717,21 @@ class TestArrays:
         same = [math.isnan(g) and math.isnan(w) or _bits(g) == _bits(w) for g, w in zip(got, want)]
         assert [case for case, ok in zip(cases, same) if not ok] == []
 
+    @pytest.mark.parametrize("p", _ARRAY_REGIMES, ids=str)
+    def test_region_constants_are_quiet_on_arrays(self, p):
+        # Outside beta_b's domain its root is of a negative (NaN), at
+        # alpha = (a^2 + 32)/8 it is 0 (-inf), and past |alpha| ~ 1.3e154
+        # C_alpha's square overflows (+inf, and beta_b rounds to 0).  Arrays
+        # give the float values with no warning (a RuntimeWarning fails this
+        # module); a NaN's sign is not compared.
+        rc = region_constants(p)
+        alphas = [
+            -1e200, -1e155, -2.0, 0.0, rc.alpha_a, (p.a * p.a + 32.0) / 8.0, 10.0, 1e155, 1e200,
+        ]
+        for fn in (rc.C_alpha, rc.beta_b):
+            np.testing.assert_array_equal(fn(np.array(alphas)), [fn(x) for x in alphas])
+        assert math.isnan(rc.beta_b(10.0)) and rc.C_alpha(1e200) == INF
+
     def test_scalar_inputs_give_python_floats(self, params44):
         calls = [
             (rate_S, (3.0,)), (rate_Sigma, (0.5,)), (rate_V, (1,)), (rate_pair, (4.0, 1.0)),
