@@ -248,6 +248,75 @@ def cgf_finite_T_mc(
 NEWTON_GAIN_TOL = 1e-13
 
 
+# Typed helpers, shared with rates: a Python bool picks in a conditional
+# expression, anything else goes to numpy.
+
+
+def _where(cond, x, y):
+    if type(cond) is bool:
+        return x if cond else y
+    return np.where(cond, x, y)
+
+
+def _any(mask) -> bool:
+    return mask if type(mask) is bool else mask.any()
+
+
+def _h_start(a: float, b: float, x, y, z, t):
+    # (h(u0), d0, f0, q*) of lambda_star's Method at points inside the cone:
+    # u0 = (d0, f0) = M^-1 l, q* = q(u0) and h(u0) = q* + r(u0).  Python
+    # floats run in math, arrays (or floats broadcast against them) in numpy
+    # under the caller's errstate; both give the same bits.
+    l_d, l_f = 0.25 * x * x + 0.5, 0.5 * t * t
+    yz1 = y * z - 1.0
+    # Divided before multiplying, so that huge y or z overflow only where
+    # the value does.
+    d0 = 4.0 * (z / yz1) * l_d + 2.0 * l_f / yz1
+    f0 = 2.0 * l_d / yz1 + (y / yz1) * l_f
+    over = yz1 == INF
+    scalar = type(over) is bool
+    if over if scalar else over.any():
+        # y z overflows, so M^-1 is tiny: z / yz1 = 1 / (y - 1/z) and
+        # y / yz1 = 1 / (z - 1/y).
+        z_yz1 = 1.0 / (y - 1.0 / z)
+        d0 = _where(over, 4.0 * z_yz1 * l_d + 2.0 * l_f * (z_yz1 / z), d0)
+        f0 = _where(over, 2.0 * l_d * (z_yz1 / z) + l_f / (z - 1.0 / y), f0)
+    q_star = (
+        0.25 * t * t * (a + 2.0)
+        - 0.25 * x * x * b
+        + y * b * b / 8.0
+        + (a - 2.0) ** 2 * z / 8.0
+        + 0.25 * a * b
+        + 0.5 * (l_d * d0 + l_f * f0)
+    )
+    sqrt = math.sqrt if scalar else np.sqrt
+    h = q_star + (-0.5 * x * t) * sqrt(2.0 * f0 + a + 2.0) * sqrt(d0 - b)
+    return h, d0, f0, q_star
+
+
+def _lambda_star_array(params: ProcessParams, x, y, z, t) -> np.ndarray:
+    """lambda_star elementwise on arrays, each element with its float call's bits.
+
+    The coordinates broadcast against each other.  Points on the faces x = 0
+    and t = 0, where lambda_star returns h(u0), take one numpy pass through
+    the same h(u0), with lambda_star's non-finite policy applied
+    elementwise.  Any other point runs the float call's Newton ascent.
+    """
+    with np.errstate(all="ignore"):
+        h = _h_start(params.a, params.b, x, y, z, t)[0]
+        cone = (x >= 0.0) & (t <= 0.0) & (y > 0.0) & (z > 0.0) & (y * z - 1.0 > 0.0)
+        inside = cone & (x < INF) & (y < INF) & (z < INF) & (t > -INF)
+        off_face = inside & (-0.5 * x * t != 0.0)
+    out = np.where(inside & (h == h), h, INF)
+    if not inside.all():
+        # A NaN coordinate leaves the cone, and gives NaN.
+        out = np.where(np.isnan(x) | np.isnan(y) | np.isnan(z) | np.isnan(t), math.nan, out)
+    if off_face.any():
+        coords = (c[off_face].tolist() for c in np.broadcast_arrays(x, y, z, t))
+        out[off_face] = [lambda_star(params, *p) for p in zip(*coords)]
+    return out
+
+
 def lambda_star(
     params: ProcessParams, x: float, y: float, z: float, t: float
 ) -> float:
@@ -280,8 +349,10 @@ def lambda_star(
     u* = u0 (which is (-b, (a-2)/2) at the ergodic limits): h(u0) is
     returned without a Newton step.  That is exact, not a shortcut: the
     step would be 0 (or NaN where h is), and the ascent would stop at u0
-    with the same bits.  Elsewhere a damped Newton ascent in (d, f) starts
-    at u0.  Each step is clipped to
+    with the same bits.  u0, q(u0) and h(u0) are written once, for floats
+    and arrays, so an array of face points (as an inf-sup face scan makes)
+    runs as one numpy pass with the bits of these float calls.  Elsewhere a
+    damped Newton ascent in (d, f) starts at u0.  Each step is clipped to
     keep d and f positive (at most half the distance to 0) and halved until
     h increases; the ascent stops once the full step's predicted gain
     (h_d step_d + h_f step_f)/2 falls below NEWTON_GAIN_TOL, or once no
@@ -297,55 +368,43 @@ def lambda_star(
     if x == INF or y == INF or z == INF or t == -INF:
         return INF
     a, b = params.a, params.b
+    h, d0, f0, q_star = _h_start(a, b, x, y, z, t)
     k = -0.5 * x * t
-    l_d, l_f = 0.25 * x * x + 0.5, 0.5 * t * t
-    yz1 = y * z - 1.0
-    if yz1 == INF:
-        # y z overflows, so M^-1 is tiny: z / yz1 = 1 / (y - 1/z) and
-        # y / yz1 = 1 / (z - 1/y), and det M = (y/2)(z/2) - 1/4.
-        z_yz1 = 1.0 / (y - 1.0 / z)
-        d0 = 4.0 * z_yz1 * l_d + 2.0 * l_f * (z_yz1 / z)
-        f0 = 2.0 * l_d * (z_yz1 / z) + l_f / (z - 1.0 / y)
-        det_m = (0.5 * y) * (0.5 * z) - 0.25
-        e = math.sqrt(y) * math.sqrt(z) - 1.0
-    else:
-        # u0 = M^-1 l, divided before multiplying so that huge y or z
-        # overflow only where the value does
-        d0 = 4.0 * (z / yz1) * l_d + 2.0 * l_f / yz1
-        f0 = 2.0 * l_d / yz1 + (y / yz1) * l_f
-        det_m = 0.25 * yz1
-        # v'Mv = (sy v_d - sz v_f)^2 + e v_d v_f with e = sqrt(yz) - 1.
-        e = yz1 / (math.sqrt(y * z) + 1.0)
-    q_star = (
-        0.25 * t * t * (a + 2.0)
-        - 0.25 * x * x * b
-        + y * b * b / 8.0
-        + (a - 2.0) ** 2 * z / 8.0
-        + 0.25 * a * b
-        + 0.5 * (l_d * d0 + l_f * f0)
-    )
-    sy, sz = 0.5 * math.sqrt(y), math.sqrt(z)
-    # h(v) = q_star - v'Mv/2 + r(u0 + v), here at v = 0 and in the line search
-    v_d = v_f = 0.0
-    h = q_star + k * math.sqrt(2.0 * f0 + a + 2.0) * math.sqrt(d0 - b)
     if k == 0.0:
         # On a face r vanishes, so u0 is the maximiser and h(u0) the value.
         return INF if math.isnan(h) else h
+    sqrt = math.sqrt
+    yz1 = y * z - 1.0
+    if yz1 == INF:
+        # det M = (y/2)(z/2) - 1/4, formed without the overflowing y z.
+        det_m = (0.5 * y) * (0.5 * z) - 0.25
+        e = sqrt(y) * sqrt(z) - 1.0
+    else:
+        det_m = 0.25 * yz1
+        # v'Mv = (sy v_d - sz v_f)^2 + e v_d v_f with e = sqrt(yz) - 1.
+        e = yz1 / (sqrt(y * z) + 1.0)
+    sy, sz = 0.5 * sqrt(y), sqrt(z)
+    y4 = 0.25 * y
+    # h(v) = q_star - v'Mv/2 + r(u0 + v), at v = 0 the h(u0) above
+    v_d = v_f = 0.0
+    # sqrt(d - b) and sqrt(phi) at u0 + v, carried over from the line search
+    dmb = d0 - b
+    sdb, sphi = sqrt(dmb), sqrt(2.0 * f0 + a + 2.0)
     for _ in range(100):
         d, f = d0 + v_d, f0 + v_f
-        sdb = math.sqrt(d - b)
-        sphi = math.sqrt(2.0 * f + a + 2.0)
-        r_d = k * sphi / (2.0 * sdb)
+        sdb2 = 2.0 * sdb
+        r_d = k * sphi / sdb2
         r_f = k * sdb / sphi
-        c = k / (2.0 * sdb * sphi)
-        p, q = r_d / (2.0 * (d - b)), r_f / (sphi * sphi)
-        g_d = r_d - 0.25 * y * v_d + 0.5 * v_f
+        c = k / (sdb2 * sphi)
+        p, q = r_d / (2.0 * dmb), r_f / (sphi * sphi)
+        g_d = r_d - y4 * v_d + 0.5 * v_f
         g_f = r_f + 0.5 * v_d - z * v_f
         # -H = [[p + y/4, -(1/2 + c)], [-(1/2 + c), q + z]] with p q = c^2
-        root = sz * math.sqrt(p) - sy * math.sqrt(q)
+        root = sz * sqrt(p) - sy * sqrt(q)
         det = root * root + c * e + det_m
-        step_d = ((q + z) * g_d + (0.5 + c) * g_f) / det
-        step_f = ((0.5 + c) * g_d + (p + 0.25 * y) * g_f) / det
+        c2 = 0.5 + c
+        step_d = ((q + z) * g_d + c2 * g_f) / det
+        step_f = (c2 * g_d + (p + y4) * g_f) / det
         if not 0.5 * (g_d * step_d + g_f * step_f) >= NEWTON_GAIN_TOL:
             break
         scale = 1.0
@@ -356,15 +415,16 @@ def lambda_star(
         for _ in range(60):
             vd_new, vf_new = v_d + scale * step_d, v_f + scale * step_f
             w = sy * vd_new - sz * vf_new
-            h_new = q_star - 0.5 * (w * w + e * vd_new * vf_new) + k * math.sqrt(
-                2.0 * (f0 + vf_new) + a + 2.0
-            ) * math.sqrt(d0 + vd_new - b)
+            dmb_new = d0 + vd_new - b
+            sdb_new, sphi_new = sqrt(dmb_new), sqrt(2.0 * (f0 + vf_new) + a + 2.0)
+            h_new = q_star - 0.5 * (w * w + e * vd_new * vf_new) + k * sphi_new * sdb_new
             if h_new > h:
                 break
             scale *= 0.5
         else:
             break
         v_d, v_f, h = vd_new, vf_new, h_new
+        dmb, sdb, sphi = dmb_new, sdb_new, sphi_new
     return INF if math.isnan(h) else h
 
 

@@ -19,9 +19,10 @@ _maximum, _minimum), which send Python floats to math or to a conditional
 expression and arrays to numpy.  Both sides call libm's pow and a correctly
 rounded sqrt, so a point gets the same bits either way.  When every
 coordinate is a finite Python float or int, ``_total`` runs the body in
-plain float arithmetic.  Where that divides by zero (both branches are
-evaluated, so at alpha = 0, alpha = 2, beta = 0 or yz = 1) it runs the numpy
-path instead, so the value and the policy there are unchanged.
+plain float arithmetic.  Where that divides by zero (as rate_pair does at
+xy = 1) it runs the numpy path instead, so the value and the policy there
+are unchanged.  rate_J and rate_K evaluate a branch only where some point
+takes it, so a float call never divides in a branch it does not take.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simplex import minimize_bounded, nelder_mead
-from .cgf import lambda_star
+from .cgf import _any, _lambda_star_array, _where, lambda_star
 from .cir_model import ProcessParams
 from .errors import DomainError
 
@@ -103,17 +104,7 @@ def _total(rate):
 # The helpers of the closed forms: a Python float goes to math or to a
 # conditional expression, anything else to numpy.  On floats each returns
 # what numpy returns, inf and NaN included (a NaN's sign aside), without a
-# warning.
-
-
-def _where(cond, x, y):
-    if type(cond) is bool:
-        return x if cond else y
-    return np.where(cond, x, y)
-
-
-def _any(mask) -> bool:
-    return mask if type(mask) is bool else mask.any()
+# warning.  _where and _any come from cgf, whose face value uses them too.
 
 
 def _maximum(x, y):
@@ -297,42 +288,57 @@ def _J_first_term(a: float, b: float, alpha, beta):
     return _where(sq < INF, k * sq, (k * u) * u)
 
 
-def _rate_J_branch_A(params: ProcessParams, alpha, beta):
+def _rate_J_branch_A(params: ProcessParams, alpha, beta, first=None):
+    # first is _J_first_term(a, b, alpha, beta), where the caller has it.
     a, b = params.a, params.b
-    return _J_first_term(a, b, alpha, beta) + 2.0 * beta - b
+    if first is None:
+        first = _J_first_term(a, b, alpha, beta)
+    return first + 2.0 * beta - b
 
 
-def _rate_J_branch_B(params: ProcessParams, alpha, beta):
+def _rate_J_branch_B(params: ProcessParams, alpha, beta, first=None):
     a, b = params.a, params.b
-    return _J_first_term(a, b, alpha, beta) - 0.25 * beta * _sq(1.0 - b / beta)
+    if first is None:
+        first = _J_first_term(a, b, alpha, beta)
+    return first - 0.25 * beta * _sq(1.0 - b / beta)
 
 
 @_total
 def rate_J(params: ProcessParams, alpha, beta):
     """Rate function of the tilde estimator couple; zero at (a, b)."""
-    b = params.b
+    a, b = params.a, params.b
     branch_A = (alpha > 2.0) & (b / 3.0 <= beta) & (beta < 0.0) | (alpha < 2.0) & (beta > 0.0)
     branch_B = (alpha > 2.0) & (beta <= b / 3.0)
-    return _where(
-        (alpha == 2.0) & (beta == 0.0), -b,
-        _where(branch_A, _rate_J_branch_A(params, alpha, beta),
-               _where(branch_B, _rate_J_branch_B(params, alpha, beta), INF)),
-    )
+    value = _where((alpha == 2.0) & (beta == 0.0), -b, INF)
+    # A branch is evaluated only where some point takes it, A over B where
+    # both do (beta = b/3); np.where picks elementwise, so this keeps the bits.
+    take_A, take_B = _any(branch_A), _any(branch_B)
+    if take_A or take_B:
+        first = _J_first_term(a, b, alpha, beta)
+        if take_B:
+            value = _where(branch_B, _rate_J_branch_B(params, alpha, beta, first), value)
+        if take_A:
+            value = _where(branch_A, _rate_J_branch_A(params, alpha, beta, first), value)
+    return value
 
 
 def _K_common(a: float, b: float, alpha, beta):
     return 0.25 * a * (b - beta) - (alpha / (8.0 * beta)) * (b * b - beta * beta)
 
 
-def _rate_K_branch_1(params: ProcessParams, alpha, beta):
-    a, b = params.a, params.b
+def _rate_K_branch_1(params: ProcessParams, alpha, beta, common=None):
+    # common is _K_common(a, b, alpha, beta), where the caller has it.
+    if common is None:
+        common = _K_common(params.a, params.b, alpha, beta)
     c = _maximum(region_constants(params).C_alpha(alpha), 0.0)
-    return _K_common(a, b, alpha, beta) - (beta / alpha) * _sq(_SQRT2 + _sqrt(c))
+    return common - (beta / alpha) * _sq(_SQRT2 + _sqrt(c))
 
 
-def _rate_K_branch_2(params: ProcessParams, alpha, beta):
-    a, b = params.a, params.b
-    return _K_common(a, b, alpha, beta) - beta * _sq(a - alpha) / (8.0 * (alpha - 2.0))
+def _rate_K_branch_2(params: ProcessParams, alpha, beta, common=None):
+    a = params.a
+    if common is None:
+        common = _K_common(a, params.b, alpha, beta)
+    return common - beta * _sq(a - alpha) / (8.0 * (alpha - 2.0))
 
 
 def _rate_K_combined(params: ProcessParams, alpha, beta, branch_1):
@@ -359,11 +365,15 @@ def rate_K(params: ProcessParams, alpha, beta):
     alpha_a = region_constants(params).alpha_a
     branch_1 = (beta < 0.0) & (0.0 < alpha) & (alpha <= alpha_a) | (beta > 0.0) & (alpha < 0.0)
     branch_2 = (beta < 0.0) & (alpha >= alpha_a)
-    value = _where(
-        (alpha == 0.0) & (beta == 0.0), _K_apex(a, b),
-        _where(branch_1, _rate_K_branch_1(params, alpha, beta),
-               _where(branch_2, _rate_K_branch_2(params, alpha, beta), INF)),
-    )
+    value = _where((alpha == 0.0) & (beta == 0.0), _K_apex(a, b), INF)
+    # As in rate_J, a branch is evaluated only where some point takes it.
+    take_1, take_2 = _any(branch_1), _any(branch_2)
+    if take_1 or take_2:
+        common = _K_common(a, b, alpha, beta)
+        if take_2:
+            value = _where(branch_2, _rate_K_branch_2(params, alpha, beta, common), value)
+        if take_1:
+            value = _where(branch_1, _rate_K_branch_1(params, alpha, beta, common), value)
     # _K_common and the branch terms each hold alpha beta / 8, which cancel,
     # so the forms above lose about eps |alpha beta| / 8: all of K once
     # |alpha beta| nears K / eps, and they go negative.  _rate_K_combined
@@ -592,11 +602,21 @@ def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float)
         if which == "J":
             lo = 1e-7  # rate_J divides by 2 - alpha
     # The probes run as float calls: as a 4-element array each would pay
-    # _total's numpy path for the same bits.
-    ceiling = min(fn(u) for u in probes) + 10.0
+    # _total's numpy path for the same bits.  The margin grows with the
+    # probes' minimum past 1e10, where + 10 would round away.
+    best = min(fn(u) for u in probes)
+    ceiling = best + max(10.0, 1e-9 * abs(best))
     while hi < 1e6 and fn(hi) < ceiling:
         hi *= 2.0
     xs = np.linspace(lo, hi, 241)
+    if hi >= 1e6:
+        # The bracket reached the cap, so the minimiser may lie far past it
+        # (near sqrt|v| along alpha, near |v| along beta): the bracket goes
+        # on in steps of 2^10, and its tail is scanned on log-spaced nodes.
+        top = hi
+        while top < 1e300 and fn(top) < ceiling:
+            top *= 1024.0
+        xs = np.union1d(xs, np.geomspace(hi, top, 1 + 4 * math.ceil(math.log10(top / hi))))
     if which == "K" and axis == "b" and v < 0.0:
         # K's branch 2 has an (alpha - 2)^-1 wall, so its minimum at
         # alpha* = 2 + (a - 2) v / b can sit in a valley narrower than the
@@ -641,13 +661,14 @@ def rate_marginal(params: ProcessParams, which: str, v):
 # x > 0 means X_T grows like T, so t = log(X_T)/T -> 0, and t < 0 means X_T
 # -> 0, so x -> 0.  The infimum therefore runs over the two faces of the
 # quadruplet's range, {t = 0}, where J lives, and {x = 0}, where K lives.
-# Each face is one 1-D scan-and-refine through lambda_star, on Python floats.
-# Only the special points (0, 0) and (2, 0), whose preimages are 2-D, use
-# Nelder-Mead from _simplex, which repeats scipy's iteration on Python
-# floats; their objectives take the float tuple and reject points outside
-# the set with +inf.  Every lambda_star call here lies on a face, where its
-# Newton term k = -x t / 2 is 0, so it returns its start value h(u0) without
-# a Newton step.
+# Each face is one 1-D scan-and-refine through lambda_star.  Every point on
+# a face has Newton term k = -x t / 2 = 0, so lambda_star's value there is
+# its start value h(u0): the 121 scan nodes run as one array pass through
+# that h(u0) (cgf._lambda_star_array), and the refine calls the float
+# lambda_star, with the same bits at any node.  Only the special points
+# (0, 0) and (2, 0), whose preimages are 2-D, use Nelder-Mead from _simplex,
+# which repeats scipy's iteration on Python floats; their objectives take
+# the float tuple and reject points outside the set with +inf.
 # ---------------------------------------------------------------------------
 
 
@@ -655,10 +676,25 @@ def _nelder_mead(fn, x0: tuple[float, float]) -> float:
     return nelder_mead(fn, x0, xatol=1e-7, fatol=1e-9, maxfev=400)[0]
 
 
-def _face_min(fn, lo: float, hi: float) -> float:
-    # Minimum of fn on [lo, hi]: the best of 121 scan nodes, refined.
+def _exp(u):
+    # libm's exp, elementwise on an array: numpy's may differ in the last bit.
+    if type(u) is float:
+        return math.exp(u)
+    return np.array([math.exp(v) for v in u.tolist()])
+
+
+def _face_min(params: ProcessParams, point, lo: float, hi: float) -> float:
+    # Minimum of lambda_star over the face points point(u), u in [lo, hi]:
+    # the best of 121 scan nodes, refined.  point maps floats to floats and
+    # arrays to arrays, so the scan is one array pass and the refine calls
+    # the float lambda_star, with the same bits at every node.
     nodes = np.linspace(lo, hi, 121)
-    return _scan_refine(fn, nodes, [fn(u) for u in nodes.tolist()], 1e-10)[1]
+    return _scan_refine(
+        lambda u: lambda_star(params, *point(u)),
+        nodes,
+        _lambda_star_array(params, *point(nodes)),
+        1e-10,
+    )[1]
 
 
 def _infsup_faces(params: ProcessParams, alpha: float, beta: float) -> float:
@@ -670,9 +706,7 @@ def _infsup_faces(params: ProcessParams, alpha: float, beta: float) -> float:
         # and leaves z free, so the x = 0 face is searched over log z; the
         # t = 0 face is empty.
         t0 = -math.sqrt(-beta)
-        return _face_min(
-            lambda u: lambda_star(params, 0.0, y0, math.exp(u), t0), -20.0, 20.0
-        )
+        return _face_min(params, lambda u: (0.0, y0, _exp(u), t0), -20.0, 20.0)
     faces = [INF]
     z0 = beta / a2
     if z0 > 0.0:
@@ -683,8 +717,7 @@ def _infsup_faces(params: ProcessParams, alpha: float, beta: float) -> float:
         else:
             x_lo, x_hi = 0.0, math.sqrt(alpha)
         faces.append(_face_min(
-            lambda x: lambda_star(params, x, (x * x - alpha) / beta, z0, 0.0),
-            x_lo + 1e-9, x_hi,
+            params, lambda x: (x, (x * x - alpha) / beta, z0, 0.0), x_lo + 1e-9, x_hi
         ))
     if y0 > 0.0:
         # x = 0: the sign of z = (t^2 + beta)/(2 - alpha) bounds t.
@@ -696,7 +729,7 @@ def _infsup_faces(params: ProcessParams, alpha: float, beta: float) -> float:
         else:
             t_lo, t_hi = -math.sqrt(-beta), -1e-9
         faces.append(_face_min(
-            lambda t: lambda_star(params, 0.0, y0, (t * t + beta) / a2, t), t_lo, t_hi
+            params, lambda t: (0.0, y0, (t * t + beta) / a2, t), t_lo, t_hi
         ))
     return min(faces)
 

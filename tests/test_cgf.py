@@ -23,7 +23,10 @@ from cir_ldp import (
     rate_triplet_L,
     rate_triplet_x,
 )
-from cir_ldp.cgf import _legendre_solve
+from cir_ldp.cgf import _lambda_star_array, _legendre_solve
+
+# Every evaluation here is quiet: a RuntimeWarning fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 INF = float("inf")
 NAN = float("nan")
@@ -361,6 +364,51 @@ class TestLambdaStar:
             assert got == expected
         else:
             assert got == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0), (6.0, -3.0), (2.5, -0.5)])
+    def test_array_pass_gives_the_float_bits(self, a, b):
+        # Face points run as one numpy pass, any other point through the
+        # float call; each element must get the float call's bits, under the
+        # same non-finite policy.
+        p = ProcessParams(a, b)
+        just_above_one = math.nextafter(1.0, 2.0)
+        rows = [coords for coords, _ in _NON_FINITE_CASES]
+        rows += [coords for _, coords, _ in _LAMBDA_STAR_GOLDEN]
+        rows += [
+            # y z overflows, on both faces and off them; with x^2 ~ y or
+            # t^2 ~ z, u0 = M^-1 l adds to h(u0) as much as y b^2 / 8 does
+            (0.0, 1e200, 1e200, 0.0), (0.5, 1e300, 1e10, 0.0), (0.0, 1e160, 1e160, -3.0),
+            (0.0, 1.0, 1e308, -1.0), (0.3, 1e200, 1e200, -0.2),
+            (0.0, 1e160, 1e160, -1e80), (1e80, 1e160, 1e160, 0.0),
+            # y z -> 1+
+            (0.0, 2.0, 0.5 * just_above_one, 0.0), (1.0, 4.0, 0.25 * just_above_one, 0.0),
+            (0.0, 3.0, (1.0 + 1e-12) / 3.0, -0.5), (0.2, 3.0, (1.0 + 1e-9) / 3.0, -0.5),
+            # outside the cone: x < 0, t > 0, y <= 0, z <= 0, y z <= 1
+            (-1e-300, 2.0, 1.0, 0.0), (0.0, 2.0, 1.0, 1e-300), (0.0, -2.0, 1.0, 0.0),
+            (0.0, 2.0, -0.0, 0.0), (0.0, 2.0, 0.5, 0.0), (0.0, 0.4, 1.0, -1.0),
+            # signed zeros on the faces, and tiny products x t
+            (-0.0, 2.0, 1.0, -0.0), (0.0, 2.0, 1.0, -0.0), (-0.0, 2.0, 1.0, -1.0),
+            (1e-200, 2.0, 1.0, -1e-200), (1e-160, 2.0, 1.0, -1e-160),
+            # nan and +-inf, on and off the faces
+            (NAN, 2.0, 1.0, 0.0), (0.0, NAN, 1.0, 0.0), (0.0, 2.0, 1.0, NAN),
+            (INF, 2.0, 1.0, 0.0), (0.0, INF, 1.0, 0.0), (0.0, 2.0, 1.0, -INF),
+            (0.0, -INF, 1.0, 0.0), (-INF, 2.0, 1.0, 0.0), (0.0, 2.0, 1.0, INF),
+            (1.0, 2.0, INF, -1.0), (0.0, INF, NAN, 0.0),
+        ]
+        x, y, z, t = (np.array(c) for c in zip(*rows))
+        got = _lambda_star_array(p, x, y, z, t)
+        floats = [lambda_star(p, *coords) for coords in rows]
+        assert got.shape == (len(rows),)
+        mismatched = [
+            (coords, g, f)
+            for coords, g, f in zip(rows, got.tolist(), floats)
+            if g.hex() != f.hex()
+        ]
+        assert mismatched == []
+        # Float coordinates broadcast against array ones.
+        ys = np.linspace(1.5, 6.0, 7)
+        got = _lambda_star_array(p, 0.0, ys, 0.8, -0.5)
+        assert got.tolist() == [lambda_star(p, 0.0, v, 0.8, -0.5) for v in ys.tolist()]
 
 
 class TestNumericTransform:

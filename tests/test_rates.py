@@ -30,6 +30,8 @@ from cir_ldp import (
     rate_triplet_x,
     region_constants,
 )
+from cir_ldp import rates
+from cir_ldp.harness import INFSUP_POINTS
 from cir_ldp.rates import (
     _Ja_high,
     _Ja_low,
@@ -399,6 +401,26 @@ class TestMarginals:
         numeric = np.array([marginal_inf_numeric(p, "K", "b", float(v)) for v in betas])
         assert np.all(np.abs(closed - numeric) <= _KB_GAP * np.maximum(1.0, numeric))
 
+    @pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0), (6.0, -3.0), (2.5, -0.5)])
+    @pytest.mark.parametrize(
+        "which, axis, v, marginal",
+        [
+            ("J", "a", 1e300, "Ja"), ("J", "a", -1e300, "Ja"), ("K", "a", 1e300, "Ka"),
+            ("J", "a", 1e12, "Ja"), ("K", "a", -1e12, "Ka"), ("J", "b", -1e12, "Jb"),
+            ("K", "b", -1e12, "Kb"), ("J", "b", -1e20, "Jb"), ("K", "b", -1e20, "Kb"),
+            ("K", "b", 1e20, "Kb"), ("J", "b", 1e12, "Jb"),
+        ],
+    )
+    def test_numeric_infimum_past_the_bracket_cap(self, a, b, which, axis, v, marginal):
+        # The minimiser lies far past the linear bracket's cap of 1e6 (near
+        # sqrt|v| along alpha, near |v| along beta), or the probes' minimum
+        # is so large that a margin of 10 rounds away.  At (4, -1) the search
+        # gave 1.19e293 at ("J", "a", +-1e300) and ("K", "a", 1e300), and
+        # 250000476836.16 at ("J", "b", -1e12).
+        p = ProcessParams(a, b)
+        closed = rate_marginal(p, marginal, v)
+        assert marginal_inf_numeric(p, which, axis, v) == pytest.approx(closed, rel=1e-10)
+
     def test_kb_numeric_search_finds_the_narrow_valley(self):
         # At (2.05, -0.05) branch 2's minimum alpha* = 2.0083 sits in a
         # valley narrower than the linear scan's spacing (>= 0.033), next to
@@ -524,6 +546,30 @@ class TestInfSup:
         got = [rate_I_infsup(p, *pt).hex() for pt, _ in _INFSUP_GOLDEN[:30]]
         assert got == _INFSUP_GOLDEN_3_2
 
+    @pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0), (6.0, -3.0), (2.5, -0.5)])
+    def test_face_scans_give_the_float_bits(self, a, b, monkeypatch):
+        # Each face scan is one array pass through lambda_star's face value,
+        # and the refine calls the float lambda_star.  On the scan nodes of
+        # every C4 face, and of the alpha = 2 face (over log z), the array
+        # pass must give the bits of the float calls.
+        p = ProcessParams(a, b)
+        faces = []
+        face_min = rates._face_min
+
+        def recorded(params, point, lo, hi):
+            faces.append((point, lo, hi))
+            return face_min(params, point, lo, hi)
+
+        monkeypatch.setattr(rates, "_face_min", recorded)
+        for pt in (*INFSUP_POINTS, (2.0, -1.0), (2.0, -0.3)):
+            rate_I_infsup(p, *pt)
+        assert len(faces) >= len(INFSUP_POINTS) + 2
+        for point, lo, hi in faces:
+            nodes = np.linspace(lo, hi, 121)
+            floats = [lambda_star(p, *point(u)) for u in nodes.tolist()]
+            array = rates._lambda_star_array(p, *point(nodes))
+            assert np.array_equal(_bits(array), _bits(floats)), (lo, hi)
+
     def test_beta_zero_sliver_is_infinite(self, params44):
         # x = sqrt(alpha) > 0 forces t = 0, and there z = beta/(2 - alpha) = 0
         # leaves the cone: no quadruplet maps to the sliver.
@@ -643,6 +689,29 @@ class TestArrays:
                 assert np.array_equal(_bits(fn(alphas)), _bits(scalar)), fn
 
     @pytest.mark.parametrize("p", _ARRAY_REGIMES, ids=str)
+    def test_single_branch_arrays_match_mixed_arrays(self, p):
+        # rate_J and rate_K evaluate a branch only where some element takes
+        # it.  An array whose points all take one branch must give the bits
+        # of the same points inside an array that takes every branch.
+        rc = region_constants(p)
+        ka_alpha = np.linspace(0.05, rc.alpha_a, 41)[:-1]  # K's branch 1
+        jb_alpha = np.linspace(2.0 + 1e-7, 12.0, 41)
+        scans = [
+            (rate_K, ka_alpha, rc.beta_b(ka_alpha)),  # a Ka scan below alpha_a
+            (rate_K, np.linspace(rc.alpha_a, 9.0, 41)[1:], np.full(40, p.b)),  # branch 2
+            (rate_J, jb_alpha, np.full(41, p.b / 3.0 - 0.5)),  # a Jb scan: branch B
+            (rate_J, jb_alpha, np.full(41, 0.5 * p.b / 3.0)),  # branch A, beta < 0
+            (rate_J, -jb_alpha, np.full(41, 0.7)),  # branch A, beta > 0
+        ]
+        alphas, betas = _branch_points(p)
+        grid_al, grid_be = (g.ravel() for g in np.meshgrid(alphas, betas))
+        for fn, al, be in scans:
+            alone = fn(p, al, be)
+            mixed = fn(p, np.concatenate([grid_al, al]), np.concatenate([grid_be, be]))
+            assert np.array_equal(_bits(alone), _bits(mixed[grid_al.size:])), fn.__name__
+            assert np.array_equal(_bits(alone), _bits([fn(p, *q) for q in zip(al.tolist(), be.tolist())]))
+
+    @pytest.mark.parametrize("p", _ARRAY_REGIMES, ids=str)
     def test_one_dimensional_rates_and_triplets(self, p):
         xs = np.array([-1.0, -0.0, 0.0, 0.3, 1.0, 2.0, -p.a / p.b, 7.5])
         for fn in (rate_S, rate_Sigma, rate_V):
@@ -668,10 +737,11 @@ class TestArrays:
     def test_float_path_matches_the_array_path(self, p):
         # Python floats run the closed forms in plain float arithmetic, and
         # 1-element arrays run them in numpy: every point must get the same
-        # bits, as a Python float.  The grids hold the points where the float
-        # arithmetic divides by zero and the numpy path takes over: alpha = 0,
-        # alpha = 2 and beta = 0 from _branch_points, and x y = 1 or y z = 1
-        # at (0.5, 2), (1, 1) and (2, 0.5) of the cone grid.
+        # bits, as a Python float.  The grids hold alpha = 0, alpha = 2 and
+        # beta = 0 from _branch_points, where J and K skip the branch that
+        # would divide by zero, and x y = 1 or y z = 1 at (0.5, 2), (1, 1)
+        # and (2, 0.5) of the cone grid, where the float arithmetic divides
+        # by zero and the numpy path takes over.
         alphas, betas = (v.tolist() + _EXTREMES for v in _branch_points(p))
         cone = [-1.0, 0.0, 0.5, 1.0, 2.0, *_EXTREMES]
         calls = [
