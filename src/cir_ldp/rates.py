@@ -18,8 +18,8 @@ through the typed helpers below (_where, _any, _sq, _pow, _sq_over, _sqrt,
 _maximum, _minimum), which send Python floats to math or to a conditional
 expression and arrays to numpy.  Both sides call libm's pow and a correctly
 rounded sqrt, so a point gets the same bits either way.  When every
-coordinate is a finite Python float or int, ``_total`` runs the body in
-plain float arithmetic.  Where that divides by zero (as rate_pair does at
+coordinate is a finite Python float, ``_total`` runs the body in plain float
+arithmetic.  Where that divides by zero (as rate_pair does at
 xy = 1) it runs the numpy path instead, so the value and the policy there
 are unchanged.  rate_J and rate_K evaluate a branch only where some point
 takes it, so a float call never divides in a branch it does not take.
@@ -59,32 +59,30 @@ INF = math.inf
 
 _SQRT2 = math.sqrt(2.0)
 
-# Coordinate types that _total evaluates in plain float arithmetic (not bool,
-# not numpy scalars).
-_PLAIN_REALS = frozenset((float, int))
-
 
 def _total(rate):
     """Apply the non-finite policy elementwise to a rate of (params, *coords).
 
-    Finite Python float (or int) coordinates run the body on Python floats:
-    no array is made, and no warning can be raised.  A -inf or NaN result is
-    an overflow and gives +inf.  If the float arithmetic divides by zero, or
-    any coordinate is an array, a numpy scalar or not finite, the body runs
-    on numpy arrays under errstate, where the policy is applied elementwise.
+    Finite Python float coordinates run the body on Python floats: no array
+    is made, and no warning can be raised.  A -inf or NaN result is an
+    overflow and gives +inf.  If the float arithmetic divides by zero, or any
+    coordinate is an array, a numpy scalar, an int or not finite, the body
+    runs on numpy arrays under errstate, where the policy is applied
+    elementwise; an int gives the value of its float there.
     """
 
     @functools.wraps(rate)
     def guarded(params: ProcessParams, *coords):
-        if _PLAIN_REALS.issuperset(map(type, coords)):
-            xs = list(map(float, coords))
-            if all(map(math.isfinite, xs)):
-                try:
-                    value = rate(params, *xs)
-                except ZeroDivisionError:
-                    pass
-                else:
-                    return value if value > -INF else INF
+        for c in coords:
+            if type(c) is not float or not -INF < c < INF:
+                break
+        else:
+            try:
+                value = rate(params, *coords)
+            except ZeroDivisionError:
+                pass
+            else:
+                return value if value > -INF else INF
         xs = [np.asarray(c, dtype=float) for c in coords]
         # max |x_i| is NaN where some coordinate is NaN, else +inf where some
         # is infinite: the policy's value wherever it is not finite.
