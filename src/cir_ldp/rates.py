@@ -339,16 +339,22 @@ def _rate_K_branch_2(params: ProcessParams, alpha, beta, common=None):
     return common - beta * _sq(a - alpha) / (8.0 * (alpha - 2.0))
 
 
-def _rate_K_combined(params: ProcessParams, alpha, beta, branch_1):
+def _rate_K_combined(params: ProcessParams, alpha, beta, branch_1, branch_2):
     # The two branches with their alpha * beta terms cancelled by hand, so
     # beta is not squared.  Past the constant ab/4, every term is >= 0 on its
-    # branch, so nothing cancels; branch 2 adds its exact -beta/4 last.
+    # branch, so nothing cancels; branch 2 adds its exact -beta/4 last.  As
+    # in rate_K, a branch is evaluated only where some point takes it.
     a, b = params.a, params.b
-    c = _maximum(region_constants(params).C_alpha(alpha), 0.0)
     head = 0.25 * a * b - alpha * (b * b) / (8.0 * beta)
-    tail_1 = beta * (1.0 - (0.125 * a * a + 4.0 + 2.0 * _sqrt(2.0 * c)) / alpha)
-    tail_2 = (head - 0.125 * beta * (a - 2.0) ** 2 / (alpha - 2.0)) - 0.25 * beta
-    return _where(branch_1, head + tail_1, tail_2)
+    value = INF
+    if _any(branch_2):
+        tail_2 = (head - 0.125 * beta * (a - 2.0) ** 2 / (alpha - 2.0)) - 0.25 * beta
+        value = _where(branch_2, tail_2, value)
+    if _any(branch_1):
+        c = _maximum(region_constants(params).C_alpha(alpha), 0.0)
+        tail_1 = beta * (1.0 - (0.125 * a * a + 4.0 + 2.0 * _sqrt(2.0 * c)) / alpha)
+        value = _where(branch_1, head + tail_1, value)
+    return value
 
 
 def _K_apex(a: float, b: float) -> float:
@@ -384,7 +390,7 @@ def rate_K(params: ProcessParams, alpha, beta):
     lossy = (abs(alpha * beta) > 16.0 * value - 8.0 * a * b) | (value == INF) | (value != value)
     lossy = (branch_1 | branch_2) & lossy
     if _any(lossy):
-        combined = _rate_K_combined(params, alpha, beta, branch_1)
+        combined = _rate_K_combined(params, alpha, beta, branch_1, branch_2)
         value = _where(lossy, combined, value)
     return value
 
@@ -609,8 +615,9 @@ def marginal_inf_numeric(params: ProcessParams, which: str, axis: str, v: float)
     xs = np.linspace(lo, hi, 241)
     if hi >= 1e6:
         # The bracket reached the cap, so the minimiser may lie far past it
-        # (near sqrt|v| along alpha, near |v| along beta): the bracket goes
-        # on in steps of 2^10, and its tail is scanned on log-spaced nodes.
+        # (|beta| near sqrt|v| where alpha = v is held, |alpha| near |v|
+        # where beta = v is): the bracket goes on in steps of 2^10, and its
+        # tail is scanned on log-spaced nodes, four per decade.
         top = hi
         while top < 1e300 and fn(top) < ceiling:
             top *= 1024.0

@@ -712,6 +712,19 @@ class TestArrays:
             assert np.array_equal(_bits(alone), _bits([fn(p, *q) for q in zip(al.tolist(), be.tolist())]))
 
     @pytest.mark.parametrize("p", _ARRAY_REGIMES, ids=str)
+    def test_float_bodies_divide_only_in_taken_branches(self, p):
+        # alpha = 0, alpha = 2 and beta = 0 divide only in branches that do
+        # not hold there, and at (2, -1e300), a branch-1 point of K that
+        # takes the combined form, only branch 2's combined form divides by
+        # alpha - 2.  So the float bodies of J, K and I run at every finite
+        # point without a ZeroDivisionError, and give the public value.
+        alphas, betas = (v.tolist() + [x for x in _EXTREMES if math.isfinite(x)] for v in _branch_points(p))
+        for fn in (rate_J, rate_K, rate_I_mle):
+            for al, be in itertools.product(alphas, betas):
+                value = fn.__wrapped__(p, al, be)
+                assert _bits(value if value > -INF else INF) == _bits(fn(p, al, be)), (fn.__name__, al, be)
+
+    @pytest.mark.parametrize("p", _ARRAY_REGIMES, ids=str)
     def test_one_dimensional_rates_and_triplets(self, p):
         xs = np.array([-1.0, -0.0, 0.0, 0.3, 1.0, 2.0, -p.a / p.b, 7.5])
         for fn in (rate_S, rate_Sigma, rate_V):
