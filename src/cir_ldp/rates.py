@@ -14,12 +14,12 @@ coordinates whose evaluation overflows (a -inf or NaN result) the value is
 +inf.  rate_I_infsup follows the same policy but takes floats only.
 
 Each body is written once, for both kinds of coordinate.  Its numpy calls go
-through the typed helpers below (_where, _any, _sq, _pow, _sq_over, _sqrt,
-_maximum, _minimum), which send Python floats to math or to a conditional
-expression and arrays to numpy.  Both sides call libm's pow and a correctly
-rounded sqrt, so a point gets the same bits either way.  When every
-coordinate is a finite Python float, ``_total`` runs the body in plain float
-arithmetic.  Where that divides by zero (as rate_pair does at
+through the typed helpers (_where and _any from cgf; _sq, _pow, _sq_over,
+_sqrt, _maximum and _minimum below), which send Python floats to math or to
+a conditional expression and arrays to numpy.  Both sides call libm's pow
+and a correctly rounded sqrt, so a point gets the same bits either way.
+When every coordinate is a finite Python float, ``_total`` runs the body in
+plain float arithmetic.  Where that divides by zero (as rate_pair does at
 xy = 1) it runs the numpy path instead, so the value and the policy there
 are unchanged.  rate_J and rate_K evaluate a branch only where some point
 takes it, so a float call never divides in a branch it does not take.
