@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import minimize_bounded, nelder_mead
+from ._simplex import minimize_bounded
 from .cgf import _any, _lambda_star_array, _where, lambda_star
 from .cir_model import ProcessParams
 from .errors import DomainError
@@ -167,7 +167,8 @@ class RateRegionConstants:
     C_alpha and beta_b take floats or arrays.  Outside their domains (the
     square of a - alpha overflows at |alpha| >= ~1.3e154, and beta_b's root
     is of a negative past alpha = (a^2 + 32)/8) they give +-inf, 0 or NaN,
-    as arrays the same as floats, without a warning.
+    as arrays the same as floats, without a warning.  beta_b and K take
+    sqrt(C_alpha) from _sqrt_C, which stays finite where C_alpha overflows.
     """
 
     a: float
@@ -186,14 +187,26 @@ class RateRegionConstants:
         Past alpha_a, at alpha = (a^2 + 32)/8, the root is 0 and the value
         is b alpha / 0 = -inf.
         """
-        # C_alpha is positive below alpha_a but can round to a tiny negative
-        # right at the boundary.
-        c = _maximum(self.C_alpha(alpha), 0.0)
-        root = _sqrt(16.0 * _SQRT2 * _sqrt(c) + self.a * self.a - 8.0 * alpha + 32.0)
+        s = self._sqrt_C(alpha)
+        root = _sqrt(16.0 * _SQRT2 * s + self.a * self.a - 8.0 * alpha + 32.0)
         # The root is 0 only where 8 alpha >= a^2 + 32, so b alpha < 0 there.
         if type(root) is float and root == 0.0:
             return -INF
         return self.b * alpha / root
+
+    def _sqrt_C(self, alpha, scale: float = 1.0):
+        # sqrt(scale C_alpha), with C_alpha clamped at 0: it is positive below
+        # alpha_a but can round to a tiny negative right at the boundary.
+        # Where C_alpha overflows it is sqrt(scale) m q of _C_sqrt_parts,
+        # which is finite there (and negative past alpha = a, where no caller
+        # is in its domain).
+        c = self.C_alpha(alpha)
+        root = _sqrt(scale * _maximum(c, 0.0))
+        over = c == INF
+        if _any(over):
+            m, q = _C_sqrt_parts(self.a, alpha)
+            root = _where(over, math.sqrt(scale) * (m * q), root)
+        return root
 
 
 @functools.cache
@@ -328,8 +341,7 @@ def _rate_K_branch_1(params: ProcessParams, alpha, beta, common=None):
     # common is _K_common(a, b, alpha, beta), where the caller has it.
     if common is None:
         common = _K_common(params.a, params.b, alpha, beta)
-    c = _maximum(region_constants(params).C_alpha(alpha), 0.0)
-    return common - (beta / alpha) * _sq(_SQRT2 + _sqrt(c))
+    return common - (beta / alpha) * _sq(_SQRT2 + region_constants(params)._sqrt_C(alpha))
 
 
 def _rate_K_branch_2(params: ProcessParams, alpha, beta, common=None):
@@ -351,8 +363,8 @@ def _rate_K_combined(params: ProcessParams, alpha, beta, branch_1, branch_2):
         tail_2 = (head - 0.125 * beta * (a - 2.0) ** 2 / (alpha - 2.0)) - 0.25 * beta
         value = _where(branch_2, tail_2, value)
     if _any(branch_1):
-        c = _maximum(region_constants(params).C_alpha(alpha), 0.0)
-        tail_1 = beta * (1.0 - (0.125 * a * a + 4.0 + 2.0 * _sqrt(2.0 * c)) / alpha)
+        root = region_constants(params)._sqrt_C(alpha, 2.0)
+        tail_1 = beta * (1.0 - (0.125 * a * a + 4.0 + 2.0 * root) / alpha)
         value = _where(branch_1, head + tail_1, value)
     return value
 
@@ -464,7 +476,7 @@ def _C_sqrt_parts(a: float, alpha):
     # sqrt(C(alpha)) = m q with m = a - alpha > 0 on branch 1, which stays
     # finite where (a - alpha)^2 overflows.
     m = a - alpha
-    return m, np.sqrt(np.maximum(0.125 + (2.0 - alpha) / m / m, 0.0))
+    return m, _sqrt(_maximum(0.125 + (2.0 - alpha) / m / m, 0.0))
 
 
 def _kb_slope(a: float, z, alpha):
@@ -670,22 +682,19 @@ def rate_marginal(params: ProcessParams, which: str, v):
 # a face has Newton term k = -x t / 2 = 0, so lambda_star's value there is
 # its start value h(u0): the 121 scan nodes run as one array pass through
 # that h(u0) (cgf._lambda_star_array), and the refine calls the float
-# lambda_star, with the same bits at any node.  Only the special points
-# (0, 0) and (2, 0), whose preimages are 2-D, use Nelder-Mead from _simplex,
-# which repeats scipy's iteration on Python floats; their objectives take
-# the float tuple and reject points outside the set with +inf.
+# lambda_star, with the same bits at any node.  The special points (0, 0)
+# and (2, 0) have 2-D preimages, each on one face: a 121 x 121 grid runs as
+# one array pass, its row minima are the scan of an outer search, and the
+# outer refine runs the 1-D face search across each row it tries.
 # ---------------------------------------------------------------------------
 
 
-def _nelder_mead(fn, x0: tuple[float, float]) -> float:
-    return nelder_mead(fn, x0, xatol=1e-7, fatol=1e-9, maxfev=400)[0]
-
-
 def _exp(u):
-    # libm's exp, elementwise on an array: numpy's may differ in the last bit.
+    # libm's exp, elementwise on an array of any shape: numpy's may differ in
+    # the last bit.
     if type(u) is float:
         return math.exp(u)
-    return np.array([math.exp(v) for v in u.tolist()])
+    return np.array(list(map(math.exp, u.ravel().tolist()))).reshape(u.shape)
 
 
 def _face_min(params: ProcessParams, point, lo: float, hi: float) -> float:
@@ -698,6 +707,23 @@ def _face_min(params: ProcessParams, point, lo: float, hi: float) -> float:
         lambda u: lambda_star(params, *point(u)),
         nodes,
         _lambda_star_array(params, *point(nodes)),
+        1e-10,
+    )[1]
+
+
+def _face_min_2d(
+    params: ProcessParams, point, u_lo: float, u_hi: float, v_lo: float, v_hi: float
+) -> float:
+    # Minimum of lambda_star over the face points point(u, v) on a rectangle.
+    # Row u of the 121 x 121 grid holds the scan nodes of _face_min at u, so
+    # the row minima are the values of the outer scan in u, and the outer
+    # refine calls _face_min across each row it tries.
+    us = np.linspace(u_lo, u_hi, 121)
+    grid = _lambda_star_array(params, *point(us[:, None], np.linspace(v_lo, v_hi, 121)))
+    return _scan_refine(
+        lambda u: _face_min(params, lambda v: point(u, v), v_lo, v_hi),
+        us,
+        grid.min(axis=1),
         1e-10,
     )[1]
 
@@ -739,39 +765,6 @@ def _infsup_faces(params: ProcessParams, alpha: float, beta: float) -> float:
     return min(faces)
 
 
-def _infsup_00(params: ProcessParams) -> float:
-    # (0, 0): x is pinned at 0, z = t^2/2, and y is free.
-    def objective(v: tuple[float, float]) -> float:
-        t, log_y = v
-        if t >= 0.0 or abs(log_y) > 50.0:
-            return INF
-        y = math.exp(log_y)
-        return lambda_star(params, 0.0, y, t * t / 2.0, t)
-
-    return min(
-        _nelder_mead(objective, (t0, math.log(m / (t0 * t0 / 2.0))))
-        for t0 in (-0.5, -1.0, -2.0, -4.0)
-        for m in (1.5, 3.0, 8.0, 20.0)
-    )
-
-
-def _infsup_20(params: ProcessParams) -> float:
-    # (2, 0): x is pinned at sqrt(2) and t at 0; y and z are free.
-    def objective(v: tuple[float, float]) -> float:
-        log_y, log_z = v
-        if abs(log_y) > 50.0 or abs(log_z) > 50.0:
-            return INF
-        y = math.exp(log_y)
-        z = math.exp(log_z)
-        return lambda_star(params, _SQRT2, y, z, 0.0)
-
-    return min(
-        _nelder_mead(objective, (math.log(y0), math.log(m / y0)))
-        for y0 in (1.5, 3.0, 6.0, 12.0)
-        for m in (1.5, 3.0, 8.0, 20.0)
-    )
-
-
 @_total
 def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
     """MLE rate via the inf-sup characterization, evaluated numerically.
@@ -787,13 +780,15 @@ def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
       over log z.
 
     Where both faces are empty, as on beta = 0 with 0 < alpha < 2, the value
-    is +inf.  The special points (0, 0) and (2, 0) have 2-D preimages, which
-    a Nelder-Mead search covers: over (t, y) at x = 0, and over (y, z) at
-    x = sqrt(2), t = 0.  Valid on D1 = {alpha <= 0, beta > 0},
-    D2 = {0 < alpha < 2}, D3 = {alpha >= 2, beta < 0} and the two special
-    points.  A NaN coordinate gives NaN, otherwise a +-inf coordinate gives
-    +inf, as for the closed forms.  Unlike them it takes float coordinates
-    only.
+    is +inf.  The special points (0, 0) and (2, 0) have 2-D preimages, each
+    on one face, which a 2-D scan covers: the row minima of a grid, refined
+    by a bounded search whose every call is a 1-D face search across a row.
+    At (0, 0), x = 0 and z = t^2/2, over (log(-t), log(y z)); at (2, 0),
+    x = sqrt(2) and t = 0, over (log y, log z).  Valid on
+    D1 = {alpha <= 0, beta > 0}, D2 = {0 < alpha < 2},
+    D3 = {alpha >= 2, beta < 0} and the two special points.  A NaN
+    coordinate gives NaN, otherwise a +-inf coordinate gives +inf, as for
+    the closed forms.  Unlike them it takes float coordinates only.
 
     Raises
     ------
@@ -813,9 +808,17 @@ def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
     if beta != 0.0:
         return _infsup_faces(params, alpha, beta)
     if alpha == 0.0:
-        return _infsup_00(params)
+        # x = 0 and z = t^2/2, over u = log(-t) and v = log(y z) > 0.
+        return _face_min_2d(
+            params,
+            lambda u, v: (0.0, 2.0 * _exp(v) / _exp(2.0 * u), 0.5 * _exp(2.0 * u), -_exp(u)),
+            -20.0, 5.0, 1e-9, 20.0,
+        )
     if alpha == 2.0:
-        return _infsup_20(params)
+        # x = sqrt(2) and t = 0, over (log y, log z).
+        return _face_min_2d(
+            params, lambda u, v: (_SQRT2, _exp(u), _exp(v), 0.0), -20.0, 20.0, -20.0, 20.0
+        )
     # 0 < alpha < 2: x = sqrt(alpha) > 0 forces t = 0, where z = 0 is
     # outside the cone.
     return INF

@@ -182,8 +182,16 @@ _NON_FINITE_CASES = [
     (rate_I_infsup, (-INF, 1.0), INF),
     (rate_I_infsup, (1.0, -INF), INF),
     (rate_I_infsup, (INF, 1.0), INF),
-    # Finite coordinates whose evaluation overflows give +inf.
-    (rate_K, (-1e200, 0.1), INF),
+    # Finite coordinates whose evaluation overflows give +inf: J's first
+    # term, (k u) u, is about 1.25e499 here.
+    (rate_J, (-1e200, 1e-300), INF),
+    # Where C_alpha's square overflows, K and beta_b take sqrt(C_alpha) as
+    # m q, so these stay finite.  The values are the closed forms to 80
+    # digits in mpmath, correctly rounded; Ka is K at mpmath's beta_b.
+    (rate_K, (-1e200, 0.1), 1.2499999999999999e200),
+    (beta_b, (-1e200,), 2.5e99),
+    (rate_marginal, ("Ka", -1e200), 1e100),
+    (rate_marginal, ("Ka", -1e300), 1e150),
     # Where a square would overflow, K, S and Sigma take a form without it,
     # so these stay finite.  The values are the closed forms in 800-digit
     # mpmath, correctly rounded.
@@ -202,7 +210,6 @@ _NON_FINITE_CASES = [
     # cancelled by hand; as two floats they would cancel to 0 at the first.
     (rate_I_mle, (-1e150, 1e155), 2e155),
     (rate_I_mle, (1e8, -1e200), 2.500000050000001e199),
-    (rate_marginal, ("Ka", -1e300), INF),
     # Kb's minimiser runs out to |alpha| ~ 10 |beta|.  The values are the
     # infimum of K over alpha in 800-digit mpmath, correctly rounded: at
     # beta = 1e200 and 1e300 on branch 1, near alpha = -sqrt(112) beta; at
@@ -211,7 +218,7 @@ _NON_FINITE_CASES = [
     (rate_marginal, ("Kb", 1e300), 2e300),
     (rate_marginal, ("Kb", -1e300), 2.5e299),
     (rate_marginal, ("Ib", 1e200), 2e200),
-    # Ia = min(Ja, Ka) holds where Ka overflows: Ja(-1e200) = 1e100.
+    # Ia = min(Ja, Ka): Ja(-1e200) = 1e100.
     (rate_marginal, ("Ia", -1e200), 1e100),
     (rate_marginal, ("Ia", -1e300), 1e150),
     # K's alpha * beta / 8 terms cancel in the branch forms, which lost all
@@ -464,11 +471,11 @@ class TestMarginals:
 
 
 #: rate_I_infsup at (a, b) = (4, -1), as float hex: the 30 C4 points (the
-#: smaller of the t = 0 and x = 0 face searches), then (2, 0) (the 2-D
-#: Nelder-Mead search), (1, 0) (both faces empty) and (2, -1) (the x = 0 face
+#: smaller of the t = 0 and x = 0 face searches), then (2, 0) and (0, 0) (the
+#: 2-D face scans), (1, 0) (both faces empty) and (2, -1) (the x = 0 face
 #: over log z).  Any change to the float arithmetic of the searches or of
-#: lambda_star shows here; the searches at (2, 0) and on alpha = 2 also go
-#: through the libm's exp and log.
+#: lambda_star shows here; the searches at (2, 0), (0, 0) and on alpha = 2
+#: also go through libm's exp.
 _INFSUP_GOLDEN = [
     ((2.5, -0.5), "0x1.0000000000000p-2"),
     ((2.5, -2.0), "0x1.a800000000000p+0"),
@@ -500,8 +507,9 @@ _INFSUP_GOLDEN = [
     ((-2.5, 2.5), "0x1.802d82d82d82ep+2"),
     ((-4.0, 1.2), "0x1.d000000000000p+1"),
     ((-0.8, 0.4), "0x1.1f8af8af8af8ap+1"),
-    # (2, 0), beta = 0 with 0 < alpha < 2, and alpha = 2
+    # (2, 0), (0, 0), beta = 0 with 0 < alpha < 2, and alpha = 2
     ((2.0, 0.0), "0x1.0000000000000p+0"),
+    ((0.0, 0.0), "0x1.6a09e667f3bcep+0"),
     ((1.0, 0.0), "inf"),
     ((2.0, -1.0), "0x1.2000000000000p+1"),
 ]
@@ -523,6 +531,13 @@ _INFSUP_GOLDEN_3_2 = [
 ]
 
 
+#: The (a, b) sets of the special-point check.
+_SPECIAL_GRID = list(itertools.product(
+    (2.01, 2.05, 2.2, 2.5, 3.0, 4.0, 6.0, 10.0, 20.0, 50.0),
+    (-0.01, -0.05, -0.5, -1.0, -3.0, -10.0, -30.0),
+))
+
+
 class TestInfSup:
     def test_equals_min_of_j_and_k(self, params44):
         pts = [(1.0, 0.5), (-1.0, 1.0), (1.2, -0.8), (3.0, -1.0), (4.5, -1.2), (0.5, 0.7)]
@@ -531,9 +546,18 @@ class TestInfSup:
             got = rate_I_infsup(params44, al, be)
             assert got == pytest.approx(target, abs=1e-8)
 
-    def test_special_points(self, params44):
-        assert rate_I_infsup(params44, 0.0, 0.0) == pytest.approx(math.sqrt(2.0), abs=1e-8)
-        assert rate_I_infsup(params44, 2.0, 0.0) == pytest.approx(1.0, abs=1e-8)
+    def test_special_points(self, params44, regimes):
+        # The 2-D face scans at (0, 0) and (2, 0) against the closed form, from
+        # a next to 2 and b next to 0 out to (50, -30), and at the regimes.
+        sets = [ProcessParams(a, b) for a, b in _SPECIAL_GRID] + regimes
+        off = []
+        for p in sets:
+            for pt in ((0.0, 0.0), (2.0, 0.0)):
+                want = rate_I_mle(p, *pt)
+                got = rate_I_infsup(p, *pt)
+                if not abs(got - want) <= 1e-12 * want:
+                    off.append((p, pt, got, want))
+        assert off == []
         assert rate_I_infsup(params44, 2.0, -1.0) == pytest.approx(2.25, abs=1e-8)
 
     def test_golden_bits(self, params44):
@@ -569,6 +593,30 @@ class TestInfSup:
             floats = [lambda_star(p, *point(u)) for u in nodes.tolist()]
             array = rates._lambda_star_array(p, *point(nodes))
             assert np.array_equal(_bits(array), _bits(floats)), (lo, hi)
+
+    @pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0), (6.0, -3.0), (2.5, -0.5)])
+    def test_special_point_grids_give_the_float_bits(self, a, b, monkeypatch):
+        # At (0, 0) and (2, 0) the 121 x 121 grid is one array pass, and its
+        # rows are the scan nodes of the 1-D face searches the refine makes:
+        # every 8th row must give the bits of the float calls.
+        p = ProcessParams(a, b)
+        scans = []
+        face_min_2d = rates._face_min_2d
+
+        def recorded(params, point, *box):
+            scans.append((point, box))
+            return face_min_2d(params, point, *box)
+
+        monkeypatch.setattr(rates, "_face_min_2d", recorded)
+        rate_I_infsup(p, 0.0, 0.0)
+        rate_I_infsup(p, 2.0, 0.0)
+        assert len(scans) == 2
+        for point, (u_lo, u_hi, v_lo, v_hi) in scans:
+            us = np.linspace(u_lo, u_hi, 121)[::8]
+            vs = np.linspace(v_lo, v_hi, 121)
+            grid = rates._lambda_star_array(p, *point(us[:, None], vs))
+            floats = [[lambda_star(p, *point(u, v)) for v in vs.tolist()] for u in us.tolist()]
+            assert np.array_equal(_bits(grid), _bits(floats)), (u_lo, u_hi)
 
     def test_beta_zero_sliver_is_infinite(self, params44):
         # x = sqrt(alpha) > 0 forces t = 0, and there z = beta/(2 - alpha) = 0
@@ -804,9 +852,9 @@ class TestArrays:
     def test_region_constants_are_quiet_on_arrays(self, p):
         # Outside beta_b's domain its root is of a negative (NaN), at
         # alpha = (a^2 + 32)/8 it is 0 (-inf), and past |alpha| ~ 1.3e154
-        # C_alpha's square overflows (+inf, and beta_b rounds to 0).  Arrays
-        # give the float values with no warning (a RuntimeWarning fails this
-        # module); a NaN's sign is not compared.
+        # C_alpha's square overflows (+inf, where beta_b stays finite below
+        # alpha_a).  Arrays give the float values with no warning (a
+        # RuntimeWarning fails this module); a NaN's sign is not compared.
         rc = region_constants(p)
         alphas = [
             -1e200, -1e155, -2.0, 0.0, rc.alpha_a, (p.a * p.a + 32.0) / 8.0, 10.0, 1e155, 1e200,
@@ -814,6 +862,7 @@ class TestArrays:
         for fn in (rc.C_alpha, rc.beta_b):
             np.testing.assert_array_equal(fn(np.array(alphas)), [fn(x) for x in alphas])
         assert math.isnan(rc.beta_b(10.0)) and rc.C_alpha(1e200) == INF
+        assert 0.0 < rc.beta_b(-1e200) < INF
 
     def test_scalar_inputs_give_python_floats(self, params44):
         calls = [
