@@ -14,7 +14,7 @@ Contents:
 * one exact transition step, X' = c (chi^2_{a-1} + (Z + sqrt(lambda))^2),
   shared by the scalar draw, the stored path and large path ensembles reduced
   on the fly to time averages; an ensemble advances a few blocks at a time
-  in lockstep,
+  in lockstep, and can record several horizons on its way to the last,
 * deterministic SFC64 substreams keyed by (seed, namespace, index), so
   ensembles are reproducible for a given seed regardless of worker count.
 """
@@ -465,13 +465,20 @@ class EnsembleSummary:
 
 
 def _simulate_blocks(
-    params: ProcessParams, T: float, n_steps: int, seed: int, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    params: ProcessParams,
+    dt: float,
+    horizons: list[tuple[int, float]],
+    seed: int,
+    start: int,
+    stop: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     # Paths start..stop, which begin and end on block boundaries, advanced in
-    # lockstep.  Each step, every block fills its slice of g and then of z
-    # from its own substream, so a block draws what it would draw alone; the
-    # shared step and the trapezoid update then run over all the paths.
-    dt = T / n_steps
+    # lockstep by steps of dt to the last of the horizons, (n, T) pairs with
+    # T / n == dt sorted by n.  Each step, every block fills its slice of g
+    # and then of z from its own substream, so a block draws what it would
+    # draw alone; the shared step and the trapezoid update then run over all
+    # the paths.  At each horizon it records (X_T, S_T, Sigma_T), which close
+    # the trapezoid sums as a run ending there does, with the same bits.
     c, rate, shape = _step_constants(params, dt)
     width = stop - start
     g, z = np.empty(width), np.empty(width)
@@ -482,19 +489,24 @@ def _simulate_blocks(
     x = np.full(width, params.x0)
     acc_x = 0.5 * x
     acc_inv = 0.5 / x
-    for k in range(1, n_steps + 1):
+    ends: dict[int, list[float]] = {}
+    for n, T in horizons:
+        ends.setdefault(n, []).append(T)
+    records = []
+    n_last = horizons[-1][0]
+    for k in range(1, n_last + 1):
         for rng, g_block, z_block in fills:
             rng.standard_gamma(shape, out=g_block)
             rng.standard_normal(out=z_block)
         x = _step(x, g, z, c, rate, np.sqrt)
-        if k < n_steps:
+        inv = np.reciprocal(x)
+        for T in ends.get(k, ()):
+            w = dt / T
+            records.append((x, (acc_x + 0.5 * x) * w, (acc_inv + 0.5 * inv) * w))
+        if k < n_last:
             acc_x += x
-            acc_inv += np.reciprocal(x)
-        else:
-            acc_x += 0.5 * x
-            acc_inv += 0.5 * np.reciprocal(x)
-    w = dt / T
-    return x, acc_x * w, acc_inv * w
+            acc_inv += inv
+    return records
 
 
 def _map_jobs(fn, jobs: list[tuple], n_workers: int) -> list:
@@ -509,6 +521,47 @@ def _map_jobs(fn, jobs: list[tuple], n_workers: int) -> list:
 
     with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
         return list(pool.map(fn, *zip(*jobs)))
+
+
+def _simulate_horizons(
+    params: ProcessParams,
+    horizons: list[tuple[int, float]],
+    n_paths: int,
+    rng: int | np.random.Generator,
+    n_workers: int | None = None,
+) -> list[EnsembleSummary]:
+    # One ensemble of n_paths paths stepped to the longest of the horizons,
+    # (n_steps, T) pairs that share one step T / n_steps, in any order and
+    # possibly repeated.  Returns one summary per horizon, in their order;
+    # each has the bits of simulate_ensemble(params, T, n_steps, n_paths,
+    # rng), since the paths and their draws do not depend on where they stop.
+    for n_steps, T in horizons:
+        if T <= 0.0:
+            raise DomainError(f"horizon T must be positive, got {T}")
+        if n_steps < 1:
+            raise DomainError(f"n_steps must be at least 1, got {n_steps}")
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be at least 1, got {n_paths}")
+    seed = _coerce_seed(rng)
+    if n_workers is None:
+        n_workers = default_workers()
+    stops = sorted(set(horizons))
+    dt = stops[-1][1] / stops[-1][0]
+    # Job j advances blocks j n_blocks // n_jobs up to the next job's first
+    # block: contiguous runs of whole blocks, at least one per worker and
+    # none longer than _LOCKSTEP_BLOCKS blocks.
+    n_blocks = -(-n_paths // BLOCK_SIZE)
+    n_jobs = max(min(n_workers, n_blocks), -(-n_blocks // _LOCKSTEP_BLOCKS))
+    edges = [min(n_paths, j * n_blocks // n_jobs * BLOCK_SIZE) for j in range(n_jobs + 1)]
+    jobs = [(params, dt, stops, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    parts = _map_jobs(_simulate_blocks, jobs, n_workers)
+    summaries = {}
+    for (n_steps, T), columns in zip(stops, zip(*parts)):
+        x_T, S, Sigma = (np.concatenate(column) for column in zip(*columns))
+        summaries[n_steps, T] = EnsembleSummary(
+            x_T=x_T, S=S, Sigma=Sigma, T=float(T), n_steps=n_steps
+        )
+    return [summaries[h] for h in horizons]
 
 
 def simulate_ensemble(
@@ -528,27 +581,11 @@ def simulate_ensemble(
     sample_transition then moves the paths of up to four consecutive blocks
     at once.  ``n_workers`` (default: the CIR_LDP_THREADS environment
     variable, else 1) only sets how many processes share the blocks, never
-    the result.
+    the result.  A path's draws do not depend on T, so the first n steps of
+    a longer run with the same step T / n_steps and seed are this run's
+    paths: the harness's tail slopes record several horizons on one run.
     """
-    if T <= 0.0:
-        raise DomainError(f"horizon T must be positive, got {T}")
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be at least 1, got {n_steps}")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be at least 1, got {n_paths}")
-    seed = _coerce_seed(rng)
-    if n_workers is None:
-        n_workers = default_workers()
-    # Job j advances blocks j n_blocks // n_jobs up to the next job's first
-    # block: contiguous runs of whole blocks, at least one per worker and
-    # none longer than _LOCKSTEP_BLOCKS blocks.
-    n_blocks = -(-n_paths // BLOCK_SIZE)
-    n_jobs = max(min(n_workers, n_blocks), -(-n_blocks // _LOCKSTEP_BLOCKS))
-    edges = [min(n_paths, j * n_blocks // n_jobs * BLOCK_SIZE) for j in range(n_jobs + 1)]
-    jobs = [(params, T, n_steps, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
-    parts = _map_jobs(_simulate_blocks, jobs, n_workers)
-    x_T, S, Sigma = (np.concatenate(column) for column in zip(*parts))
-    return EnsembleSummary(x_T=x_T, S=S, Sigma=Sigma, T=float(T), n_steps=n_steps)
+    return _simulate_horizons(params, [(n_steps, T)], n_paths, rng, n_workers)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .cir_model import (
     EnsembleSummary,
     ProcessParams,
     _coerce_seed,
+    _simulate_horizons,
     _substream,
     simulate_ensemble,
 )
@@ -268,6 +269,14 @@ def slope_experiment(
     the functional and downward otherwise.  The slope at the largest T is
     compared to the closed-form rate within the (loose, finite-T) tolerance.
 
+    Horizon T takes max(2, round(n_steps_per_unit T)) steps.  Horizons with
+    the same step size share one ensemble (common random numbers): it runs
+    to the longest of them, T_grid[i], from substream (seed, 2, i), and
+    records the shorter ones on its way.  Each horizon's hits are those of
+    its own simulate_ensemble run on that substream, so the largest
+    horizon's hits, its slope and the verdict do not depend on the rest of
+    the grid.
+
     Raises
     ------
     InconclusiveError
@@ -283,21 +292,25 @@ def slope_experiment(
     ergodic_mean, rate = SLOPE_FUNCTIONALS[functional]
     target = rate(params, c)
     upper = c >= ergodic_mean(params)
-    slopes: list[float] = []
-    hit_counts: list[int] = []
-    for i, T in enumerate(T_grid):
-        n_steps = max(2, round(n_steps_per_unit * T))
-        ens = simulate_ensemble(
-            params, T, n_steps, n_paths, _substream(seed, 2, i), n_workers=n_workers
+    horizons = [(max(2, round(n_steps_per_unit * T)), T) for T in T_grid]
+    groups: dict[float, list[int]] = {}
+    for i, (n_steps, T) in enumerate(horizons):
+        groups.setdefault(T / n_steps, []).append(i)
+    hit_counts = [0] * len(T_grid)
+    for members in groups.values():
+        longest = max(members, key=lambda i: T_grid[i])
+        ensembles = _simulate_horizons(
+            params, [horizons[i] for i in members], n_paths, _substream(seed, 2, longest),
+            n_workers,
         )
-        pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
-        values = getattr(pf, functional)
-        hits = int(np.count_nonzero(values >= c if upper else values <= c))
-        hit_counts.append(hits)
-        if hits == 0:
-            slopes.append(math.inf)
-        else:
-            slopes.append(-math.log(hits / n_paths) / T)
+        for i, ens in zip(members, ensembles):
+            pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
+            values = getattr(pf, functional)
+            hit_counts[i] = int(np.count_nonzero(values >= c if upper else values <= c))
+    slopes = [
+        -math.log(hits / n_paths) / T if hits else math.inf
+        for hits, T in zip(hit_counts, T_grid)
+    ]
     i_max = int(np.argmax(T_grid))
     if hit_counts[i_max] < n_min:
         raise InconclusiveError(

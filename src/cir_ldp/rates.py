@@ -357,7 +357,13 @@ def _rate_K_combined(params: ProcessParams, alpha, beta, branch_1, branch_2):
     # branch, so nothing cancels; branch 2 adds its exact -beta/4 last.  As
     # in rate_K, a branch is evaluated only where some point takes it.
     a, b = params.a, params.b
-    head = 0.25 * a * b - alpha * (b * b) / (8.0 * beta)
+    alpha_b2 = alpha * (b * b)
+    head = 0.25 * a * b - alpha_b2 / (8.0 * beta)
+    # alpha b^2 overflows where |alpha| b^2 > 1.8e308, though K is finite;
+    # only there does the head take (alpha / beta) b^2 / 8.
+    over = abs(alpha_b2) == INF
+    if _any(over):
+        head = _where(over, 0.25 * a * b - (alpha / beta) * (b * b) / 8.0, head)
     value = INF
     if _any(branch_2):
         tail_2 = (head - 0.125 * beta * (a - 2.0) ** 2 / (alpha - 2.0)) - 0.25 * beta

@@ -429,6 +429,41 @@ class TestEnsemble:
             simulate_ensemble(params44, 1.0, 10, 10, -5)
 
 
+class TestHorizons:
+    # An unsorted grid with a repeated horizon, all with step 0.1.
+    HORIZONS = [(40, 4.0), (10, 1.0), (20, 2.0), (10, 1.0)]
+
+    @pytest.mark.parametrize("n_paths, n_workers", [(300, 1), (300, 3), (17_000, 1), (17_000, 3)])
+    def test_every_horizon_is_its_standalone_run(self, params44, n_paths, n_workers):
+        # 17 000 paths are five blocks: more than one lockstep job even on
+        # one worker.
+        assert {T / n for n, T in self.HORIZONS} == {0.1}
+        runs = cir_model._simulate_horizons(params44, self.HORIZONS, n_paths, 31, n_workers)
+        assert [(e.n_steps, e.T) for e in runs] == self.HORIZONS
+        for (n_steps, T), ens in zip(self.HORIZONS, runs):
+            alone = simulate_ensemble(params44, T, n_steps, n_paths, 31, n_workers=n_workers)
+            for field in ("x_T", "S", "Sigma"):
+                np.testing.assert_array_equal(getattr(ens, field), getattr(alone, field))
+
+    def test_one_run_steps_to_the_last_horizon_only(self, params44, monkeypatch):
+        steps = []
+        step = cir_model._step
+
+        def counted(*args):
+            steps.append(len(args[0]))
+            return step(*args)
+
+        monkeypatch.setattr(cir_model, "_step", counted)
+        cir_model._simulate_horizons(params44, self.HORIZONS, 100, 31, 1)
+        assert steps == [100] * 40
+
+    def test_domain_errors(self, params44):
+        with pytest.raises(DomainError):
+            cir_model._simulate_horizons(params44, [(10, 1.0), (0, 0.0)], 10, 1)
+        with pytest.raises(DomainError):
+            cir_model._simulate_horizons(params44, [(10, 1.0)], 0, 1)
+
+
 class TestTrajectoryValidation:
     def test_rejects_bad_grids(self, params44):
         with pytest.raises(ValueError):

@@ -23,6 +23,9 @@ from cir_ldp import (
     slope_experiment,
     surface_grid,
 )
+from cir_ldp import harness, simulate_ensemble
+from cir_ldp.cir_model import _substream
+from cir_ldp.functionals import functionals_from_summary
 from cir_ldp.harness import SurfaceGrid
 
 
@@ -130,6 +133,53 @@ class TestSlopeExperiment:
         )
         assert r1.slopes == r2.slopes
         assert r1.hits == r2.hits
+
+    @staticmethod
+    def _record_calls(monkeypatch) -> list:
+        calls = []
+        simulate_horizons = harness._simulate_horizons
+
+        def recorded(params, horizons, *args):
+            calls.append(horizons)
+            return simulate_horizons(params, horizons, *args)
+
+        monkeypatch.setattr(harness, "_simulate_horizons", recorded)
+        return calls
+
+    @staticmethod
+    def _standalone_hits(params, T, n_steps, seed_index):
+        # Upper-tail hits of S >= 4.5 in a standalone run of 2 000 paths
+        # seeded as slope_experiment seeds grid index seed_index (seed 17).
+        rng = _substream(17, 2, seed_index)
+        ens = simulate_ensemble(params, T, n_steps, 2000, rng)
+        pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
+        return int(np.count_nonzero(pf.S >= 4.5))
+
+    @pytest.mark.parametrize("T_grid", [(1.0, 2.0, 4.0), (4.0, 1.0, 2.0), (2.0, 4.0, 4.0, 1.0)])
+    def test_one_ensemble_records_every_horizon(self, params44, monkeypatch, T_grid):
+        # One step size: one ensemble, seeded as the largest horizon's own
+        # run, which keeps that horizon's hits, slope and verdict.  Every
+        # shorter horizon is a standalone run on the same seed, and the
+        # report stays in grid order.
+        calls = self._record_calls(monkeypatch)
+        rep = slope_experiment(params44, "S", 4.5, T_grid, 2000, 17, n_steps_per_unit=50)
+        assert calls == [[(round(50 * T), T) for T in T_grid]]
+        i_max = T_grid.index(4.0)
+        for T, hits, slope in zip(T_grid, rep.hits, rep.slopes):
+            assert hits == self._standalone_hits(params44, T, round(50 * T), i_max)
+            assert slope == -math.log(hits / 2000) / T
+        assert rep.passed == (abs(rep.slopes[i_max] - rep.target_rate) <= 0.3 * rep.target_rate)
+
+    def test_mixed_step_grid_runs_one_ensemble_per_step(self, params44, monkeypatch):
+        # At 50 steps per unit T = 0.01 takes 2 steps of 0.005, and T = 1 and
+        # T = 2 take steps of 0.02: two ensembles, seeded by the grid index
+        # of their longest horizon.
+        calls = self._record_calls(monkeypatch)
+        T_grid = (0.01, 1.0, 2.0)
+        rep = slope_experiment(params44, "S", 4.5, T_grid, 2000, 17, n_steps_per_unit=50)
+        assert calls == [[(2, 0.01)], [(50, 1.0), (100, 2.0)]]
+        for i, (T, n_steps, seed_index) in enumerate(zip(T_grid, (2, 50, 100), (0, 2, 2))):
+            assert rep.hits[i] == self._standalone_hits(params44, T, n_steps, seed_index)
 
     def test_inconclusive_when_tail_is_empty(self, params44):
         with pytest.raises(InconclusiveError):

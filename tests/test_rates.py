@@ -277,6 +277,22 @@ def test_no_rate_is_negative_on_a_log_grid(p):
     assert {name: int(np.sum(~(v >= 0.0))) for name, v in values.items()} == dict.fromkeys(values, 0)
 
 
+def test_k_stays_finite_where_alpha_b_squared_overflows():
+    # At (50, -30), alpha b^2 = -5.9e308 overflows in the head of K's
+    # combined form, though K is finite.  The values are the closed forms in
+    # 1200-digit mpmath, correctly rounded; Ka is K at mpmath's beta_b, and
+    # the float call is one ulp from it.
+    p = ProcessParams(50.0, -30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rate_K(p, -6.6e305, 4.77e176) == 9.54e176
+        assert rate_marginal(p, "Ka", -6.6e305) == pytest.approx(2.437211521390788e154, rel=2.5e-16)
+        np.testing.assert_array_equal(
+            rate_K(p, np.array([-6.6e305, -1.0]), np.array([4.77e176, 1.0])),
+            [9.54e176, rate_K(p, -1.0, 1.0)],
+        )
+
+
 class TestSeamContinuity:
     def test_j_branches_at_beta_third_b(self, params44):
         be = params44.b / 3.0
