@@ -241,8 +241,9 @@ def parse_config(source) -> RunConfig:
     """Build a validated RunConfig from a flag set or a config file path.
 
     Precedence is flags > config file > defaults (x0 = 1, 200 steps per unit
-    time); every value is converted once, by its option's kind.  The seed is
-    demanded only by commands that consume randomness.
+    time); every value is converted once, by its option's kind.  The range
+    checks on T, n_steps, n_paths and a missing seed apply only where the
+    command reads that option.
 
     Raises
     ------
@@ -270,26 +271,27 @@ def parse_config(source) -> RunConfig:
     values = {k: _convert(k, v) for k, v in merged.items()}
 
     validate_params(values["a"], values["b"], values["x0"])
-    T, n_steps, n_paths = values["T"], values["n_steps"], values["n_paths"]
-    if T <= 0.0:
-        raise ConfigError(f"config key 'T' must be positive, got {T}")
-    if n_steps < 1:
-        raise ConfigError(f"config key 'n_steps' must be >= 1, got {n_steps}")
-    if round(n_steps * T) < 2:
-        raise ConfigError(f"n_steps*T = {n_steps * T} gives fewer than 2 grid steps")
-    if n_paths < 1:
-        raise ConfigError(f"config key 'n_paths' must be >= 1, got {n_paths}")
-
+    # The run options a command reads; only those are range-checked.
     command = flags.get("command")
     if command == "check":
-        needs_seed = "seed" in _suite_keys(flags["suite"])
-    elif command == "cgf":
-        needs_seed = values["mc"]
+        reads = _suite_keys(flags["suite"])
+    elif command in (None, "simulate", "estimate") or (command == "cgf" and values["mc"]):
+        reads = {"T", "n_steps", "n_paths", "seed"}
     else:
-        needs_seed = command in (None, "simulate", "estimate")
+        reads = set()
+    T, n_steps, n_paths = values["T"], values["n_steps"], values["n_paths"]
+    if "T" in reads and T <= 0.0:
+        raise ConfigError(f"config key 'T' must be positive, got {T}")
+    if "n_steps" in reads and n_steps < 1:
+        raise ConfigError(f"config key 'n_steps' must be >= 1, got {n_steps}")
+    if "n_steps" in reads and round(n_steps * T) < 2:
+        raise ConfigError(f"n_steps*T = {n_steps * T} gives fewer than 2 grid steps")
+    if "n_paths" in reads and n_paths < 1:
+        raise ConfigError(f"config key 'n_paths' must be >= 1, got {n_paths}")
+
     seed = values.get("seed")
     if seed is None:
-        if needs_seed:
+        if "seed" in reads:
             raise ConfigError("missing required key 'seed' (this command consumes randomness)")
     elif not 0 <= seed < 2**64:
         raise ConfigError(f"config key 'seed' must be in [0, 2^64), got {seed}")

@@ -88,6 +88,25 @@ _FLAG_FILE_CASES = [
 ]
 
 
+# A run option out of range on a command that does not read it: (id, command
+# words and flags beyond --a 4 --b -1, the bad option).
+_UNREAD_OPTION_CASES = [
+    ("rate", ["rate", "--which", "J", "--alpha", "3", "--beta", "-1"], ["--T", "0.001"]),
+    ("cgf", ["cgf", "--lam", "0.1"], ["--T", "0.001"]),
+    ("check slope", ["check", "slope", "--functional", "Sigma", "--c", "0.8", "--T-grid", "1,2",
+                     "--paths", "1000", "--seed", "3"], ["--T", "0.001"]),
+    ("figures", ["figures", "--fig", "3"], ["--paths", "0"]),
+]
+
+# The same option out of range on commands that read it.
+_READ_OPTION_CASES = [
+    ("simulate", ["simulate", "--paths", "1", "--seed", "1", "--T", "0.001"]),
+    ("estimate", ["estimate", "--paths", "1", "--seed", "1", "--T", "0.001"]),
+    ("cgf mc", ["cgf", "--mc", "--paths", "10", "--seed", "1", "--T", "0.001"]),
+    ("check clt", ["check", "clt", "--paths", "10", "--seed", "1", "--T", "0.001"]),
+    ("check slope", ["check", "slope", "--T-grid", "1,2", "--seed", "3", "--paths", "0"]),
+]
+
 _ENVELOPE = {"experiment", "params", "settings", "metrics", "pass"}
 
 # Every command that prints a JSON report, with its flags beyond --a 4 --b -1
@@ -641,3 +660,24 @@ def test_mc_overflow_writes_one_json_line(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert json.loads(proc.stderr)["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize(
+    "argv, bad", [c[1:] for c in _UNREAD_OPTION_CASES], ids=[c[0] for c in _UNREAD_OPTION_CASES]
+)
+def test_unread_run_option_is_not_range_checked(capsys, tmp_path, monkeypatch, argv, bad):
+    monkeypatch.chdir(tmp_path)
+    plain = run(capsys, *argv, "--a", "4", "--b", "-1", "--out", "out")
+    assert plain[0] in (0, 1)
+    assert run(capsys, *argv, "--a", "4", "--b", "-1", *bad, "--out", "out") == plain
+
+
+@pytest.mark.parametrize(
+    "argv", [c[1] for c in _READ_OPTION_CASES], ids=[c[0] for c in _READ_OPTION_CASES]
+)
+def test_read_run_option_is_range_checked(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv, "--a", "4", "--b", "-1", "--out", "out")
+    assert (rc, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
