@@ -21,8 +21,10 @@ Contents:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -406,9 +408,12 @@ def simulate_path(
     c, rate, shape = _step_constants(params, T / n_steps)
     g = rng.standard_gamma(shape, n_steps).tolist()
     z = rng.standard_normal(n_steps).tolist()
-    values = [params.x0]
+    x = params.x0
+    values = [x]
+    append = values.append
     for gk, zk in zip(g, z):
-        values.append(_step(values[-1], gk, zk, c, rate))
+        x = _step(x, gk, zk, c, rate)
+        append(x)
     times = np.linspace(0.0, T, n_steps + 1)
     return Trajectory(times=times, values=np.array(values), params=params)
 
@@ -593,16 +598,12 @@ def simulate_ensemble(
 # ---------------------------------------------------------------------------
 
 
-def _time_column(times: np.ndarray) -> list[str]:
-    # The "t," prefix of every row.  All paths on one grid share it, so a
-    # caller writing many of them formats it once.
-    return [repr(t) + "," for t in times.tolist()]
-
-
-def _write_csv(path: str, time_column: list[str], values: np.ndarray) -> None:
-    # One "t,x" row per grid point, from a column made by _time_column.
-    rows = [t + repr(x) + "\n" for t, x in zip(time_column, values.tolist())]
-    write_text_atomic(path, "t,x\n" + "".join(rows))
+@functools.lru_cache(maxsize=1)
+def _time_column(times: bytes) -> tuple[str, ...]:
+    # The "\nt," prefix of every row of a grid, keyed by the grid's bytes:
+    # equal bytes give equal reprs.  The paths of one simulate call share
+    # their grid, so it is formatted once per grid, not once per path.
+    return tuple(["\n" + repr(t) + "," for t in np.frombuffer(times).tolist()])
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
@@ -613,8 +614,17 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     line ends.  So read_trajectory_csv gives back the same floats, and a
     trajectory always gives the same bytes: ``cir-ldp simulate`` writes the
     same files for a seed whatever ``--workers`` is.
+
+    The time column of the last grid written is kept, so paths on one grid
+    format it once; for 4 001 rows it holds about 300 KB.
     """
-    _write_csv(path, _time_column(traj.times), traj.values)
+    column = _time_column(traj.times.tobytes())
+    # The row prefixes and values interleaved, then one join: no string per
+    # row is built in between.
+    parts = [""] * (2 * len(column))
+    parts[::2] = column
+    parts[1::2] = map(repr, traj.values.tolist())
+    write_text_atomic(path, "t,x" + "".join(parts) + "\n")
 
 
 def read_trajectory_csv(path: str, params: ProcessParams) -> Trajectory:
@@ -630,7 +640,10 @@ def read_trajectory_csv(path: str, params: ProcessParams) -> Trajectory:
         header = fh.readline()
         if header.rstrip("\n") != "t,x":
             raise ValueError(f"unexpected trajectory CSV header: {header!r}")
-        data = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            # A file with no rows raises the ValueError below, not a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     if data.size == 0:
         raise ValueError(f"trajectory CSV {path!r} has no rows")
     if data.shape[1] != 2:

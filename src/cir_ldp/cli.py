@@ -10,6 +10,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -25,13 +26,12 @@ from .cgf import CgfPoint, cgf_finite_T_mc, cgf_gradient, cgf_limit
 from .cir_model import (
     ProcessParams,
     _map_jobs,
-    _time_column,
-    _write_csv,
     default_workers,
     path_rng,
     simulate_ensemble,
     simulate_path,
     validate_params,
+    write_trajectory_csv,
 )
 from .errors import CirLdpError, ConfigError, RegimeError
 from .functionals import ESTIMATORS, functionals_from_summary
@@ -393,15 +393,14 @@ def _write_paths(
     """Simulate paths ``indices`` of one simulate call and write their CSVs.
 
     Path i draws from path_rng(seed, i), wherever it runs.  Every path
-    shares the grid simulate_path builds from (T, n_steps), so the time
-    column is formatted once, from the first path, and reused.
+    shares the grid simulate_path builds from (T, n_steps), and
+    write_trajectory_csv keeps the time column of the last grid it wrote, so
+    the column is formatted once per process and grid (about 300 KB kept for
+    4 001 rows).
     """
-    column = None
     for i in indices:
         traj = simulate_path(params, T, n_steps, path_rng(seed, i))
-        if column is None:
-            column = _time_column(traj.times)
-        _write_csv(str(Path(out_dir) / f"traj_{i:05d}.csv"), column, traj.values)
+        write_trajectory_csv(traj, str(Path(out_dir) / f"traj_{i:05d}.csv"))
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
@@ -588,10 +587,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built once per process: parse_args keeps no state.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

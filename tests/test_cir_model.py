@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -495,6 +496,23 @@ class TestTrajectoryValidation:
         assert path.read_bytes() == expected.encode("ascii")
         assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
 
+    def test_csv_bytes_when_grids_alternate(self, params44, tmp_path):
+        # The writer keeps the last grid's time column: grid A, then B, then
+        # A again, then A one ulp off at one node, and A once more, must each
+        # give the per-row formula's bytes.
+        a = simulate_path(params44, 1.0, 40, path_rng(8, 3))
+        b = simulate_path(params44, 2.5, 92, path_rng(8, 5))
+        times = a.times.copy()
+        times[17] = np.nextafter(times[17], np.inf)
+        nudged = Trajectory(times, a.values, params44)
+        for k, traj in enumerate((a, b, a, nudged, a)):
+            path = tmp_path / f"traj_{k}.csv"
+            write_trajectory_csv(traj, str(path))
+            rows = zip(traj.times, traj.values)
+            expected = "t,x\n" + "".join(f"{float(t)!r},{float(x)!r}\n" for t, x in rows)
+            assert path.read_bytes() == expected.encode("ascii")
+        assert (tmp_path / "traj_3.csv").read_bytes() != (tmp_path / "traj_2.csv").read_bytes()
+
     def test_csv_header_check(self, params44, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,state\n0.0,1.0\n")
@@ -524,10 +542,14 @@ class TestTrajectoryCsvReader:
         with pytest.raises(ValueError):
             self._read(tmp_path, params44, "t,x\n" + body)
 
-    @pytest.mark.filterwarnings("ignore:loadtxt")
     def test_header_only_file_raises(self, params44, tmp_path):
-        with pytest.raises(ValueError):
-            self._read(tmp_path, params44, "t,x\n")
+        # The documented ValueError, with no warning first: under warnings
+        # as errors a warning would reach the caller in its place.
+        for body in ("", "\n\n"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="has no rows"):
+                    self._read(tmp_path, params44, "t,x\n" + body)
 
     def test_crlf_reads_as_lf(self, params44, tmp_path):
         traj = simulate_path(params44, 2.5, 92, path_rng(8, 4))

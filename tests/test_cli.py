@@ -551,6 +551,47 @@ class TestParser:
         rc, _, _ = run(capsys)
         assert rc == 2
 
+    def test_one_parser_serves_a_sequence_of_calls(self, capsys, tmp_path, monkeypatch):
+        # main keeps one parser per process: a run, a usage error, a run on
+        # another grid and the first run again must each give what the same
+        # command gives alone in a fresh interpreter.
+        common = ["--a", "4", "--b", "-1", "--paths", "2", "--seed", "9"]
+        calls = [
+            (0, ["simulate", "--T", "2.5", "--n-steps", "37", *common, "--out", "run0"]),
+            (2, ["simulate", "--T", "0.001", *common, "--out", "run1"]),
+            (0, ["simulate", "--T", "1.3", "--n-steps", "11", *common, "--out", "run2"]),
+            (0, ["simulate", "--T", "2.5", "--n-steps", "37", *common, "--out", "run3"]),
+        ]
+        (tmp_path / "seq").mkdir()
+        monkeypatch.chdir(tmp_path / "seq")
+        outs = []
+        for rc, argv in calls:
+            assert main(argv) == rc
+            outs.append(capsys.readouterr().out)
+        assert not (tmp_path / "seq" / "run1").exists()
+        src = str(Path(cir_ldp.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        (tmp_path / "alone").mkdir()
+        for (rc, argv), out in zip(calls, outs):
+            if rc:
+                continue
+            proc = subprocess.run(
+                [sys.executable, "-m", "cir_ldp.cli", *argv],
+                cwd=tmp_path / "alone",
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert (proc.returncode, proc.stdout) == (0, out)
+            name = argv[-1]
+            alone = sorted((tmp_path / "alone" / name).iterdir())
+            seq = sorted((tmp_path / "seq" / name).iterdir())
+            assert [p.name for p in seq] == ["traj_00000.csv", "traj_00001.csv"]
+            assert [p.name for p in alone] == [p.name for p in seq]
+            for a, b in zip(alone, seq):
+                assert a.read_bytes() == b.read_bytes()
+
 
 def _run_config(capsys, tmp_path, command: str, keys: dict) -> tuple[int, str, str]:
     cfgfile = tmp_path / "c.json"
