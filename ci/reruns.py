@@ -1,4 +1,4 @@
-"""Byte-identical reruns: ``python ci/reruns.py`` (no flags).
+"""Byte-identical reruns: ``python ci/reruns.py`` (no arguments).
 
 Each check is a name and one or more runs that must give the same bytes: the
 exit code, stdout, stderr and every file the run writes.  A run is a
@@ -12,6 +12,9 @@ One line per check: ok or FAIL, the sha256 of the first run's output, the
 seconds taken and the name.  The exit code is 1 if any check fails.  To show
 that a change keeps its parent's bits, run the script in both trees and diff
 the lines with the seconds taken out.
+
+``-h`` or ``--help`` prints this text and exits 0; any other argument prints
+it to stderr and exits 2.  Neither runs a check.
 """
 
 import hashlib
@@ -96,7 +99,11 @@ def digest(tree: dict) -> str:
     return hashlib.sha256(repr(sorted(tree.items())).encode()).hexdigest()
 
 
-def main() -> int:
+def main(argv=()) -> int:
+    if argv:
+        asked = list(argv) in (["-h"], ["--help"])
+        print(__doc__, end="", file=sys.stdout if asked else sys.stderr)
+        return 0 if asked else 2
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for i, (name, argvs) in enumerate(CHECKS):
@@ -111,4 +118,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

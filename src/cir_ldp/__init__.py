@@ -2,165 +2,28 @@
 
 Exact simulation, drift estimators, closed-form rate functions, the limiting
 cumulant generating function, and numerical Legendre / inf-sup cross-checks.
+
+The public API is each module's ``__all__``; the package re-exports them all.
 """
 
 from __future__ import annotations
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
-from .errors import (
-    BoundaryError,
-    CirLdpError,
-    ConfigError,
-    DegenerateError,
-    DomainError,
-    GridError,
-    InconclusiveError,
-    RegimeError,
-)
-from .cir_model import (
-    BLOCK_SIZE,
-    EnsembleSummary,
-    ProcessParams,
-    StationaryLaw,
-    Trajectory,
-    TransitionKernel,
-    bessel_log_i,
-    conditional_moments,
-    path_rng,
-    read_trajectory_csv,
-    sample_transition,
-    simulate_ensemble,
-    simulate_path,
-    stationary_law,
-    transition_density,
-    transition_kernel,
-    transition_log_density,
-    validate_params,
-    write_trajectory_csv,
-)
-from .functionals import (
-    ESTIMATORS,
-    EstimatePair,
-    PathFunctionals,
-    compute_functionals,
-    estimate_check,
-    estimate_combined,
-    estimate_mle,
-    estimate_tilde,
-    functionals_from_summary,
-    ito_log_integral,
-)
-from .cgf import (
-    CgfPoint,
-    DualVars,
-    cgf_finite_T_mc,
-    cgf_gradient,
-    cgf_limit,
-    dual_vars,
-    lambda_star,
-    legendre_transform_numeric,
-)
-from .rates import (
-    RateRegionConstants,
-    marginal_inf_numeric,
-    rate_I_infsup,
-    rate_I_mle,
-    rate_J,
-    rate_K,
-    rate_S,
-    rate_Sigma,
-    rate_V,
-    rate_marginal,
-    rate_pair,
-    rate_triplet_L,
-    rate_triplet_x,
-    region_constants,
-)
-from .harness import (
-    CltCovariance,
-    CltReport,
-    ProfileCurves,
-    SlopeReport,
-    SurfaceGrid,
-    clt_experiment,
-    clt_experiments,
-    clt_target_covariance,
-    profile_curves,
-    slope_experiment,
-    surface_grid,
-)
+from . import cgf, cir_model, errors, functionals, harness, rates
+from .errors import *
+from .cir_model import *
+from .functionals import *
+from .cgf import *
+from .rates import *
+from .harness import *
 
 __all__ = [
-    "BLOCK_SIZE",
-    "BoundaryError",
-    "CgfPoint",
-    "CirLdpError",
-    "CltCovariance",
-    "CltReport",
-    "ConfigError",
-    "DegenerateError",
-    "DomainError",
-    "DualVars",
-    "ESTIMATORS",
-    "EnsembleSummary",
-    "EstimatePair",
-    "GridError",
-    "InconclusiveError",
-    "PathFunctionals",
-    "ProcessParams",
-    "ProfileCurves",
-    "RateRegionConstants",
-    "RegimeError",
-    "SlopeReport",
-    "StationaryLaw",
-    "SurfaceGrid",
-    "Trajectory",
-    "TransitionKernel",
-    "bessel_log_i",
-    "cgf_finite_T_mc",
-    "cgf_gradient",
-    "cgf_limit",
-    "clt_experiment",
-    "clt_experiments",
-    "clt_target_covariance",
-    "compute_functionals",
-    "conditional_moments",
-    "dual_vars",
-    "estimate_check",
-    "estimate_combined",
-    "estimate_mle",
-    "estimate_tilde",
-    "functionals_from_summary",
-    "ito_log_integral",
-    "lambda_star",
-    "legendre_transform_numeric",
-    "marginal_inf_numeric",
-    "path_rng",
-    "profile_curves",
-    "rate_I_infsup",
-    "rate_I_mle",
-    "rate_J",
-    "rate_K",
-    "rate_S",
-    "rate_Sigma",
-    "rate_V",
-    "rate_marginal",
-    "rate_pair",
-    "rate_triplet_L",
-    "rate_triplet_x",
-    "read_trajectory_csv",
-    "region_constants",
-    "sample_transition",
-    "simulate_ensemble",
-    "simulate_path",
-    "slope_experiment",
-    "stationary_law",
-    "surface_grid",
-    "transition_density",
-    "transition_kernel",
-    "transition_log_density",
-    "validate_params",
-    "write_trajectory_csv",
     "__version__",
+    *errors.__all__,
+    *cir_model.__all__,
+    *functionals.__all__,
+    *cgf.__all__,
+    *rates.__all__,
+    *harness.__all__,
 ]

@@ -197,7 +197,7 @@ def cgf_finite_T_mc(
     n_paths: int,
     rng: int | np.random.Generator,
     n_steps: int | None = None,
-    n_workers: int | None = None,
+    n_workers: int = 1,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the normalized CGF at horizon T.
 

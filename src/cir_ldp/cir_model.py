@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +40,6 @@ __all__ = [
     "TransitionKernel",
     "bessel_log_i",
     "conditional_moments",
-    "default_workers",
     "path_rng",
     "read_trajectory_csv",
     "sample_transition",
@@ -51,7 +49,6 @@ __all__ = [
     "transition_density",
     "transition_kernel",
     "transition_log_density",
-    "validate_params",
     "write_trajectory_csv",
 ]
 
@@ -79,6 +76,12 @@ class ProcessParams:
         Drift parameter (units 1/time); must satisfy b < 0.
     x0 : float
         Starting state; must be strictly positive.  Defaults to 1.
+
+    Raises
+    ------
+    RegimeError
+        If a value is not a finite real, or a <= 2, b >= 0 or x0 <= 0: outside
+        the regime where the large-deviation theory of this package applies.
     """
 
     a: float
@@ -97,18 +100,6 @@ class ProcessParams:
             raise RegimeError(f"b must be negative (ergodic regime), got b={self.b}")
         if self.x0 <= 0.0:
             raise RegimeError(f"x0 must be positive, got x0={self.x0}")
-
-
-def validate_params(a: float, b: float, x0: float = 1.0) -> ProcessParams:
-    """Validate (a, b, x0) and return an immutable ProcessParams.
-
-    Raises
-    ------
-    RegimeError
-        If a <= 2, b >= 0, or x0 <= 0 (outside the regime where the
-        large-deviation theory implemented by this package applies).
-    """
-    return ProcessParams(a, b, x0)
 
 
 @dataclass(frozen=True)
@@ -444,14 +435,6 @@ def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     return _substream(master_seed, 1, path_index)
 
 
-def default_workers() -> int:
-    """Worker count from the CIR_LDP_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CIR_LDP_THREADS", "")))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class EnsembleSummary:
     """Terminal states and trapezoid time averages for an ensemble of paths.
@@ -533,7 +516,7 @@ def _simulate_horizons(
     horizons: list[tuple[int, float]],
     n_paths: int,
     rng: int | np.random.Generator,
-    n_workers: int | None = None,
+    n_workers: int = 1,
 ) -> list[EnsembleSummary]:
     # One ensemble of n_paths paths stepped to the longest of the horizons,
     # (n_steps, T) pairs that share one step T / n_steps, in any order and
@@ -548,8 +531,6 @@ def _simulate_horizons(
     if n_paths < 1:
         raise DomainError(f"n_paths must be at least 1, got {n_paths}")
     seed = _coerce_seed(rng)
-    if n_workers is None:
-        n_workers = default_workers()
     stops = sorted(set(horizons))
     dt = stops[-1][1] / stops[-1][0]
     # Job j advances blocks j n_blocks // n_jobs up to the next job's first
@@ -575,7 +556,7 @@ def simulate_ensemble(
     n_steps: int,
     n_paths: int,
     rng: int | np.random.Generator,
-    n_workers: int | None = None,
+    n_workers: int = 1,
 ) -> EnsembleSummary:
     """Simulate n_paths exact paths, reduced on the fly to (X_T, S_T, Sigma_T).
 
@@ -584,11 +565,11 @@ def simulate_ensemble(
     deterministic function of the seed alone.  Each step, every block draws
     its Gamma variates, then its normals, and the transition step of
     sample_transition then moves the paths of up to four consecutive blocks
-    at once.  ``n_workers`` (default: the CIR_LDP_THREADS environment
-    variable, else 1) only sets how many processes share the blocks, never
-    the result.  A path's draws do not depend on T, so the first n steps of
-    a longer run with the same step T / n_steps and seed are this run's
-    paths: the harness's tail slopes record several horizons on one run.
+    at once, in this process unless ``n_workers`` > 1.  ``n_workers`` only
+    sets how many processes share the blocks, never the result.  A path's
+    draws do not depend on T, so the first n steps of a longer run with the
+    same step T / n_steps and seed are this run's paths: the harness's tail
+    slopes record several horizons on one run.
     """
     return _simulate_horizons(params, [(n_steps, T)], n_paths, rng, n_workers)[0]
 

@@ -26,11 +26,9 @@ from .cgf import CgfPoint, cgf_finite_T_mc, cgf_gradient, cgf_limit
 from .cir_model import (
     ProcessParams,
     _map_jobs,
-    default_workers,
     path_rng,
     simulate_ensemble,
     simulate_path,
-    validate_params,
     write_trajectory_csv,
 )
 from .errors import CirLdpError, ConfigError, RegimeError
@@ -93,9 +91,9 @@ _OPTIONS = {
     "n_workers": (
         "--workers",
         int,
-        None,
+        1,
         "worker processes for simulate, estimate, check clt|slope and cgf --mc; "
-        "artifacts do not depend on it (default: CIR_LDP_THREADS or 1)",
+        "artifacts do not depend on it (default 1)",
     ),
     "estimator": (
         "--estimator",
@@ -152,7 +150,7 @@ class RunConfig:
     n_paths: int
     seed: int | None
     out: str
-    n_workers: int | None = None
+    n_workers: int = 1
     settings: dict = field(default_factory=dict)
 
     @property
@@ -237,8 +235,8 @@ def _suite_keys(suite: str) -> set[str]:
     return set(inspect.signature(CHECK_SUITES[suite]).parameters) - {"params"}
 
 
-def parse_config(source) -> RunConfig:
-    """Build a validated RunConfig from a flag set or a config file path.
+def parse_config(source: argparse.Namespace | str | Path) -> RunConfig:
+    """Build a validated RunConfig from parsed flags or a config file path.
 
     Precedence is flags > config file > defaults (x0 = 1, 200 steps per unit
     time); every value is converted once, by its option's kind.  The range
@@ -256,8 +254,6 @@ def parse_config(source) -> RunConfig:
         flags: dict = {"config": str(source)}
     elif isinstance(source, argparse.Namespace):
         flags = {k: v for k, v in vars(source).items() if v is not None}
-    elif isinstance(source, dict):
-        flags = {k: v for k, v in source.items() if v is not None}
     else:
         raise ConfigError(f"unsupported config source {type(source).__name__!r}")
 
@@ -270,7 +266,7 @@ def parse_config(source) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
     values = {k: _convert(k, v) for k, v in merged.items()}
 
-    validate_params(values["a"], values["b"], values["x0"])
+    ProcessParams(values["a"], values["b"], values["x0"])
     # The run options a command reads; only those are range-checked.
     command = flags.get("command")
     if command == "check":
@@ -295,9 +291,8 @@ def parse_config(source) -> RunConfig:
             raise ConfigError("missing required key 'seed' (this command consumes randomness)")
     elif not 0 <= seed < 2**64:
         raise ConfigError(f"config key 'seed' must be in [0, 2^64), got {seed}")
-    n_workers = values.get("n_workers")
-    if n_workers is not None and n_workers < 1:
-        raise ConfigError(f"config key 'n_workers' must be >= 1, got {n_workers}")
+    if values["n_workers"] < 1:
+        raise ConfigError(f"config key 'n_workers' must be >= 1, got {values['n_workers']}")
 
     core = {k: values.pop(k, None) for k in _COMMON}
     # "suite" rides in the settings so dispatch can route `check`; it is a
@@ -405,7 +400,7 @@ def _write_paths(
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     out_dir = _out_dir(cfg)
-    n_workers = min(cfg.n_workers or default_workers(), cfg.n_paths)
+    n_workers = min(cfg.n_workers, cfg.n_paths)
     # Job w writes paths w, w + n, w + 2n, ...; the files do not depend on n.
     run = (cfg.params, cfg.T, cfg.total_steps, cfg.seed)
     jobs = [(*run, range(w, cfg.n_paths, n_workers), str(out_dir)) for w in range(n_workers)]

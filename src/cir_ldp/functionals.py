@@ -155,52 +155,52 @@ class EstimatePair:
     beta: float
 
 
-def _checked_v(pf: PathFunctionals, eps_v: float):
+def _checked_v(pf: PathFunctionals):
     # A NaN V is not below the threshold, so it passes.
-    low = pf.V <= eps_v
+    low = pf.V <= EPS_V
     if np.any(low):
         raise DegenerateError(
-            f"V={np.nanmin(pf.V)} is below the degeneracy threshold {eps_v} on "
+            f"V={np.nanmin(pf.V)} is below the degeneracy threshold {EPS_V} on "
             f"{np.count_nonzero(low)} path(s); such a path is (numerically) constant"
         )
     return pf.V
 
 
-def estimate_mle(pf: PathFunctionals, eps_v: float = EPS_V) -> EstimatePair:
+def estimate_mle(pf: PathFunctionals) -> EstimatePair:
     """Maximum likelihood estimator of (a, b) from a continuous record.
 
     Raises
     ------
     DegenerateError
-        If V <= eps_v on any path.
+        If V <= EPS_V on any path.
     """
-    v = _checked_v(pf, eps_v)
+    v = _checked_v(pf)
     alpha = (pf.S * (2.0 * pf.Sigma + pf.L) - pf.xT_over_T) / v
     beta = ((pf.xT_over_T - 2.0) * pf.Sigma - pf.L) / v
     return EstimatePair(alpha=alpha, beta=beta)
 
 
-def estimate_tilde(pf: PathFunctionals, eps_v: float = EPS_V) -> EstimatePair:
+def estimate_tilde(pf: PathFunctionals) -> EstimatePair:
     """Simplified estimator dropping the L term from the MLE."""
-    v = _checked_v(pf, eps_v)
+    v = _checked_v(pf)
     alpha = (2.0 * pf.S * pf.Sigma - pf.xT_over_T) / v
     beta = (pf.xT_over_T - 2.0) * pf.Sigma / v
     return EstimatePair(alpha=alpha, beta=beta)
 
 
-def estimate_check(pf: PathFunctionals, eps_v: float = EPS_V) -> EstimatePair:
+def estimate_check(pf: PathFunctionals) -> EstimatePair:
     """Simplified estimator dropping the X_T/T term from the MLE."""
-    v = _checked_v(pf, eps_v)
+    v = _checked_v(pf)
     alpha = pf.S * (2.0 * pf.Sigma + pf.L) / v
     beta = (-2.0 * pf.Sigma - pf.L) / v
     return EstimatePair(alpha=alpha, beta=beta)
 
 
-def estimate_combined(pf: PathFunctionals, eps_v: float = EPS_V) -> EstimatePair:
+def estimate_combined(pf: PathFunctionals) -> EstimatePair:
     """Tilde estimator where X_T >= 1, check estimator elsewhere."""
     upper = pf.xT_over_T * pf.T >= 1.0
-    tilde = estimate_tilde(pf, eps_v)
-    check = estimate_check(pf, eps_v)
+    tilde = estimate_tilde(pf)
+    check = estimate_check(pf)
     return EstimatePair(
         alpha=_select(upper, tilde.alpha, check.alpha),
         beta=_select(upper, tilde.beta, check.beta),
@@ -208,7 +208,7 @@ def estimate_combined(pf: PathFunctionals, eps_v: float = EPS_V) -> EstimatePair
 
 
 #: The estimator couples by name, in the order artifacts list them.
-ESTIMATORS: dict[str, Callable[..., EstimatePair]] = {
+ESTIMATORS: dict[str, Callable[[PathFunctionals], EstimatePair]] = {
     "mle": estimate_mle,
     "tilde": estimate_tilde,
     "check": estimate_check,

@@ -62,7 +62,6 @@ __all__ = [
     "SLOPE_FUNCTIONALS",
     "SlopeReport",
     "SurfaceGrid",
-    "clt_experiment",
     "clt_experiments",
     "clt_target_covariance",
     "profile_curves",
@@ -171,54 +170,31 @@ def clt_experiments(
     n_paths: int,
     rng,
     n_steps: int | None = None,
-    n_workers: int | None = None,
+    n_workers: int = 1,
     tolerance: float = 0.15,
 ) -> list[CltReport]:
-    """Run the CLT check for several estimators on one shared ensemble.
+    """Empirical check of sqrt(T)(estimate - (a, b)) -> N(0, 4 C^-1) for each
+    of ``estimators`` (names in ``functionals.ESTIMATORS``) on one ensemble.
 
-    ``estimators`` are names in ``functionals.ESTIMATORS``.  The combined
-    couple picks tilde or check per path; both are sqrt(T)-equivalent to
-    the MLE, so its limit is the same 4 C^-1.
+    Each report compares the covariance of the scaled deviations to the
+    closed-form target, entrywise within ``tolerance``.  The combined couple
+    picks tilde or check per path; both are sqrt(T)-equivalent to the MLE,
+    so its limit is the same 4 C^-1.  ``n_paths`` < 2 raises DomainError: a
+    covariance needs two samples.
     """
     for name in estimators:
         if name not in ESTIMATORS:
             raise DomainError(
                 f"estimator must be one of {sorted(ESTIMATORS)}, got {name!r}"
             )
+    if n_paths < 2:
+        raise DomainError(f"n_paths must be at least 2 for a covariance, got {n_paths}")
     seed = _coerce_seed(rng)
     if n_steps is None:
         n_steps = max(2, round(200.0 * T))
     ens = simulate_ensemble(params, T, n_steps, n_paths, seed, n_workers=n_workers)
     pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
     return [_clt_report(params, ens, pf, name, seed, tolerance) for name in estimators]
-
-
-def clt_experiment(
-    params: ProcessParams,
-    estimator: str,
-    T: float,
-    n_paths: int,
-    rng,
-    n_steps: int | None = None,
-    n_workers: int | None = None,
-    tolerance: float = 0.15,
-) -> CltReport:
-    """Empirical check of sqrt(T)(estimate - (a, b)) -> N(0, 4 C^-1).
-
-    Simulates ``n_paths`` trajectories to horizon ``T``, computes the selected
-    estimator on each, and compares the empirical covariance of the scaled
-    deviations to the closed-form target, entrywise within ``tolerance``.
-    """
-    return clt_experiments(
-        params,
-        [estimator],
-        T,
-        n_paths,
-        rng,
-        n_steps=n_steps,
-        n_workers=n_workers,
-        tolerance=tolerance,
-    )[0]
 
 
 #: Functional -> (ergodic mean, closed-form rate); the functional is read as
@@ -228,6 +204,9 @@ SLOPE_FUNCTIONALS = {
     "Sigma": (lambda p: -p.b / (p.a - 2.0), rate_Sigma),
     "V": (lambda p: 2.0 / (p.a - 2.0), rate_V),
 }
+
+# Fewest hits at the largest horizon for a slope to count.
+_SLOPE_MIN_HITS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,8 +238,7 @@ def slope_experiment(
     n_paths: int,
     rng,
     n_steps_per_unit: int = 50,
-    n_min: int = 50,
-    n_workers: int | None = None,
+    n_workers: int = 1,
     tolerance: float = 0.30,
 ) -> SlopeReport:
     """Empirical decay slope -(1/T) log P(functional in the c-tail) per T.
@@ -280,7 +258,7 @@ def slope_experiment(
     Raises
     ------
     InconclusiveError
-        If the hit count at the largest T falls below ``n_min``.
+        If the hit count at the largest T falls below 50.
     """
     if functional not in SLOPE_FUNCTIONALS:
         raise DomainError(
@@ -312,10 +290,10 @@ def slope_experiment(
         for hits, T in zip(hit_counts, T_grid)
     ]
     i_max = int(np.argmax(T_grid))
-    if hit_counts[i_max] < n_min:
+    if hit_counts[i_max] < _SLOPE_MIN_HITS:
         raise InconclusiveError(
             f"only {hit_counts[i_max]} hits at T={T_grid[i_max]} "
-            f"(need {n_min}); increase n_paths or move c"
+            f"(need {_SLOPE_MIN_HITS}); increase n_paths or move c"
         )
     passed = abs(slopes[i_max] - target) <= tolerance * abs(target)
     return SlopeReport(
@@ -327,7 +305,7 @@ def slope_experiment(
         hits=tuple(hit_counts),
         n_paths=n_paths,
         n_steps_per_unit=n_steps_per_unit,
-        n_min=n_min,
+        n_min=_SLOPE_MIN_HITS,
         seed=seed,
         target_rate=target,
         tolerance=tolerance,
@@ -477,7 +455,7 @@ def _check_clt(
     n_steps: int,
     n_paths: int,
     seed: int,
-    n_workers: int | None = None,
+    n_workers: int = 1,
     estimator: str = "mle",
     tolerance: float = 0.15,
 ) -> dict:
@@ -532,7 +510,7 @@ def _check_slope(
     *,
     n_paths: int,
     seed: int,
-    n_workers: int | None = None,
+    n_workers: int = 1,
     functional: str = "S",
     c: float | None = None,
     T_grid: Sequence[float] = (5.0, 10.0, 20.0),

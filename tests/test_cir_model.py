@@ -28,7 +28,6 @@ from cir_ldp import (
     transition_density,
     transition_kernel,
     transition_log_density,
-    validate_params,
     write_trajectory_csv,
 )
 from cir_ldp import cir_model
@@ -37,9 +36,9 @@ from cir_ldp.functionals import compute_functionals
 
 class TestParams:
     def test_valid_regime(self):
-        p = validate_params(4.0, -1.0)
+        p = ProcessParams(4.0, -1.0)
         assert (p.a, p.b, p.x0) == (4.0, -1.0, 1.0)
-        q = validate_params(2.001, -0.01, 3.5)
+        q = ProcessParams(2.001, -0.01, 3.5)
         assert q.x0 == 3.5
 
     @pytest.mark.parametrize(
@@ -57,7 +56,7 @@ class TestParams:
     )
     def test_regime_rejections(self, a, b, x0):
         with pytest.raises(RegimeError):
-            validate_params(a, b, x0)
+            ProcessParams(a, b, x0)
 
     def test_params_are_frozen(self, params44):
         with pytest.raises(Exception):
@@ -348,24 +347,6 @@ class TestEnsemble:
         assert len(runs) == 3 + 2 * cap + 1
         for field in ("x_T", "S", "Sigma"):
             np.testing.assert_array_equal(getattr(capped, field), getattr(alone, field))
-
-    def test_thread_variable_sets_the_default_worker_count(self, params44, monkeypatch):
-        n = BLOCK_SIZE + 37
-        e1 = simulate_ensemble(params44, 1.0, 20, n, 123, n_workers=1)
-        monkeypatch.setenv("CIR_LDP_THREADS", "2")
-        pools = []
-        map_jobs = cir_model._map_jobs
-
-        def recording(fn, jobs, n_workers):
-            pools.append(n_workers)
-            return map_jobs(fn, jobs, n_workers)
-
-        monkeypatch.setattr(cir_model, "_map_jobs", recording)
-        e2 = simulate_ensemble(params44, 1.0, 20, n, 123, n_workers=None)
-        assert pools == [2]
-        np.testing.assert_array_equal(e1.x_T, e2.x_T)
-        np.testing.assert_array_equal(e1.S, e2.S)
-        np.testing.assert_array_equal(e1.Sigma, e2.Sigma)
 
     def test_seed_changes_output(self, params44):
         e1 = simulate_ensemble(params44, 1.0, 20, 64, 123)

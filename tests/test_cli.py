@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,20 @@ class TestSimulateEstimate:
                 expected.append(f"{i},{name},{float(est.alpha)!r},{float(est.beta)!r}")
         assert (tmp_path / "estimates.csv").read_text().splitlines() == expected
 
+    def test_readme_estimate_example(self, capsys, tmp_path):
+        # The README's console session: the rows it shows under
+        # `head -3 runs/estimates.csv` are those its estimate command writes.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        lines = readme.split("$ cir-ldp estimate ", 1)[1].splitlines()
+        argv = ["estimate", *lines[0].split()]
+        assert lines[1] == "$ head -3 runs/estimates.csv"
+        shown = lines[2:5]
+        out = argv.index("--out") + 1
+        assert argv[out] == "runs"
+        argv[out] = str(tmp_path)
+        assert run(capsys, *argv)[0] == 0
+        assert (tmp_path / "estimates.csv").read_text().splitlines()[:3] == shown
+
     def test_deterministic_artifacts(self, capsys, tmp_path):
         out1 = tmp_path / "r1"
         out2 = tmp_path / "r2"
@@ -461,6 +476,18 @@ class TestCheckSuites:
         )
         assert rc == 3
         assert json.loads(err)["error"] == "InconclusiveError"
+
+    def test_clt_on_one_path_is_a_numeric_error(self, capsys, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out, err = run(
+                capsys, "check", "clt", "--a", "4", "--b", "-1", "--T", "1",
+                "--n-steps", "20", "--paths", "1", "--seed", "1", "--out", str(tmp_path),
+            )
+        assert (rc, out) == (3, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "DomainError"
+        assert not (tmp_path / "clt_report.json").exists()
 
     def test_check_requires_seed_only_for_mc_suites(self, capsys, tmp_path):
         rc, _, err = run(capsys, "check", "clt", "--a", "4", "--b", "-1", "--out", str(tmp_path))

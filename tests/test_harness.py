@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from cir_ldp import (
+    DomainError,
     InconclusiveError,
     ProcessParams,
-    clt_experiment,
     clt_experiments,
     clt_target_covariance,
     profile_curves,
@@ -47,9 +47,9 @@ class TestCltTarget:
 
 class TestCltExperiment:
     def test_report_shape_and_determinism(self, params44):
-        r1 = clt_experiment(params44, "mle", T=5.0, n_paths=400, rng=3, n_steps=500)
-        r2 = clt_experiment(
-            params44, "mle", T=5.0, n_paths=400, rng=3, n_steps=500, n_workers=2
+        (r1,) = clt_experiments(params44, ["mle"], T=5.0, n_paths=400, rng=3, n_steps=500)
+        (r2,) = clt_experiments(
+            params44, ["mle"], T=5.0, n_paths=400, rng=3, n_steps=500, n_workers=2
         )
         assert r1.estimator == "mle"
         assert (r1.T, r1.n_paths, r1.n_steps, r1.seed) == (5.0, 400, 500, 3)
@@ -60,7 +60,7 @@ class TestCltExperiment:
         assert isinstance(r1.passed, bool)
 
     def test_to_dict_payload(self, params44):
-        r = clt_experiment(params44, "tilde", T=2.0, n_paths=200, rng=1, n_steps=200)
+        (r,) = clt_experiments(params44, ["tilde"], T=2.0, n_paths=200, rng=1, n_steps=200)
         d = r.to_dict()
         assert d["experiment"] == "clt"
         assert d["settings"]["estimator"] == "tilde"
@@ -72,8 +72,8 @@ class TestCltExperiment:
             params44, ["mle", "tilde", "check"], T=4.0, n_paths=300, rng=9, n_steps=400
         )
         for report in multi:
-            single = clt_experiment(
-                params44, report.estimator, T=4.0, n_paths=300, rng=9, n_steps=400
+            (single,) = clt_experiments(
+                params44, [report.estimator], T=4.0, n_paths=300, rng=9, n_steps=400
             )
             np.testing.assert_array_equal(report.covariance, single.covariance)
 
@@ -86,10 +86,17 @@ class TestCltExperiment:
         np.testing.assert_array_equal(reports[1].target, reports[0].target)
 
     def test_unknown_estimator_rejected(self, params44):
-        from cir_ldp import DomainError
-
         with pytest.raises(DomainError):
-            clt_experiment(params44, "median", T=2.0, n_paths=50, rng=0, n_steps=100)
+            clt_experiments(params44, ["median"], T=2.0, n_paths=50, rng=0, n_steps=100)
+
+    def test_one_path_is_rejected_before_simulating(self, params44, monkeypatch):
+        # One sample has no covariance: numpy would warn and give NaN.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(harness, "simulate_ensemble", no_simulation)
+        with pytest.raises(DomainError, match="n_paths must be at least 2"):
+            clt_experiments(params44, ["mle"], T=1.0, n_paths=1, rng=1, n_steps=20)
 
 
 class TestSlopeExperiment:

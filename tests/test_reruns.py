@@ -83,3 +83,18 @@ def test_main_runs_each_check_three_times_and_fails_on_a_difference(
     assert line.split()[:2] == ["FAIL" if expected else "ok", reruns.digest(_tree())]
     if expected:
         assert line.endswith(f"out/fig3.csv differs between run 1 and run {bad_run} of 3\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream",
+    [(["-h"], 0, "out"), (["--help"], 0, "out"), (["--quick"], 2, "err"), (["-h", "x"], 2, "err")],
+)
+def test_arguments_print_the_usage_and_run_nothing(monkeypatch, capsys, argv, code, stream):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(reruns, "run", no_run)
+    assert reruns.main(argv) == code
+    captured = capsys.readouterr()
+    assert getattr(captured, stream) == reruns.__doc__
+    assert getattr(captured, "err" if stream == "out" else "out") == ""
