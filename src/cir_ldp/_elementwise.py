@@ -1,0 +1,67 @@
+"""Private: the typed arithmetic that lets one formula serve floats and arrays.
+
+Each helper sends a Python float to math or to a conditional expression and
+anything else to numpy.  On floats it returns numpy's bits, inf and NaN
+included (a NaN's sign aside), without a warning.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def _where(cond, x, y):
+    # np.where, but a numpy scalar mask gives a numpy scalar, not a 0-d array.
+    if type(cond) is bool:
+        return x if cond else y
+    return np.where(cond, x, y)[()]
+
+
+def _any(mask) -> bool:
+    return mask if type(mask) is bool else mask.any()
+
+
+def _maximum(x, y):
+    # np.maximum propagates NaN and returns y on a tie (so -0.0 vs 0.0 is y).
+    if type(x) is float and type(y) is float:
+        return x if x > y or x != x else y
+    return np.maximum(x, y)
+
+
+def _minimum(x, y):
+    if type(x) is float and type(y) is float:
+        return x if x < y or x != x else y
+    return np.minimum(x, y)
+
+
+def _sqrt(x):
+    if type(x) is float:
+        return math.nan if x < 0.0 else math.sqrt(x)
+    return np.sqrt(x)
+
+
+def _pow(x, p: float):
+    # libm pow, as Python's float ** p is; numpy's x ** 2 is x * x, which
+    # differs from it by an ulp on some inputs.  p is even, so where
+    # math.pow overflows the power is +inf.
+    if type(x) is not float:
+        return np.float_power(x, p)
+    try:
+        return math.pow(x, p)
+    except OverflowError:
+        return math.inf
+
+
+def _sq(x):
+    return _pow(x, 2.0)
+
+
+def _libm(fn, x):
+    # fn, a math function such as math.log or math.exp, elementwise: an array
+    # runs it value by value, because numpy's SIMD log and exp differ from
+    # libm's by an ulp on some inputs.
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(fn, x.ravel().tolist())), dtype=float).reshape(x.shape)
+    return fn(x)

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cir_model
+from ._elementwise import _where
 from .cir_model import ProcessParams
 from .errors import BoundaryError, DomainError
+from .functionals import functionals_from_summary
 
 __all__ = [
     "CgfPoint",
@@ -201,41 +203,40 @@ def cgf_finite_T_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the normalized CGF at horizon T.
 
-    Simulates ``n_paths`` exact paths, forms the exponent
-    lam*sqrt(T)*sqrt(X_T) + gamma*T*curlyL + mu*Int(X) + nu*Int(1/X) per path,
+    Simulates ``n_paths`` exact paths, takes their quadruplets from
+    functionals_from_summary, forms the exponent
+    lam*T*sqrt(X_T/T) + gamma*T*curlyL + mu*Int(X) + nu*Int(1/X) per path,
     and returns (estimate, stderr) where the estimate is the log-sum-exp
     average divided by T and the standard error comes from the delta method.
 
     Raises
     ------
+    DomainError
+        If ``n_paths`` < 2, where no standard error exists.
     OverflowError
         If any exponent is non-finite (extreme argument points).
     """
+    if n_paths < 2:
+        raise DomainError(f"the standard error needs n_paths >= 2, got {n_paths}")
     if n_steps is None:
         n_steps = max(2, round(200 * T))
     ens = cir_model.simulate_ensemble(params, T, n_steps, n_paths, rng, n_workers)
-    x_T = ens.x_T
-    log_xT = np.log(x_T)
-    curly = np.where(log_xT < 0.0, -np.sqrt(np.abs(log_xT) / T), log_xT / T)
+    pf = functionals_from_summary(T, params.x0, ens.x_T, ens.S, ens.Sigma)
     # An overflow here is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         e = (
-            p.lam * math.sqrt(T) * np.sqrt(x_T)
-            + p.gamma * T * curly
-            + p.mu * T * ens.S
-            + p.nu * T * ens.Sigma
+            p.lam * T * pf.sqrt_xT_over_T
+            + p.gamma * T * pf.curlyL
+            + p.mu * T * pf.S
+            + p.nu * T * pf.Sigma
         )
     if not np.all(np.isfinite(e)):
         raise OverflowError("non-finite exponent in finite-horizon CGF estimate")
     m = float(e.max())
     w = np.exp(e - m)
-    n = float(n_paths)
     mean_w = float(w.mean())
     estimate = (m + math.log(mean_w)) / T
-    if n_paths > 1:
-        stderr = float(w.std(ddof=1)) / (mean_w * math.sqrt(n) * T)
-    else:
-        stderr = 0.0
+    stderr = float(w.std(ddof=1)) / (mean_w * math.sqrt(n_paths) * T)
     return estimate, stderr
 
 
@@ -246,20 +247,6 @@ def cgf_finite_T_mc(
 
 #: lambda_star stops once the full Newton step is predicted to gain less.
 NEWTON_GAIN_TOL = 1e-13
-
-
-# Typed helpers, shared with rates: a Python bool picks in a conditional
-# expression, anything else goes to numpy.
-
-
-def _where(cond, x, y):
-    if type(cond) is bool:
-        return x if cond else y
-    return np.where(cond, x, y)
-
-
-def _any(mask) -> bool:
-    return mask if type(mask) is bool else mask.any()
 
 
 def _h_start(a: float, b: float, x, y, z, t):

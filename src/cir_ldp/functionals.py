@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._elementwise import _libm, _sqrt, _where
 from .cir_model import Trajectory
 from .errors import DegenerateError, GridError
 
@@ -37,22 +38,6 @@ __all__ = [
 
 #: Degeneracy threshold on V before any estimator division.
 EPS_V = 1e-12
-
-# libm's log, elementwise.  numpy's SIMD log differs from it by 1 ulp on some
-# inputs, and the per-path and ensemble results must agree to the bit.
-_libm_log = np.frompyfunc(math.log, 1, 1)
-
-
-def _log(x):
-    if isinstance(x, np.ndarray):
-        return _libm_log(x).astype(float)
-    return math.log(x)
-
-
-def _select(mask, if_true, if_false):
-    # np.where, but a scalar mask gives a scalar rather than a 0-d array.
-    return np.where(mask, if_true, if_false)[()]
-
 
 @dataclass(frozen=True)
 class PathFunctionals:
@@ -97,15 +82,15 @@ def functionals_from_summary(T: float, x0: float, x_T, S, Sigma) -> PathFunction
     applies to stored trajectories.  x_T, S and Sigma are floats for one
     path or equal-length arrays for an ensemble (``EnsembleSummary`` fields).
     """
-    log_xT = _log(x_T)
+    log_xT = _libm(math.log, x_T)
     return PathFunctionals(
         T=T,
         xT_over_T=x_T / T,
-        sqrt_xT_over_T=np.sqrt(x_T / T),
+        sqrt_xT_over_T=_sqrt(x_T / T),
         S=S,
         Sigma=Sigma,
         L=(log_xT - math.log(x0)) / T,
-        curlyL=_select(x_T < 1.0, -np.sqrt(np.abs(log_xT) / T), log_xT / T),
+        curlyL=_where(x_T < 1.0, -_sqrt(abs(log_xT) / T), log_xT / T),
         V=S * Sigma - 1.0,
     )
 
@@ -197,13 +182,17 @@ def estimate_check(pf: PathFunctionals) -> EstimatePair:
 
 
 def estimate_combined(pf: PathFunctionals) -> EstimatePair:
-    """Tilde estimator where X_T >= 1, check estimator elsewhere."""
-    upper = pf.xT_over_T * pf.T >= 1.0
+    """Tilde estimator where X_T >= 1, check estimator elsewhere.
+
+    X_T >= 1 is read as curlyL >= 0, the test functionals_from_summary makes:
+    X_T / T times T can round below 1 at X_T = 1.
+    """
+    upper = pf.curlyL >= 0.0
     tilde = estimate_tilde(pf)
     check = estimate_check(pf)
     return EstimatePair(
-        alpha=_select(upper, tilde.alpha, check.alpha),
-        beta=_select(upper, tilde.beta, check.beta),
+        alpha=_where(upper, tilde.alpha, check.alpha),
+        beta=_where(upper, tilde.beta, check.beta),
     )
 
 

@@ -208,6 +208,10 @@ SLOPE_FUNCTIONALS = {
 # Fewest hits at the largest horizon for a slope to count.
 _SLOPE_MIN_HITS = 50
 
+# check slope's default threshold, as a multiple of the ergodic mean: past
+# it, so the rate is positive in every regime (5 and 1 at (4, -1)).
+_SLOPE_DEFAULT_SCALE = {"S": 1.25, "Sigma": 2.0, "V": 2.0}
+
 
 @dataclass(frozen=True, eq=False)
 class SlopeReport(_Report):
@@ -243,8 +247,8 @@ def slope_experiment(
 ) -> SlopeReport:
     """Empirical decay slope -(1/T) log P(functional in the c-tail) per T.
 
-    The tail direction is upward when c is at or above the ergodic mean of
-    the functional and downward otherwise.  The slope at the largest T is
+    The tail direction is upward when c is above the ergodic mean of the
+    functional and downward when it is below.  The slope at the largest T is
     compared to the closed-form rate within the (loose, finite-T) tolerance.
 
     Horizon T takes max(2, round(n_steps_per_unit T)) steps.  Horizons with
@@ -257,6 +261,8 @@ def slope_experiment(
 
     Raises
     ------
+    DomainError
+        If c is the ergodic mean, where the rate is 0 and no slope can pass.
     InconclusiveError
         If the hit count at the largest T falls below 50.
     """
@@ -268,8 +274,11 @@ def slope_experiment(
         raise DomainError("T_grid must be non-empty")
     seed = _coerce_seed(rng)
     ergodic_mean, rate = SLOPE_FUNCTIONALS[functional]
+    mean = ergodic_mean(params)
+    if c == mean:
+        raise DomainError(f"c={c} is the ergodic mean of {functional}, where its rate is 0")
     target = rate(params, c)
-    upper = c >= ergodic_mean(params)
+    upper = c > mean
     horizons = [(max(2, round(n_steps_per_unit * T)), T) for T in T_grid]
     groups: dict[float, list[int]] = {}
     for i, (n_steps, T) in enumerate(horizons):
@@ -516,8 +525,8 @@ def _check_slope(
     T_grid: Sequence[float] = (5.0, 10.0, 20.0),
     tolerance: float = 0.30,
 ) -> dict:
-    if c is None:
-        c = 5.0 if functional == "S" else 1.0
+    if c is None and functional in SLOPE_FUNCTIONALS:
+        c = _SLOPE_DEFAULT_SCALE[functional] * SLOPE_FUNCTIONALS[functional][0](params)
     return slope_experiment(
         params, functional, c, T_grid, n_paths, seed, n_workers=n_workers,
         tolerance=tolerance,

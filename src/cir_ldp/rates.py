@@ -14,10 +14,10 @@ coordinates whose evaluation overflows (a -inf or NaN result) the value is
 +inf.  rate_I_infsup follows the same policy but takes floats only.
 
 Each body is written once, for both kinds of coordinate.  Its numpy calls go
-through the typed helpers (_where and _any from cgf; _sq, _pow, _sq_over,
-_sqrt, _maximum and _minimum below), which send Python floats to math or to
-a conditional expression and arrays to numpy.  Both sides call libm's pow
-and a correctly rounded sqrt, so a point gets the same bits either way.
+through the typed helpers of ``_elementwise`` (and _sq_over below), which
+send Python floats to math or to a conditional expression and arrays to
+numpy.  Both sides call libm's pow and a correctly rounded sqrt, so a point
+gets the same bits either way.
 When every coordinate is a finite Python float, ``_total`` runs the body in
 plain float arithmetic.  Where that divides by zero (as rate_pair does at
 xy = 1) it runs the numpy path instead, so the value and the policy there
@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._elementwise import _any, _libm, _maximum, _minimum, _pow, _sq, _sqrt, _where
 from ._simplex import minimize_bounded
-from .cgf import _any, _lambda_star_array, _where, lambda_star
+from .cgf import _lambda_star_array, lambda_star
 from .cir_model import ProcessParams
 from .errors import DomainError
 
@@ -97,47 +98,6 @@ def _total(rate):
         return float(out) if out.ndim == 0 else out
 
     return guarded
-
-
-# The helpers of the closed forms: a Python float goes to math or to a
-# conditional expression, anything else to numpy.  On floats each returns
-# what numpy returns, inf and NaN included (a NaN's sign aside), without a
-# warning.  _where and _any come from cgf, whose face value uses them too.
-
-
-def _maximum(x, y):
-    # np.maximum propagates NaN and returns y on a tie (so -0.0 vs 0.0 is y).
-    if type(x) is float and type(y) is float:
-        return x if x > y or x != x else y
-    return np.maximum(x, y)
-
-
-def _minimum(x, y):
-    if type(x) is float and type(y) is float:
-        return x if x < y or x != x else y
-    return np.minimum(x, y)
-
-
-def _sqrt(x):
-    if type(x) is float:
-        return math.nan if x < 0.0 else math.sqrt(x)
-    return np.sqrt(x)
-
-
-def _pow(x, p: float):
-    # libm pow, as Python's float ** p is; numpy's x ** 2 is x * x, which
-    # differs from it by an ulp on some inputs.  p is even, so where
-    # math.pow overflows the power is +inf.
-    if type(x) is not float:
-        return np.float_power(x, p)
-    try:
-        return math.pow(x, p)
-    except OverflowError:
-        return INF
-
-
-def _sq(x):
-    return _pow(x, 2.0)
 
 
 def _sq_over(u, w):
@@ -695,14 +655,6 @@ def rate_marginal(params: ProcessParams, which: str, v):
 # ---------------------------------------------------------------------------
 
 
-def _exp(u):
-    # libm's exp, elementwise on an array of any shape: numpy's may differ in
-    # the last bit.
-    if type(u) is float:
-        return math.exp(u)
-    return np.array(list(map(math.exp, u.ravel().tolist()))).reshape(u.shape)
-
-
 def _face_min(params: ProcessParams, point, lo: float, hi: float) -> float:
     # Minimum of lambda_star over the face points point(u), u in [lo, hi]:
     # the best of 121 scan nodes, refined.  point maps floats to floats and
@@ -743,7 +695,7 @@ def _infsup_faces(params: ProcessParams, alpha: float, beta: float) -> float:
         # and leaves z free, so the x = 0 face is searched over log z; the
         # t = 0 face is empty.
         t0 = -math.sqrt(-beta)
-        return _face_min(params, lambda u: (0.0, y0, _exp(u), t0), -20.0, 20.0)
+        return _face_min(params, lambda u: (0.0, y0, _libm(math.exp, u), t0), -20.0, 20.0)
     faces = [INF]
     z0 = beta / a2
     if z0 > 0.0:
@@ -815,15 +767,17 @@ def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
         return _infsup_faces(params, alpha, beta)
     if alpha == 0.0:
         # x = 0 and z = t^2/2, over u = log(-t) and v = log(y z) > 0.
-        return _face_min_2d(
-            params,
-            lambda u, v: (0.0, 2.0 * _exp(v) / _exp(2.0 * u), 0.5 * _exp(2.0 * u), -_exp(u)),
-            -20.0, 5.0, 1e-9, 20.0,
-        )
+        def point(u, v):
+            e_u, e_2u, e_v = _libm(math.exp, u), _libm(math.exp, 2.0 * u), _libm(math.exp, v)
+            return 0.0, 2.0 * e_v / e_2u, 0.5 * e_2u, -e_u
+
+        return _face_min_2d(params, point, -20.0, 5.0, 1e-9, 20.0)
     if alpha == 2.0:
         # x = sqrt(2) and t = 0, over (log y, log z).
         return _face_min_2d(
-            params, lambda u, v: (_SQRT2, _exp(u), _exp(v), 0.0), -20.0, 20.0, -20.0, 20.0
+            params,
+            lambda u, v: (_SQRT2, _libm(math.exp, u), _libm(math.exp, v), 0.0),
+            -20.0, 20.0, -20.0, 20.0,
         )
     # 0 < alpha < 2: x = sqrt(alpha) > 0 forces t = 0, where z = 0 is
     # outside the cone.

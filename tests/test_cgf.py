@@ -12,17 +12,21 @@ from scipy import optimize
 from cir_ldp import (
     BoundaryError,
     CgfPoint,
+    DomainError,
     ProcessParams,
     cgf_finite_T_mc,
     cgf_gradient,
     cgf_limit,
     dual_vars,
+    functionals_from_summary,
     lambda_star,
     legendre_transform_numeric,
     rate_pair,
     rate_triplet_L,
     rate_triplet_x,
+    simulate_ensemble,
 )
+from cir_ldp import cir_model
 from cir_ldp.cgf import _lambda_star_array, _legendre_solve
 
 # Every evaluation here is quiet: a RuntimeWarning fails the test.
@@ -531,3 +535,30 @@ class TestFiniteTMc:
     def test_overflow_guard(self, params44):
         with pytest.raises(OverflowError):
             cgf_finite_T_mc(params44, CgfPoint(0.0, 1e308, 0.0, 0.0), 2.0, 50, 1, n_steps=20)
+
+    def test_estimate_is_that_of_the_ensembles_quadruplets(self, params44):
+        # The same seed's ensemble through functionals_from_summary: the
+        # exponent is T <theta, (sqrt(X_T/T), S, Sigma, curlyL)>, term by term.
+        p = CgfPoint(0.1, -0.1, -0.1, -0.1)
+        T, n = 2.0, 500
+        est, se = cgf_finite_T_mc(params44, p, T, n, 11, n_steps=100)
+        ens = simulate_ensemble(params44, T, 100, n, 11)
+        pf = functionals_from_summary(T, params44.x0, ens.x_T, ens.S, ens.Sigma)
+        e = (
+            p.lam * T * pf.sqrt_xT_over_T
+            + p.gamma * T * pf.curlyL
+            + p.mu * T * pf.S
+            + p.nu * T * pf.Sigma
+        )
+        w = np.exp(e - e.max())
+        assert est == (float(e.max()) + math.log(float(w.mean()))) / T
+        assert se == float(w.std(ddof=1)) / (float(w.mean()) * math.sqrt(n) * T)
+
+    def test_one_path_is_rejected_before_simulating(self, params44, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(cir_model, "simulate_ensemble", no_simulation)
+        for n_paths in (1, 0):
+            with pytest.raises(DomainError, match="n_paths >= 2"):
+                cgf_finite_T_mc(params44, CgfPoint(0.1, 0.0, 0.0, 0.0), 2.0, n_paths, 1)

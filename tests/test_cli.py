@@ -226,6 +226,15 @@ class TestCgfCommand:
         assert payload["experiment"] == "cgf_mc"
         assert "estimate" in payload["metrics"]
 
+    def test_mc_on_one_path_is_a_numeric_error(self, capsys, tmp_path):
+        rc, out, err = run(
+            capsys, "cgf", "--a", "4", "--b", "-1", "--mc", "--T", "1", "--n-steps", "20",
+            "--paths", "1", "--seed", "1", "--out", str(tmp_path),
+        )
+        assert (rc, out) == (3, "")
+        assert json.loads(err)["error"] == "DomainError"
+        assert not (tmp_path / "cgf_mc_report.json").exists()
+
 
 class TestAtomicArtifacts:
     def test_artifact_bytes_and_no_temporary_files(self, capsys, tmp_path):
@@ -476,6 +485,18 @@ class TestCheckSuites:
         )
         assert rc == 3
         assert json.loads(err)["error"] == "InconclusiveError"
+
+    def test_slope_default_threshold_is_off_the_mean(self, capsys, tmp_path):
+        # V's old default, 1, is its ergodic mean 2/(a-2) at a = 4, where
+        # the rate is 0 and no slope passes; the default is now twice it.
+        rc, _, _ = run(
+            capsys, "check", "slope", "--functional", "V", "--a", "4", "--b", "-1",
+            "--paths", "2000", "--seed", "1", "--T-grid", "1,2,4", "--out", str(tmp_path),
+        )
+        payload = json.loads((tmp_path / "slope_report.json").read_text())
+        assert rc in (0, 1)
+        assert payload["settings"]["c"] == 2.0
+        assert payload["metrics"]["target_rate"] > 0.0
 
     def test_clt_on_one_path_is_a_numeric_error(self, capsys, tmp_path):
         with warnings.catch_warnings():

@@ -109,6 +109,21 @@ class TestEstimators:
         below = functionals_from_summary(10.0, 1.0, 0.8, 4.1, 0.55)
         assert estimate_combined(above) == estimate_tilde(above)
         assert estimate_combined(below) == estimate_check(below)
+        # X_T = 1 is on the tilde side, though X_T / T * T rounds below 1 at
+        # T = 49; X_T within two ulps of 1, on T = 1, ..., 1000.
+        at_one = functionals_from_summary(49.0, 1.0, 1.0, 4.1, 0.55)
+        assert at_one.xT_over_T * at_one.T < 1.0
+        assert estimate_combined(at_one) == estimate_tilde(at_one)
+        x_T = np.array([1.0 - 2**-52, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 1.0 + 2**-51])
+        ones = np.ones_like(x_T)
+        for T in range(1, 1001):
+            pf = functionals_from_summary(float(T), 1.0, x_T, 4.1 * ones, 0.55 * ones)
+            combined, tilde, check = (
+                fn(pf) for fn in (estimate_combined, estimate_tilde, estimate_check)
+            )
+            for field in ("alpha", "beta"):
+                want = np.where(x_T >= 1.0, getattr(tilde, field), getattr(check, field))
+                np.testing.assert_array_equal(getattr(combined, field), want, err_msg=str(T))
 
     def test_degenerate_path_raises(self, params44):
         flat = functionals_from_summary(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -184,13 +199,53 @@ class TestArrayFunctionals:
         assert list(ESTIMATORS) == ["mle", "tilde", "check", "combined"]
 
     def test_scalar_inputs_give_scalars(self):
-        pf = functionals_from_summary(10.0, 1.0, 0.8, 4.1, 0.55)
-        for value in (pf.L, pf.curlyL, pf.sqrt_xT_over_T):
-            assert not isinstance(value, np.ndarray)
-        for fn in ESTIMATORS.values():
-            est = fn(pf)
-            assert not isinstance(est.alpha, np.ndarray)
-            assert not isinstance(est.beta, np.ndarray)
+        for kind in (float, np.float64):
+            pf = functionals_from_summary(10.0, 1.0, kind(0.8), kind(4.1), kind(0.55))
+            for value in (pf.L, pf.curlyL, pf.sqrt_xT_over_T):
+                assert not isinstance(value, np.ndarray)
+            for fn in ESTIMATORS.values():
+                est = fn(pf)
+                assert not isinstance(est.alpha, np.ndarray)
+                assert not isinstance(est.beta, np.ndarray)
+
+    @pytest.mark.parametrize("kind", ["float", "numpy scalar", "array"])
+    def test_every_input_kind_gives_the_float_formulas_bits(self, kind):
+        # The fields and the four estimates, against the formulas in plain
+        # float arithmetic with libm's log.  2.4829177990687783 is an X_T
+        # where numpy's SIMD log differs from libm's on x86-64.
+        T, x0 = 7.0, 1.3
+        x_T = [0.37, 1.0, 2.4829177990687783, 13.7]
+        S = [2.9, 3.6, 4.1, 6.2]
+        Sigma = [0.52, 0.41, 0.55, 0.36]
+        want = []
+        for x, s, sg in zip(x_T, S, Sigma):
+            log_x = math.log(x)
+            xt, L, v = x / T, (log_x - math.log(x0)) / T, s * sg - 1.0
+            tilde = ((2.0 * s * sg - xt) / v, (xt - 2.0) * sg / v)
+            check = (s * (2.0 * sg + L) / v, (-2.0 * sg - L) / v)
+            want.append([
+                xt, math.sqrt(xt), L, -math.sqrt(-log_x / T) if x < 1.0 else log_x / T, v,
+                (s * (2.0 * sg + L) - xt) / v, ((xt - 2.0) * sg - L) / v,
+                *tilde, *check, *(tilde if x >= 1.0 else check),
+            ])
+        if kind == "array":
+            pf = functionals_from_summary(T, x0, np.array(x_T), np.array(S), np.array(Sigma))
+            pfs = [pf]
+        else:
+            to = float if kind == "float" else np.float64
+            pfs = [
+                functionals_from_summary(T, x0, to(x), to(s), to(sg))
+                for x, s, sg in zip(x_T, S, Sigma)
+            ]
+        got = []
+        for pf in pfs:
+            values = [pf.xT_over_T, pf.sqrt_xT_over_T, pf.L, pf.curlyL, pf.V]
+            for fn in ESTIMATORS.values():
+                est = fn(pf)
+                values += [est.alpha, est.beta]
+            got.append(np.array(values, dtype=float).T)
+        got = np.vstack(got) if kind == "array" else np.array(got)
+        np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
     def test_one_degenerate_path_raises(self):
         pf = functionals_from_summary(

@@ -188,6 +188,36 @@ class TestSlopeExperiment:
         for i, (T, n_steps, seed_index) in enumerate(zip(T_grid, (2, 50, 100), (0, 2, 2))):
             assert rep.hits[i] == self._standalone_hits(params44, T, n_steps, seed_index)
 
+    @pytest.mark.parametrize("functional", ["S", "Sigma", "V"])
+    def test_threshold_at_the_ergodic_mean_is_rejected(self, params44, functional, monkeypatch):
+        def no_simulation(*args):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(harness, "_simulate_horizons", no_simulation)
+        mean = harness.SLOPE_FUNCTIONALS[functional][0](params44)
+        with pytest.raises(DomainError, match="ergodic mean"):
+            slope_experiment(params44, functional, mean, (1.0,), 100, 1)
+
+    @pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -1.0), (5.0, -1.0), (3.0, -2.0)])
+    def test_check_default_thresholds_leave_the_mean(self, a, b, monkeypatch):
+        # The old fixed thresholds, 5 for S and 1 for Sigma and V, sit on the
+        # mean of V at a = 4, of Sigma at (3, -1) and of S at (5, -1).
+        seen = {}
+
+        def record(params, functional, c, *args, **kwargs):
+            seen[functional] = c
+            raise InconclusiveError("not simulated")
+
+        monkeypatch.setattr(harness, "slope_experiment", record)
+        p = ProcessParams(a, b)
+        for functional, (mean, rate) in harness.SLOPE_FUNCTIONALS.items():
+            with pytest.raises(InconclusiveError):
+                harness.CHECK_SUITES["slope"](p, n_paths=10, seed=1, functional=functional)
+            assert seen[functional] > mean(p)
+            assert rate(p, seen[functional]) > 0.0
+        if (a, b) == (4.0, -1.0):
+            assert seen == {"S": 5.0, "Sigma": 1.0, "V": 2.0}
+
     def test_inconclusive_when_tail_is_empty(self, params44):
         with pytest.raises(InconclusiveError):
             slope_experiment(

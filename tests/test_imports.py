@@ -3,6 +3,7 @@ of the CLI loads nothing that a run on one worker does not use."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -66,3 +67,20 @@ def test_import_loads_no_process_pool_or_secrets(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_modules_import_only_the_standard_library_numpy_and_the_package():
+    # Every import statement of every module, wherever it sits: the blocked
+    # scipy run above would miss any other third-party import.
+    allowed = {*sys.stdlib_module_names, "numpy", "cir_ldp"}
+    foreign = []
+    for path in sorted(Path(cir_ldp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
+    assert foreign == []

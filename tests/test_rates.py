@@ -31,18 +31,15 @@ from cir_ldp import (
     region_constants,
 )
 from cir_ldp import rates
+from cir_ldp._elementwise import _maximum, _minimum, _sq, _sqrt
 from cir_ldp.harness import INFSUP_POINTS
 from cir_ldp.rates import (
     _Ja_high,
     _Ja_low,
-    _maximum,
-    _minimum,
     _rate_J_branch_A,
     _rate_J_branch_B,
     _rate_K_branch_1,
     _rate_K_branch_2,
-    _sq,
-    _sqrt,
 )
 
 # Every rate evaluation here is quiet: a RuntimeWarning fails the test.
@@ -696,6 +693,27 @@ def test_hessian_at_the_centre_is_a_quarter_of_fisher(rate, a, b):
     hbb = (f(0, 1) - 2.0 * f0 + f(0, -1)) / h**2
     hab = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4.0 * h * h)
     np.testing.assert_allclose([[haa, hab], [hab, hbb]], want, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0), (6.0, -3.0), (2.5, -0.5)])
+def test_one_dimensional_curvature_is_the_inverse_variance(a, b):
+    # rate'' at the ergodic mean times the functional's asymptotic variance
+    # is 1.  The variances come from Lambda's Hessian at 0 in (mu, nu):
+    # 4a/(-b)^3 for S, -4b/(a-2)^3 for Sigma, -4/((a-2)(-b)) across them,
+    # and grad' H grad for V = S Sigma - 1, grad = (E 1/X, E X).
+    p = ProcessParams(a, b)
+    mean_x, mean_inv = -a / b, -b / (a - 2.0)
+    h_mm, h_nn, h_mn = 4.0 * a / (-b) ** 3, -4.0 * b / (a - 2.0) ** 3, -4.0 / ((a - 2.0) * (-b))
+    var_v = mean_inv**2 * h_mm + 2.0 * mean_inv * mean_x * h_mn + mean_x**2 * h_nn
+    h = 1e-4
+    cases = [
+        (rate_S, mean_x, h_mm),
+        (rate_Sigma, mean_inv, h_nn),
+        (rate_V, mean_x * mean_inv - 1.0, var_v),
+    ]
+    for rate, centre, variance in cases:
+        curvature = (rate(p, centre + h) - 2.0 * rate(p, centre) + rate(p, centre - h)) / h**2
+        assert curvature * variance == pytest.approx(1.0, rel=0.0, abs=1e-6), rate.__name__
 
 
 @pytest.mark.parametrize("a, b", [(4.0, -1.0), (3.0, -2.0), (6.0, -3.0), (2.5, -0.5)])
