@@ -34,6 +34,9 @@ MAY_FAIL = (["check", "clt"], ["check", "slope"])
 SETS = [("4", "-1"), ("3", "-2"), ("6", "-3"), ("2.5", "-0.5")]
 AB = ["--a", "4", "--b", "-1"]
 SIM = ["simulate", *AB, "--T", "2.5", "--n-steps", "37", "--paths", "5", "--seed", "7"]
+# The same run with the step count spelt as a float: a flag's text is read as
+# the number it spells, as a config file's value is.
+SIM_FLOAT_STEPS = [("37.0" if arg == "37" else arg) for arg in SIM]
 # 12 300 paths are three full blocks and one of 12 paths.  One worker advances
 # all four in lockstep; three take one, one and two.
 BLOCKS = [*AB, "--paths", "12300", "--seed"]
@@ -53,7 +56,7 @@ CHECKS = [
     ("rate --which I --grid", [["rate", "--which", "I", "--grid", *AB]]),
     ("simulate: 1 worker, 2 workers, config file", [
         [*SIM, "--workers", "1"], [*SIM, "--workers", "2"],
-        ["simulate", "--config", str(CI / "simulate.json")],
+        ["simulate", "--config", str(CI / "simulate.json")], SIM_FLOAT_STEPS,
     ]),
     ("estimate", [["estimate", *AB, "--T", "2", "--n-steps", "50", "--paths", "20",
                    "--seed", "7"]]),

@@ -1,15 +1,16 @@
 """Command-line entry point.
 
-Exit codes: 0 success (and every requested check passed), 1 check failure,
-2 usage or configuration error, 3 numeric error.  Failures emit a
-machine-readable JSON object on stderr.  +inf is encoded as the string
-"inf" in both CSV and JSON artifacts, and identical invocations produce
-byte-identical artifacts.
+argparse only splits argv: ``_convert`` types each value, from a flag or a
+config file, by the same rules.  Exit codes: 0 success (and every requested
+check passed), 1 check failure, 2 usage, configuration or I/O error, 3 numeric
+error; every failure prints one JSON line on stderr.  +inf is "inf" in CSV and
+JSON artifacts, and identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
@@ -202,9 +203,9 @@ def _parse_T_grid(value) -> tuple[float, ...]:
 def _convert(key: str, value):
     """Turn flag text or a JSON scalar into the type of option ``key``.
 
-    Floats must be finite, except the rate coordinates; integers must be
-    integral; switches must be booleans, and only switches take booleans;
-    choices must be one of theirs.
+    A number option reads text as the number it spells; then floats must be
+    finite, except the rate coordinates; integers must be integral; switches,
+    and only switches, take booleans; choices must be one of theirs.
     """
     kind = _OPTIONS[key][1]
     if kind == "T_grid":
@@ -219,10 +220,17 @@ def _convert(key: str, value):
         if value not in kind:
             raise ConfigError(f"config key {key!r} must be one of {list(kind)}, got {value!r}")
         return value
+    if kind in (int, float) and isinstance(value, str):
+        for read in (int, float):  # int first: 64-bit seeds stay exact
+            with contextlib.suppress(ValueError):
+                value = read(value)
+                break
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
     try:
         out = kind(value)
+    except OverflowError:  # an integer beyond float range reads as 1e400 does
+        out = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
     if kind is float and not math.isfinite(out) and key not in _COORDINATES:
@@ -349,11 +357,6 @@ def _report(cfg: RunConfig, payload: dict, name: str | None = None) -> None:
     if name is not None:
         _write(cfg, name, text)
     sys.stdout.write(text)
-
-
-def _emit_error(exc: BaseException) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _fmt_value(v: float) -> str:
@@ -554,8 +557,13 @@ def dispatch(command: str, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a syntax error prints as one JSON line, as any ConfigError
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cir-ldp",
         description=(
             "Exact simulation, drift estimation, and large-deviation rate "
@@ -569,38 +577,30 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "check":
             p.add_argument("suite", choices=list(CHECK_SUITES))
         p.add_argument("--config", help="flat JSON config file (flags override it)")
-        # No argparse defaults: an absent flag must not hide a config-file value.
+        # Text only, no defaults: an absent flag must not hide a config-file value.
         for dest in (*_COMMON, *own):
             flag, kind, _, option_help = _OPTIONS[dest]
-            if kind == "switch":
-                how = {"action": "store_const", "const": True}
-            elif isinstance(kind, tuple):
-                how = {"choices": list(kind)}
-            else:
-                how = {"type": kind if kind in (float, int) else None}
-            p.add_argument(flag, dest=dest, help=option_help, **how)
+            how = {"action": "store_const", "const": True} if kind == "switch" else {}
+            metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+            p.add_argument(flag, dest=dest, help=option_help, metavar=metavar, **how)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # main's parser, built once per process: parse_args keeps no state.
-    return build_parser()
+# main's parser, built once per process: parse_args keeps no state.
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
     try:
         ns = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return dispatch(ns.command, parse_config(ns))
-    except (ConfigError, RegimeError) as exc:
-        _emit_error(exc)
-        return 2
-    except (CirLdpError, OverflowError) as exc:
-        _emit_error(exc)
-        return 3
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
+    except (CirLdpError, OSError, OverflowError) as exc:
+        # One JSON line; exit 2 for usage, configuration and I/O errors, 3 for numeric ones.
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+        return 2 if isinstance(exc, (ConfigError, RegimeError, OSError)) else 3
 
 
 if __name__ == "__main__":

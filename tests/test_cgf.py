@@ -27,7 +27,7 @@ from cir_ldp import (
     simulate_ensemble,
 )
 from cir_ldp import cir_model
-from cir_ldp.cgf import _lambda_star_array, _legendre_solve
+from cir_ldp.cgf import DualVars, _lambda_star_array, _legendre_solve
 
 # Every evaluation here is quiet: a RuntimeWarning fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -562,3 +562,20 @@ class TestFiniteTMc:
         for n_paths in (1, 0):
             with pytest.raises(DomainError, match="n_paths >= 2"):
                 cgf_finite_T_mc(params44, CgfPoint(0.1, 0.0, 0.0, 0.0), 2.0, n_paths, 1)
+
+
+# dual_vars on (4, -1): None on and outside the domain edges b^2 = 8 mu and
+# (a - 2)^2 = 8 nu, the dual variables inside.
+_DUAL_VARS_CASES = [
+    ("mu edge", (0.125, 0.0), None),
+    ("nu edge", (0.0, 0.5), None),
+    ("outside both", (1.0, 1.0), None),
+    ("origin", (0.0, 0.0), DualVars(d=1.0, f=1.0, phi=8.0, g=2.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "point, expected", [c[1:] for c in _DUAL_VARS_CASES], ids=[c[0] for c in _DUAL_VARS_CASES]
+)
+def test_dual_vars_domain(params44, point, expected):
+    assert dual_vars(params44, *point) == expected

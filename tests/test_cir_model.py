@@ -578,3 +578,31 @@ class TestTrajectoryCsvReader:
         assert back.times.base is None and back.values.base is None
         pf, pf_back = compute_functionals(traj), compute_functionals(back)
         assert (pf_back.S, pf_back.Sigma) == (pf.S, pf.Sigma)
+
+
+# Input checks of the model layer: (id, call on (4, -1), the error it raises).
+_INPUT_CHECKS = [
+    ("kernel horizon", lambda p: transition_kernel(p, 0.0, 1.0),
+     DomainError("horizon t must be positive, got 0.0")),
+    ("kernel state", lambda p: transition_kernel(p, 1.0, 0.0),
+     DomainError("state x must be positive, got 0.0")),
+    ("sample state", lambda p: sample_transition(p, 1.0, -1.0, path_rng(1, 0)),
+     DomainError("state x must be positive, got -1.0")),
+    ("2-D trajectory", lambda p: Trajectory(np.zeros((2, 2)), np.ones((2, 2)), p),
+     ValueError("times and values must be one-dimensional")),
+    ("empty trajectory", lambda p: Trajectory(np.array([]), np.array([]), p),
+     ValueError("trajectory needs at least one grid point")),
+    ("seed type", lambda p: simulate_ensemble(p, 1.0, 10, 2, "7"),
+     TypeError("expected an int seed or numpy Generator, got <class 'str'>")),
+    ("no steps", lambda p: simulate_ensemble(p, 1.0, 0, 2, 7),
+     DomainError("n_steps must be at least 1, got 0")),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error", [c[1:] for c in _INPUT_CHECKS], ids=[c[0] for c in _INPUT_CHECKS]
+)
+def test_input_checks(params44, call, error):
+    with pytest.raises(type(error)) as info:
+        call(params44)
+    assert str(info.value) == str(error)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cir_ldp
@@ -31,7 +33,7 @@ from cir_ldp import (
     simulate_path,
     write_trajectory_csv,
 )
-from cir_ldp import harness
+from cir_ldp import ConfigError, cli, harness
 from cir_ldp.cli import _fmt_value, _jsonable, main, parse_config
 from cir_ldp.harness import CHECK_SUITES
 
@@ -133,6 +135,12 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _one_json_line(err: str) -> dict:
+    """The JSON object of a failure's stderr, which must be exactly one line."""
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    return json.loads(err)
 
 
 class TestRateCommand:
@@ -277,9 +285,13 @@ class TestConfigHandling:
 
     def test_nested_config_rejected(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"a": 4.0, "b": -1.0, "sim": {"T": 2.0}}))
+        # A known key, so the unknown-key check cannot answer first.
+        cfgfile.write_text(json.dumps({"a": 4.0, "b": -1.0, "T": {"v": 2}}))
         rc, _, err = run(capsys, "rate", "--which", "J", "--alpha", "2", "--beta", "0", "--config", str(cfgfile))
         assert rc == 2
+        assert json.loads(err) == {
+            "error": "ConfigError", "message": "config key 'T' must be flat, not nested"
+        }
 
     def test_flags_override_config_file(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.json"
@@ -592,12 +604,48 @@ class TestParser:
         assert "simulate" in out
 
     def test_unknown_flag_is_usage_error(self, capsys):
-        rc, _, _ = run(capsys, "rate", "--which", "J", "--frobnicate", "1")
-        assert rc == 2
+        rc, out, err = run(capsys, "rate", "--which", "J", "--frobnicate", "1")
+        assert (rc, out) == (2, "")
+        assert _one_json_line(err) == {
+            "error": "ConfigError", "message": "unrecognized arguments: --frobnicate 1"
+        }
 
     def test_missing_command_is_usage_error(self, capsys):
-        rc, _, _ = run(capsys)
-        assert rc == 2
+        rc, out, err = run(capsys)
+        assert (rc, out) == (2, "")
+        assert _one_json_line(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rate", "--a"], "argument --a: expected one argument"),
+            (["check", "everything"], "argument suite: invalid choice: 'everything'"),
+            (["rate", "--grid", "1"], "unrecognized arguments: 1"),
+        ],
+        ids=["flag without value", "unknown suite", "switch with a value"],
+    )
+    def test_syntax_errors_are_one_json_line(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        payload = _one_json_line(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(message)
+
+    def test_version_exits_zero(self, capsys):
+        rc, out, err = run(capsys, "--version")
+        assert (rc, out, err) == (0, cir_ldp.__version__ + "\n", "")
+
+    def test_options_are_text_only_and_help_lists_the_choices(self, capsys):
+        # argparse only splits argv: no option flag has a type or choices, so
+        # _convert alone types a value, and --help lists choices as a metavar.
+        commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        for command, sub in commands.choices.items():
+            for action in sub._actions:
+                if action.option_strings:
+                    assert (action.type, action.choices) == (None, None), (command, action.dest)
+        rc, out, _ = run(capsys, "rate", "--help")
+        assert rc == 0
+        assert "--which {" + ",".join(cli._RATE_SELECTORS) + "}" in out
 
     def test_one_parser_serves_a_sequence_of_calls(self, capsys, tmp_path, monkeypatch):
         # main keeps one parser per process: a run, a usage error, a run on
@@ -770,3 +818,170 @@ def test_read_run_option_is_range_checked(capsys, tmp_path, monkeypatch, argv):
     assert (rc, out) == (2, "")
     assert json.loads(err)["error"] == "ConfigError"
     assert not (tmp_path / "out").exists()
+
+
+# A value that breaks a type rule, as a flag and as a file key: (command words,
+# flag, its text, file key, the JSON value).  Both exit 2 with the same line.
+_BAD_VALUE_CASES = [
+    (["simulate"], "--paths", "2.7", "n_paths", 2.7),
+    (["rate"], "--which", "Q", "which", "Q"),
+    (["check", "slope"], "--functional", "W", "functional", "W"),
+    (["estimate"], "--estimator", "x", "estimator", "x"),
+    (["simulate"], "--n-steps", "abc", "n_steps", "abc"),
+    (["simulate"], "--T", "inf", "T", float("inf")),
+    (["figures"], "--fig", "true", "fig", "true"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, key, value", _BAD_VALUE_CASES, ids=[c[1] for c in _BAD_VALUE_CASES]
+)
+def test_bad_value_gives_one_error_line_from_flag_or_file(
+    capsys, tmp_path, monkeypatch, command, flag, text, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    flags = run(capsys, *command, "--a", "4", "--b", "-1", "--seed", "1", flag, text, "--out", "out")
+    file = _run_config(capsys, tmp_path, " ".join(command), {"seed": 1, "out": "out", key: value})
+    assert flags == file
+    assert flags[:2] == (2, "")
+    assert _one_json_line(flags[2])["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
+# Flag text, the JSON value it spells, and what _convert gives for both.  Text
+# reads as an int first, so a 64-bit seed stays exact; an integer beyond float
+# range reads as 1e400 does.
+_BIG = "1" + "0" * 400
+_NUMBER_TEXT_CASES = [
+    ("n_steps", "37.0", "37.0", 37),
+    ("n_steps", "37", "37", 37),
+    ("n_paths", "1e3", "1e3", 1000),
+    ("seed", "18446744073709551615", "18446744073709551615", 2**64 - 1),
+    ("seed", "1.8e19", "1.8e19", 18 * 10**18),
+    ("a", "4", "4", 4.0),
+    ("x0", "-0", "-0", 0.0),
+    ("beta", "-0.0", "-0.0", -0.0),
+    ("alpha", "-inf", "-Infinity", -math.inf),
+    ("alpha", _BIG, _BIG, math.inf),
+    ("out", "007", '"007"', "007"),
+    ("n_alpha", "3", '"3"', 3),
+]
+
+
+@pytest.mark.parametrize(
+    "key, text, json_text, expected",
+    _NUMBER_TEXT_CASES,
+    ids=[f"{c[0]} {c[1][:20]}" for c in _NUMBER_TEXT_CASES],
+)
+def test_flag_text_reads_as_the_json_number_it_spells(key, text, json_text, expected):
+    for value in (cli._convert(key, text), cli._convert(key, json.loads(json_text))):
+        assert (type(value), repr(value)) == (type(expected), repr(expected))
+
+
+def test_float_spelt_step_count_writes_the_same_files(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for k, n_steps in enumerate(("37", "37.0")):
+        argv = ["simulate", "--a", "4", "--b", "-1", "--T", "2.5", "--n-steps", n_steps,
+                "--paths", "5", "--seed", "7", "--out", "out"]
+        rc, out, err = run(capsys, *argv)
+        files = {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+        runs.append((rc, out, err, files))
+        Path("out").rename(f"out{k}")
+    assert runs[0][0] == 0
+    assert len(runs[0][3]) == 5
+    assert runs[0] == runs[1]
+
+
+# Each input check of the cli module, reached through main: (id, argv beyond
+# --a 4 --b -1 --out out, config file text or None, its ConfigError message).
+# The nested-value check has its own test, test_nested_config_rejected.
+_CLI_INPUT_CHECKS = [
+    ("unreadable config", ["rate", "--config", "missing.json"], None,
+     "cannot read config file 'missing.json'"),
+    ("config not JSON", ["rate"], "{", "config file 'c.json' is not valid JSON"),
+    ("config not an object", ["rate"], "[1, 2]", "config file 'c.json' must hold a flat JSON"),
+    ("list value", ["rate"], '{"T": [1, 2]}', "config key 'T' must be a scalar"),
+    ("T_grid number", ["check", "slope"], '{"T_grid": 5}',
+     "config key 'T_grid' must be a list or comma string, got 5"),
+    ("T_grid non-number", ["check", "slope", "--T-grid", "1,x"], None,
+     "config key 'T_grid' holds a non-number: '1,x'"),
+    ("T_grid non-positive", ["check", "slope", "--T-grid", "1,-2"], None,
+     "config key 'T_grid' must hold positive horizons, got '1,-2'"),
+    ("T_grid empty", ["check", "slope"], '{"T_grid": []}',
+     "config key 'T_grid' must hold positive horizons, got []"),
+    ("not a number", ["rate", "--alpha-min", "abc"], None,
+     "config key 'alpha_min' must be a number, got 'abc'"),
+    ("not finite", ["rate", "--x0", "nan"], None, "config key 'x0' must be finite, got nan"),
+    ("T not positive", ["simulate", "--T", "-1", "--seed", "1"], None,
+     "config key 'T' must be positive, got -1.0"),
+    ("n_steps below 1", ["simulate", "--n-steps", "0", "--seed", "1"], None,
+     "config key 'n_steps' must be >= 1, got 0"),
+    ("workers below 1", ["figures", "--fig", "3", "--workers", "0"], None,
+     "config key 'n_workers' must be >= 1, got 0"),
+    ("grid selector", ["rate", "--which", "S", "--grid"], None,
+     "grid evaluation supports which in {J, K, I}, got 'S'"),
+    ("grid size", ["rate", "--which", "J", "--grid", "--n-alpha", "1"], None,
+     "grid sizes 'n_alpha' and 'n_beta' must be >= 2"),
+    ("config source", lambda: parse_config(5), None, "unsupported config source 'int'"),
+    ("command", lambda: cli.dispatch("plot", parse_config(cli.build_parser().parse_args(
+        ["figures", "--a", "4", "--b", "-1"]))), None, "unknown command 'plot'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, message", [c[1:] for c in _CLI_INPUT_CHECKS], ids=[c[0] for c in _CLI_INPUT_CHECKS]
+)
+def test_cli_input_checks(capsys, tmp_path, monkeypatch, argv, text, message):
+    monkeypatch.chdir(tmp_path)
+    if callable(argv):
+        with pytest.raises(ConfigError) as info:
+            argv()
+        assert str(info.value) == message
+        return
+    if text is not None:
+        Path("c.json").write_text(text)
+        argv = [*argv, "--config", "c.json"]
+    rc, out, err = run(capsys, *argv, "--a", "4", "--b", "-1", "--out", "out")
+    assert (rc, out) == (2, "")
+    payload = _one_json_line(err)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--T", "1", "--n-steps", "20", "--paths", "2", "--seed", "7"],
+        ["check", "infsup"],
+    ],
+    ids=["simulate", "check infsup"],
+)
+def test_unwritable_out_exits_2_with_one_json_line(capsys, tmp_path, argv):
+    # An --out under a regular file cannot be made; for check, exit 1 would
+    # read as a failed suite.
+    (tmp_path / "file").write_text("")
+    out_dir = str(tmp_path / "file" / "out")
+    rc, out, err = run(capsys, *argv, "--a", "4", "--b", "-1", "--out", out_dir)
+    assert (rc, out) == (2, "")
+    assert _one_json_line(err)["error"] == "NotADirectoryError"
+
+
+def test_non_finite_values_are_json_strings(capsys, tmp_path):
+    cfg = cli.RunConfig(4.0, -1.0, 1.0, 1.0, 10, 1, None, str(tmp_path))
+    inf, nan = float("inf"), float("nan")
+    payload = {
+        "floats": [inf, -inf, nan, 0.5],
+        "array": np.array([1.0, inf, -inf, nan]),
+        "numpy scalars": (np.float64(-inf), np.int64(3), np.bool_(True)),
+    }
+    cli._report(cfg, payload, "r.json")
+    written = (tmp_path / "r.json").read_text()
+    assert capsys.readouterr().out == written
+    assert json.loads(written) == {
+        "floats": ["inf", "-inf", "nan", 0.5],
+        "array": [1.0, "inf", "-inf", "nan"],
+        "numpy scalars": ["-inf", 3, True],
+    }
+    assert [_fmt_value(v) for v in (inf, -inf, -0.0, 1.5)] == ["inf", "-inf", "0.000000", "1.500000"]

@@ -317,3 +317,30 @@ class TestProfileCurves:
         assert abs(c.Jb[0]) <= 1e-12
         assert abs(c.Ja[1]) <= 1e-12
         assert abs(c.Ia[1]) <= 1e-12
+
+
+# Input checks and edge cases of the harness: (id, call on (4, -1), the
+# value it returns or the error it raises).
+_INPUT_CHECKS = [
+    ("slope functional", lambda p: slope_experiment(p, "W", 5.0, (1.0,), 10, 1),
+     DomainError("functional must be one of ['S', 'Sigma', 'V'], got 'W'")),
+    ("slope empty T_grid", lambda p: slope_experiment(p, "S", 5.0, (), 10, 1),
+     DomainError("T_grid must be non-empty")),
+    ("infinite grid range", lambda p: surface_grid(p, alpha_range=(3.0, math.inf)),
+     DomainError("grid ranges must be finite")),
+    # Every beta above b/3: no node on the shared branch, so no difference.
+    ("no shared branch", lambda p: surface_grid(p, beta_range=(-0.2, -0.1), n_alpha=2,
+                                                n_beta=2).max_shared_diff(p), 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "call, expected", [c[1:] for c in _INPUT_CHECKS], ids=[c[0] for c in _INPUT_CHECKS]
+)
+def test_input_checks(params44, call, expected):
+    if not isinstance(expected, Exception):
+        assert call(params44) == expected
+        return
+    with pytest.raises(type(expected)) as info:
+        call(params44)
+    assert str(info.value) == str(expected)

@@ -962,3 +962,28 @@ class TestArrays:
         want = [j_formula(x, y) for x, y in pts]
         assert rate_J(params44, *map(np.array, zip(*pts))).tolist() == want
         assert [rate_J(params44, x, y) for x, y in pts] == want
+
+
+# Input checks and edge cases of the rate layer: (id, call on (4, -1), the
+# value it returns or the error it raises).
+_INPUT_CHECKS = [
+    ("marginal_inf_numeric axis", lambda p: marginal_inf_numeric(p, "J", "c", 1.0),
+     DomainError("axis must be 'a' or 'b', got 'c'")),
+    # At beta = 0 each surface is finite only at its apex (apex, 0).
+    ("J at beta 0", lambda p: marginal_inf_numeric(p, "J", "b", 0.0),
+     rate_J(ProcessParams(4.0, -1.0), 2.0, 0.0)),
+    ("K at beta 0", lambda p: marginal_inf_numeric(p, "K", "b", 0.0),
+     rate_K(ProcessParams(4.0, -1.0), 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, expected", [c[1:] for c in _INPUT_CHECKS], ids=[c[0] for c in _INPUT_CHECKS]
+)
+def test_input_checks(params44, call, expected):
+    if not isinstance(expected, Exception):
+        assert call(params44) == expected
+        return
+    with pytest.raises(type(expected)) as info:
+        call(params44)
+    assert str(info.value) == str(expected)
