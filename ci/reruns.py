@@ -48,6 +48,29 @@ for a, b in ((4.0, -1.0), (3.0, -2.0), (6.0, -3.0), (2.5, -0.5)):
     p = ProcessParams(a, b)
     print(a, b, rate_I_infsup(p, 0.0, 0.0).hex(), rate_I_infsup(p, 2.0, 0.0).hex())
 """
+# Lambda and its gradient at each parameter set, in each sector (lam^2/(d-b),
+# gamma^2/phi, neither, and lam > 0 > gamma on either side of the switching
+# surface) and outside the domain, where the gradient exits 3: through the
+# cli, and as the library's bits.
+CGF_POINTS = f"""\
+from cir_ldp import BoundaryError, CgfPoint, ProcessParams, cgf_gradient, cgf_limit
+from cir_ldp.cli import main
+points = [("-0.5", "-0.3", "-0.2", "0.4"), ("0.7", "-0.3", "-0.2", "0"),
+          ("0", "-0.3", "-0.2", "-0.6"), ("0.8", "-0.4", "-0.7", "-0.1"),
+          ("0.1", "-0.4", "-0.7", "-1.5"), ("0.3", "5", "0", "0")]
+for a, b in {SETS!r}:
+    for lam, mu, nu, gamma in points:
+        for extra in ([], ["--gradient"]):
+            argv = ["cgf", "--a", a, "--b", b, "--lam", lam, "--mu", mu, "--nu", nu,
+                    "--gamma", gamma, *extra]
+            print(*argv[1:], main(argv), flush=True)
+        p, theta = ProcessParams(float(a), float(b)), CgfPoint(*map(float, (lam, mu, nu, gamma)))
+        try:
+            grad = [g.hex() for g in cgf_gradient(p, theta).tolist()]
+        except BoundaryError as exc:
+            grad = str(exc)
+        print(cgf_limit(p, theta).hex(), grad, flush=True)
+"""
 PER_SET = [["check", "continuity"], ["check", "infsup"], ["check", "legendre"],
            ["figures", "--fig", "3"]]
 CHECKS = [
@@ -67,6 +90,7 @@ CHECKS = [
     ("check clt --estimator all", [["check", "clt", "--estimator", "all", *AB, "--T", "2",
                                     "--n-steps", "100", "--paths", "300", "--seed", "5"]]),
     ("rate_I_infsup at the special points", [SPECIAL_POINTS]),
+    ("cgf and cgf --gradient in each sector", [CGF_POINTS]),
 ]
 
 

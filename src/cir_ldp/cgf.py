@@ -30,11 +30,9 @@ from .functionals import functionals_from_summary
 
 __all__ = [
     "CgfPoint",
-    "DualVars",
     "cgf_finite_T_mc",
     "cgf_gradient",
     "cgf_limit",
-    "dual_vars",
     "lambda_star",
     "legendre_transform_numeric",
 ]
@@ -60,35 +58,17 @@ class CgfPoint:
     gamma: float
 
 
-@dataclass(frozen=True)
-class DualVars:
-    """Dual variables (d, f) with the derived phi = 2f + a + 2 and g = phi/4."""
-
-    d: float
-    f: float
-    phi: float
-    g: float
-
-
 def _dual_floats(
     a: float, b: float, mu: float, nu: float
 ) -> tuple[float, float, float] | None:
-    # (d, f, phi) as plain floats, or None outside the open CGF domain.
+    # The dual map (mu, nu) -> (d, f, phi), or None outside the open CGF
+    # domain.  Lambda, its gradient and the numeric transform all read it.
     rad_d = b * b - 8.0 * mu
     rad_f = (a - 2.0) ** 2 - 8.0 * nu
     if rad_d <= 0.0 or rad_f <= 0.0:
         return None
     f = 0.5 * math.sqrt(rad_f)
     return math.sqrt(rad_d), f, 2.0 * f + a + 2.0
-
-
-def dual_vars(params: ProcessParams, mu: float, nu: float) -> DualVars | None:
-    """Dual variables at (mu, nu), or None outside the open CGF domain."""
-    dfp = _dual_floats(params.a, params.b, mu, nu)
-    if dfp is None:
-        return None
-    d, f, phi = dfp
-    return DualVars(d=d, f=f, phi=phi, g=0.25 * phi)
 
 
 def _branch(lam: float, gamma: float, d_minus_b: float, phi: float) -> int:
@@ -105,13 +85,10 @@ def _branch(lam: float, gamma: float, d_minus_b: float, phi: float) -> int:
     return 0
 
 
-def _cgf_value(a: float, b: float, lam: float, mu: float, nu: float, gamma: float) -> float:
-    # cgf_limit on plain floats, for the numeric transform's solve, where
-    # CgfPoint/DualVars construction would cost more than the arithmetic.
-    dfp = _dual_floats(a, b, mu, nu)
-    if dfp is None:
-        return INF
-    d, f, phi = dfp
+def _cgf_at(
+    a: float, b: float, lam: float, gamma: float, d: float, f: float, phi: float
+) -> float:
+    # Lambda at (lam, mu, nu, gamma) from the duals (d, f, phi) of (mu, nu).
     value = -0.5 * d * (1.0 + f) - 0.25 * a * b
     sector = _branch(lam, gamma, d - b, phi)
     if sector == 1:
@@ -130,25 +107,9 @@ def cgf_limit(params: ProcessParams, p: CgfPoint) -> float:
     """
     if any(math.isnan(v) for v in (p.lam, p.mu, p.nu, p.gamma)):
         return math.nan
-    return _cgf_value(params.a, params.b, p.lam, p.mu, p.nu, p.gamma)
-
-
-def _gradient_terms(
-    b: float, lam: float, gamma: float, d: float, f: float, phi: float
-) -> tuple[float, float, float, float]:
-    # One-sided gradient consistent with the branch dispatch of cgf_limit;
-    # no boundary or switching-surface guards.
-    sector = _branch(lam, gamma, d - b, phi)
-    g_lam = 2.0 * lam / (d - b) if sector == 1 else 0.0
-    g_mu = 2.0 * (1.0 + f) / d
-    if sector == 1:
-        g_mu += 4.0 * lam * lam / (d * (d - b) ** 2)
-    g_nu = d / (2.0 * f)
-    g_gamma = 0.0
-    if sector == 2:
-        g_nu += 2.0 * gamma * gamma / (f * phi * phi)
-        g_gamma = 2.0 * gamma / phi
-    return g_lam, g_mu, g_nu, g_gamma
+    a, b = params.a, params.b
+    dfp = _dual_floats(a, b, p.mu, p.nu)
+    return INF if dfp is None else _cgf_at(a, b, p.lam, p.gamma, *dfp)
 
 
 def cgf_gradient(
@@ -178,18 +139,27 @@ def cgf_gradient(
             f"nu={p.nu} is within {tol} of the domain boundary "
             f"(a-2)^2/8={(a - 2.0) ** 2 / 8.0}"
         )
-    dv = dual_vars(params, p.mu, p.nu)
-    assert dv is not None
-    if p.lam > 0.0 and p.gamma < 0.0:
-        ratio_gap = abs(
-            p.gamma * p.gamma / (p.lam * p.lam) - dv.phi / (dv.d - b)
+    dfp = _dual_floats(a, b, p.mu, p.nu)
+    assert dfp is not None
+    d, f, phi = dfp
+    lam, gamma = p.lam, p.gamma
+    if lam > 0.0 and gamma < 0.0 and abs(gamma * gamma / (lam * lam) - phi / (d - b)) < tol:
+        raise BoundaryError(
+            "point is within tolerance of the branch switching surface "
+            "gamma^2/lam^2 = phi/(d-b); Lambda is kinked there"
         )
-        if ratio_gap < tol:
-            raise BoundaryError(
-                "point is within tolerance of the branch switching surface "
-                "gamma^2/lam^2 = phi/(d-b); Lambda is kinked there"
-            )
-    return np.array(_gradient_terms(b, p.lam, p.gamma, dv.d, dv.f, dv.phi))
+    # One-sided where Lambda is kinked, by cgf_limit's sector rule.
+    sector = _branch(lam, gamma, d - b, phi)
+    g_lam = 2.0 * lam / (d - b) if sector == 1 else 0.0
+    g_mu = 2.0 * (1.0 + f) / d
+    if sector == 1:
+        g_mu += 4.0 * lam * lam / (d * (d - b) ** 2)
+    g_nu = d / (2.0 * f)
+    g_gamma = 0.0
+    if sector == 2:
+        g_nu += 2.0 * gamma * gamma / (f * phi * phi)
+        g_gamma = 2.0 * gamma / phi
+    return np.array([g_lam, g_mu, g_nu, g_gamma])
 
 
 def cgf_finite_T_mc(
@@ -212,14 +182,15 @@ def cgf_finite_T_mc(
     Raises
     ------
     DomainError
-        If ``n_paths`` < 2, where no standard error exists.
+        If ``n_paths`` < 2, where no standard error exists, or T is not
+        positive and finite.
     OverflowError
         If any exponent is non-finite (extreme argument points).
     """
     if n_paths < 2:
         raise DomainError(f"the standard error needs n_paths >= 2, got {n_paths}")
     if n_steps is None:
-        n_steps = max(2, round(200 * T))
+        n_steps = cir_model._steps_for(T, 200)
     ens = cir_model.simulate_ensemble(params, T, n_steps, n_paths, rng, n_workers)
     pf = functionals_from_summary(T, params.x0, ens.x_T, ens.S, ens.Sigma)
     # An overflow here is reported by the check below, not as a warning.
@@ -461,7 +432,7 @@ def _legendre_solve(
         else:
             theta = (lam_s, mu, nu, 0.0)
         lam, _, _, gamma = theta
-        value = x * lam + y * mu + z * nu + t * gamma - _cgf_value(a, b, *theta)
+        value = x * lam + y * mu + z * nu + t * gamma - _cgf_at(a, b, lam, gamma, d, f, phi)
         return theta, value, d, f, phi, lam_s
 
     mu = nu = 0.0

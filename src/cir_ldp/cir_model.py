@@ -140,11 +140,11 @@ def conditional_moments(params: ProcessParams, t: float, x: float) -> tuple[floa
     Raises
     ------
     DomainError
-        If t <= 0 or x <= 0.
+        If t or x is not positive (nan included).
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"horizon t must be positive, got {t}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"state x must be positive, got {x}")
     a, b = params.a, params.b
     ebt = math.exp(b * t)
@@ -160,34 +160,23 @@ class TransitionKernel:
 
     ``X_{s+t} | X_s = x`` equals ``scale * W`` where W is noncentral
     chi-squared with ``params.a`` degrees of freedom and noncentrality
-    ``noncentrality``.  ``d0 = -b`` and ``f0 = (a-2)/2`` are the kernel's
-    decay rate and Bessel order; they coincide with the dual variables of the
-    limiting cumulant generating function at the origin.
+    ``noncentrality``.
     """
 
-    d0: float
-    f0: float
-    t: float
     scale: float
     noncentrality: float
 
 
 def transition_kernel(params: ProcessParams, t: float, x: float) -> TransitionKernel:
     """Kernel constants for the exact transition over horizon t from state x."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"horizon t must be positive, got {t}")
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"state x must be positive, got {x}")
-    a, b = params.a, params.b
+    b = params.b
     ebt = math.exp(b * t)
     c = math.expm1(b * t) / b
-    return TransitionKernel(
-        d0=-b,
-        f0=(a - 2.0) / 2.0,
-        t=float(t),
-        scale=c,
-        noncentrality=x * ebt / c,
-    )
+    return TransitionKernel(scale=c, noncentrality=x * ebt / c)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +236,11 @@ def bessel_log_i(nu: float, z: float) -> float:
     Raises
     ------
     DomainError
-        If z <= 0 or nu < 0.
+        If z is not positive or nu not nonnegative (nan included).
     """
-    if z <= 0.0:
+    if not z > 0.0:
         raise DomainError(f"Bessel argument must be positive, got z={z}")
-    if nu < 0.0:
+    if not nu >= 0.0:
         raise DomainError(f"Bessel order must be nonnegative, got nu={nu}")
     if z <= 100.0 + nu * nu:
         return _log_iv_series(nu, z)
@@ -273,9 +262,9 @@ def transition_log_density(params: ProcessParams, t: float, x: float, y: float) 
     Raises
     ------
     DomainError
-        If t, x, or y is nonpositive.
+        If t, x, or y is not positive (nan included).
     """
-    if t <= 0.0 or x <= 0.0 or y <= 0.0:
+    if not (t > 0.0 and x > 0.0 and y > 0.0):
         raise DomainError(f"t, x, y must all be positive, got t={t}, x={x}, y={y}")
     a, b = params.a, params.b
     d = -b
@@ -325,6 +314,19 @@ def _step(x, g, z, c: float, rate: float, sqrt=math.sqrt):
     return c * (2.0 * g + u * u)
 
 
+def _check_horizon(T: float) -> None:
+    # A simulated horizon is positive and finite; nan is neither.
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"horizon T must be positive and finite, got {T}")
+
+
+def _steps_for(T: float, per_unit: float) -> int:
+    # The Monte Carlo experiments' default grid over horizon T:
+    # max(2, round(per_unit T)) steps.
+    _check_horizon(T)
+    return max(2, round(per_unit * T))
+
+
 def sample_transition(
     params: ProcessParams, t: float, x: float, rng: np.random.Generator
 ) -> float:
@@ -335,7 +337,7 @@ def sample_transition(
     takes G ~ Gamma((a-1)/2), then Z ~ N(0, 1), from ``rng`` and returns
     scale * (2 G + (Z + sqrt(lam))^2), which is strictly positive.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"state x must be positive, got {x}")
     c, rate, shape = _step_constants(params, t)
     g = float(rng.standard_gamma(shape))
@@ -346,10 +348,11 @@ def sample_transition(
 class Trajectory:
     """Discrete skeleton of one path on a time grid starting at 0.
 
-    The grid must be strictly increasing with times[0] = 0 and
-    values[0] = params.x0; all states are strictly positive.  Uniformity of
-    the grid is *not* enforced here; quadrature code checks it and raises
-    GridError, so synthetic non-uniform grids can exist for testing.
+    The grid must be finite and strictly increasing with times[0] = 0 and
+    values[0] = params.x0; all states are finite and strictly positive.
+    Uniformity of the grid is *not* enforced here; quadrature code checks it
+    and raises GridError, so synthetic non-uniform grids can exist for
+    testing.
     """
 
     times: np.ndarray
@@ -370,10 +373,12 @@ class Trajectory:
             raise ValueError("trajectory needs at least one grid point")
         if self.times[0] != 0.0:
             raise ValueError(f"grid must start at 0, got times[0]={self.times[0]}")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("grid times must be strictly increasing")
-        if np.any(self.values <= 0.0):
-            raise ValueError("all states must be strictly positive")
+        # Written so that nan fails them; times[0] = 0 and increasing times
+        # are finite when the last one is.
+        if not (np.all(np.diff(self.times) > 0.0) and self.times[-1] < np.inf):
+            raise ValueError("grid times must be finite and strictly increasing")
+        if not np.all((self.values > 0.0) & (self.values < np.inf)):
+            raise ValueError("all states must be finite and strictly positive")
         if self.values[0] != self.params.x0:
             raise ValueError(
                 f"values[0]={self.values[0]} does not match x0={self.params.x0}"
@@ -392,8 +397,7 @@ def simulate_path(
     and chains the transition step of sample_transition through them, so the
     result is a deterministic function of the generator state.
     """
-    if T <= 0.0:
-        raise DomainError(f"horizon T must be positive, got {T}")
+    _check_horizon(T)
     if n_steps < 1:
         raise DomainError(f"n_steps must be at least 1, got {n_steps}")
     c, rate, shape = _step_constants(params, T / n_steps)
@@ -524,8 +528,7 @@ def _simulate_horizons(
     # each has the bits of simulate_ensemble(params, T, n_steps, n_paths,
     # rng), since the paths and their draws do not depend on where they stop.
     for n_steps, T in horizons:
-        if T <= 0.0:
-            raise DomainError(f"horizon T must be positive, got {T}")
+        _check_horizon(T)
         if n_steps < 1:
             raise DomainError(f"n_steps must be at least 1, got {n_steps}")
     if n_paths < 1:

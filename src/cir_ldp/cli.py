@@ -191,23 +191,28 @@ def _parse_T_grid(value) -> tuple[float, ...]:
         parts = list(value)
     else:
         raise ConfigError(f"config key 'T_grid' must be a list or comma string, got {value!r}")
+    # Each horizon is read by the float rule: a boolean is no number, text is
+    # the number it spells, and an integer beyond float range is inf.
     try:
-        grid = tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
+        grid = tuple(_convert("T_grid", p, float) for p in parts)
+    except ConfigError:
         raise ConfigError(f"config key 'T_grid' holds a non-number: {value!r}") from None
-    if not grid or any(T <= 0.0 or not math.isfinite(T) for T in grid):
+    if not grid or any(not 0.0 < T < math.inf for T in grid):
         raise ConfigError(f"config key 'T_grid' must hold positive horizons, got {value!r}")
     return grid
 
 
-def _convert(key: str, value):
+def _convert(key: str, value, kind=None):
     """Turn flag text or a JSON scalar into the type of option ``key``.
 
     A number option reads text as the number it spells; then floats must be
     finite, except the rate coordinates; integers must be integral; switches,
-    and only switches, take booleans; choices must be one of theirs.
+    and only switches, take booleans; choices must be one of theirs.  ``kind``
+    overrides the option's kind for an item of a list option, whose range
+    the list's parser checks.
     """
-    kind = _OPTIONS[key][1]
+    declared = _OPTIONS[key][1]
+    kind = declared if kind is None else kind
     if kind == "T_grid":
         return _parse_T_grid(value)
     if kind == "switch":
@@ -233,7 +238,7 @@ def _convert(key: str, value):
         out = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
-    if kind is float and not math.isfinite(out) and key not in _COORDINATES:
+    if declared is float and not math.isfinite(out) and key not in _COORDINATES:
         raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     return out
 
@@ -339,6 +344,8 @@ def _jsonable(obj):
 
 
 def _out_dir(cfg: RunConfig) -> Path:
+    # simulate, estimate, check and cgf --mc call this first, so an --out
+    # that cannot be made fails before their run.
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
@@ -414,6 +421,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_estimate(cfg: RunConfig) -> int:
+    _out_dir(cfg)
     selector = cfg.settings.get("estimator", "all")
     names = list(ESTIMATORS) if selector == "all" else [selector]
     ens = simulate_ensemble(
@@ -469,6 +477,7 @@ def _cmd_cgf(cfg: RunConfig) -> int:
     coords = [s["lam"], s["mu"], s["nu"], s["gamma"]]
     point = CgfPoint(*coords)
     if s["mc"]:
+        _out_dir(cfg)
         estimate, stderr = cgf_finite_T_mc(
             cfg.params, point, cfg.T, cfg.n_paths, cfg.seed,
             n_steps=cfg.total_steps, n_workers=cfg.n_workers,
@@ -489,6 +498,7 @@ def _cmd_cgf(cfg: RunConfig) -> int:
 
 
 def _cmd_check(cfg: RunConfig) -> int:
+    _out_dir(cfg)
     suite = cfg.settings["suite"]
     offered = {
         **cfg.settings,

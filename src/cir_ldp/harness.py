@@ -26,6 +26,7 @@ from .cir_model import (
     ProcessParams,
     _coerce_seed,
     _simulate_horizons,
+    _steps_for,
     _substream,
     simulate_ensemble,
 )
@@ -180,7 +181,8 @@ def clt_experiments(
     closed-form target, entrywise within ``tolerance``.  The combined couple
     picks tilde or check per path; both are sqrt(T)-equivalent to the MLE,
     so its limit is the same 4 C^-1.  ``n_paths`` < 2 raises DomainError: a
-    covariance needs two samples.
+    covariance needs two samples.  So does a T that is not positive and
+    finite.
     """
     for name in estimators:
         if name not in ESTIMATORS:
@@ -191,7 +193,7 @@ def clt_experiments(
         raise DomainError(f"n_paths must be at least 2 for a covariance, got {n_paths}")
     seed = _coerce_seed(rng)
     if n_steps is None:
-        n_steps = max(2, round(200.0 * T))
+        n_steps = _steps_for(T, 200.0)
     ens = simulate_ensemble(params, T, n_steps, n_paths, seed, n_workers=n_workers)
     pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
     return [_clt_report(params, ens, pf, name, seed, tolerance) for name in estimators]
@@ -262,7 +264,8 @@ def slope_experiment(
     Raises
     ------
     DomainError
-        If c is the ergodic mean, where the rate is 0 and no slope can pass.
+        If c is the ergodic mean, where the rate is 0 and no slope can pass,
+        or a horizon is not positive and finite.
     InconclusiveError
         If the hit count at the largest T falls below 50.
     """
@@ -279,7 +282,7 @@ def slope_experiment(
         raise DomainError(f"c={c} is the ergodic mean of {functional}, where its rate is 0")
     target = rate(params, c)
     upper = c > mean
-    horizons = [(max(2, round(n_steps_per_unit * T)), T) for T in T_grid]
+    horizons = [(_steps_for(T, n_steps_per_unit), T) for T in T_grid]
     groups: dict[float, list[int]] = {}
     for i, (n_steps, T) in enumerate(horizons):
         groups.setdefault(T / n_steps, []).append(i)

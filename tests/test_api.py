@@ -39,11 +39,18 @@ def test_every_public_function_and_class_is_declared(module):
 
 # Names removed in version 0.3.0: the alias of ProcessParams, the
 # one-estimator wrapper of clt_experiments and the reader of the worker
-# environment variable.  Spelt in parts, so that a search of the sources
-# for them finds no use left.
+# environment variable; in 0.4.0, the record of cgf's dual variables and its
+# wrapper.  Spelt in parts, so that a search of the sources for them finds no
+# use left.
 _REMOVED = [
-    "_".join(parts)
-    for parts in (("validate", "params"), ("clt", "experiment"), ("default", "workers"))
+    "".join(parts)
+    for parts in (
+        ("validate_", "params"),
+        ("clt_", "experiment"),
+        ("default_", "workers"),
+        ("Dual", "Vars"),
+        ("dual_", "vars"),
+    )
 ]
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from cir_ldp import (
     cgf_finite_T_mc,
     cgf_gradient,
     cgf_limit,
-    dual_vars,
     functionals_from_summary,
     lambda_star,
     legendre_transform_numeric,
@@ -27,7 +25,7 @@ from cir_ldp import (
     simulate_ensemble,
 )
 from cir_ldp import cir_model
-from cir_ldp.cgf import DualVars, _lambda_star_array, _legendre_solve
+from cir_ldp.cgf import _dual_floats, _lambda_star_array, _legendre_solve
 
 # Every evaluation here is quiet: a RuntimeWarning fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -193,21 +191,21 @@ class TestCgfLimit:
                 assert math.isnan(cgf_limit(params44, CgfPoint(*coords))), coords
 
     def test_quadratic_terms_by_sector(self, params44):
-        b = params44.b
-        dv = dual_vars(params44, -0.5, -0.5)
+        a, b = params44.a, params44.b
+        d, _, phi = _dual_floats(a, b, -0.5, -0.5)
         base = cgf_limit(params44, CgfPoint(0.0, -0.5, -0.5, 0.0))
         lam_side = cgf_limit(params44, CgfPoint(1.2, -0.5, -0.5, 0.0))
-        assert lam_side == pytest.approx(base + 1.2**2 / (dv.d - b), rel=1e-13)
+        assert lam_side == pytest.approx(base + 1.2**2 / (d - b), rel=1e-13)
         gam_side = cgf_limit(params44, CgfPoint(0.0, -0.5, -0.5, -0.9))
-        assert gam_side == pytest.approx(base + 0.9**2 / dv.phi, rel=1e-13)
+        assert gam_side == pytest.approx(base + 0.9**2 / phi, rel=1e-13)
         # For lam <= 0 and gamma >= 0 neither quadratic term is active.
         assert cgf_limit(params44, CgfPoint(-1.2, -0.5, -0.5, 0.7)) == pytest.approx(base, rel=1e-13)
 
     def test_continuity_across_switching_surface(self, params44):
-        b = params44.b
-        dv = dual_vars(params44, -0.4, -0.7)
+        a, b = params44.a, params44.b
+        d, _, phi = _dual_floats(a, b, -0.4, -0.7)
         lam = 0.8
-        gam = -lam * math.sqrt(dv.phi / (dv.d - b))
+        gam = -lam * math.sqrt(phi / (d - b))
         eps = 1e-9
         inner = cgf_limit(params44, CgfPoint(lam, -0.4, -0.7, gam + eps))
         outer = cgf_limit(params44, CgfPoint(lam, -0.4, -0.7, gam - eps))
@@ -260,9 +258,9 @@ class TestGradient:
             cgf_gradient(params44, CgfPoint(0.0, b * b / 8.0 - 1e-12, 0.0, 0.0))
         with pytest.raises(BoundaryError):
             cgf_gradient(params44, CgfPoint(0.0, 0.0, (a - 2.0) ** 2 / 8.0 - 1e-12, 0.0))
-        dv = dual_vars(params44, -0.4, -0.7)
+        d, _, phi = _dual_floats(a, b, -0.4, -0.7)
         lam = 0.8
-        gam = -lam * math.sqrt(dv.phi / (dv.d - b))
+        gam = -lam * math.sqrt(phi / (d - b))
         with pytest.raises(BoundaryError):
             cgf_gradient(params44, CgfPoint(lam, -0.4, -0.7, gam))
 
@@ -458,7 +456,7 @@ class TestNumericTransform:
             assert _legendre_solve(4.0, -1.0, *coords)[3] == want
         x, t = 0.8, -1.6
         _, (lam, mu, nu, gamma), _, s = _legendre_solve(4.0, -1.0, x, 2.0, 1.7, t)
-        d, f, phi, _ = astuple(dual_vars(ProcessParams(4.0, -1.0), mu, nu))
+        d, f, phi = _dual_floats(4.0, -1.0, mu, nu)
         assert 0.0 < s < 1.0
         assert s * 2.0 * lam / (d + 1.0) == pytest.approx(x, rel=1e-13)
         assert (1.0 - s) * 2.0 * gamma / phi == pytest.approx(t, rel=1e-13)
@@ -564,13 +562,13 @@ class TestFiniteTMc:
                 cgf_finite_T_mc(params44, CgfPoint(0.1, 0.0, 0.0, 0.0), 2.0, n_paths, 1)
 
 
-# dual_vars on (4, -1): None on and outside the domain edges b^2 = 8 mu and
-# (a - 2)^2 = 8 nu, the dual variables inside.
+# The dual map on (4, -1): None on and outside the domain edges b^2 = 8 mu
+# and (a - 2)^2 = 8 nu, the dual variables (d, f, phi) inside.
 _DUAL_VARS_CASES = [
     ("mu edge", (0.125, 0.0), None),
     ("nu edge", (0.0, 0.5), None),
     ("outside both", (1.0, 1.0), None),
-    ("origin", (0.0, 0.0), DualVars(d=1.0, f=1.0, phi=8.0, g=2.0)),
+    ("origin", (0.0, 0.0), (1.0, 1.0, 8.0)),
 ]
 
 
@@ -578,4 +576,4 @@ _DUAL_VARS_CASES = [
     "point, expected", [c[1:] for c in _DUAL_VARS_CASES], ids=[c[0] for c in _DUAL_VARS_CASES]
 )
 def test_dual_vars_domain(params44, point, expected):
-    assert dual_vars(params44, *point) == expected
+    assert _dual_floats(params44.a, params44.b, *point) == expected

@@ -523,6 +523,25 @@ class TestTrajectoryCsvReader:
         with pytest.raises(ValueError):
             self._read(tmp_path, params44, "t,x\n" + body)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.0,1.0\n0.5,nan\n1.0,2.0\n", "all states must be finite and strictly positive"),
+            ("0.0,1.0\n0.5,inf\n1.0,2.0\n", "all states must be finite and strictly positive"),
+            ("0.0,1.0\n0.5,-inf\n", "all states must be finite and strictly positive"),
+            ("0.0,1.0\nnan,2.0\n1.0,3.0\n", "grid times must be finite and strictly increasing"),
+            ("0.0,1.0\n0.5,2.0\nnan,3.0\n", "grid times must be finite and strictly increasing"),
+            ("0.0,1.0\n0.5,2.0\ninf,3.0\n", "grid times must be finite and strictly increasing"),
+        ],
+        ids=["nan state", "inf state", "-inf state", "nan time", "nan last time", "inf time"],
+    )
+    def test_non_finite_rows_raise(self, params44, tmp_path, body, message):
+        # A corrupted file fails on reading, before any functional or
+        # estimator turns it into nan.
+        with pytest.raises(ValueError) as info:
+            self._read(tmp_path, params44, "t,x\n" + body)
+        assert str(info.value) == message
+
     def test_header_only_file_raises(self, params44, tmp_path):
         # The documented ValueError, with no warning first: under warnings
         # as errors a warning would reach the caller in its place.
@@ -588,6 +607,33 @@ _INPUT_CHECKS = [
      DomainError("state x must be positive, got 0.0")),
     ("sample state", lambda p: sample_transition(p, 1.0, -1.0, path_rng(1, 0)),
      DomainError("state x must be positive, got -1.0")),
+    # nan where a positive value is required, and an infinite simulated horizon.
+    ("kernel horizon nan", lambda p: transition_kernel(p, math.nan, 1.0),
+     DomainError("horizon t must be positive, got nan")),
+    ("kernel state nan", lambda p: transition_kernel(p, 1.0, math.nan),
+     DomainError("state x must be positive, got nan")),
+    ("moments horizon nan", lambda p: conditional_moments(p, math.nan, 1.0),
+     DomainError("horizon t must be positive, got nan")),
+    ("moments state nan", lambda p: conditional_moments(p, 1.0, math.nan),
+     DomainError("state x must be positive, got nan")),
+    ("sample state nan", lambda p: sample_transition(p, 1.0, math.nan, path_rng(1, 0)),
+     DomainError("state x must be positive, got nan")),
+    ("sample horizon nan", lambda p: sample_transition(p, math.nan, 1.0, path_rng(1, 0)),
+     DomainError("horizon t must be positive, got nan")),
+    ("density state nan", lambda p: transition_log_density(p, 1.0, math.nan, 1.0),
+     DomainError("t, x, y must all be positive, got t=1.0, x=nan, y=1.0")),
+    ("density end nan", lambda p: transition_log_density(p, 1.0, 1.0, math.nan),
+     DomainError("t, x, y must all be positive, got t=1.0, x=1.0, y=nan")),
+    ("Bessel argument nan", lambda p: bessel_log_i(1.0, math.nan),
+     DomainError("Bessel argument must be positive, got z=nan")),
+    ("ensemble T nan", lambda p: simulate_ensemble(p, math.nan, 10, 3, 1),
+     DomainError("horizon T must be positive and finite, got nan")),
+    ("ensemble T inf", lambda p: simulate_ensemble(p, math.inf, 10, 3, 1),
+     DomainError("horizon T must be positive and finite, got inf")),
+    ("path T inf", lambda p: simulate_path(p, math.inf, 10, path_rng(1, 0)),
+     DomainError("horizon T must be positive and finite, got inf")),
+    ("path T nan", lambda p: simulate_path(p, math.nan, 10, path_rng(1, 0)),
+     DomainError("horizon T must be positive and finite, got nan")),
     ("2-D trajectory", lambda p: Trajectory(np.zeros((2, 2)), np.ones((2, 2)), p),
      ValueError("times and values must be one-dimensional")),
     ("empty trajectory", lambda p: Trajectory(np.array([]), np.array([]), p),

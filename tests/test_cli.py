@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -910,6 +911,12 @@ _CLI_INPUT_CHECKS = [
      "config key 'T_grid' must hold positive horizons, got '1,-2'"),
     ("T_grid empty", ["check", "slope"], '{"T_grid": []}',
      "config key 'T_grid' must hold positive horizons, got []"),
+    # Each horizon by the float rule: a boolean is no number, and an integer
+    # beyond float range reads as inf, which is not a finite horizon.
+    ("T_grid boolean", ["check", "slope"], '{"T_grid": [true, 2]}',
+     "config key 'T_grid' holds a non-number: [True, 2]"),
+    ("T_grid beyond float range", ["check", "slope"], '{"T_grid": [1%s]}' % ("0" * 400),
+     "config key 'T_grid' must hold positive horizons, got [1000"),
     ("not a number", ["rate", "--alpha-min", "abc"], None,
      "config key 'alpha_min' must be a number, got 'abc'"),
     ("not finite", ["rate", "--x0", "nan"], None, "config key 'x0' must be finite, got nan"),
@@ -961,6 +968,36 @@ def test_cli_input_checks(capsys, tmp_path, monkeypatch, argv, text, message):
 def test_unwritable_out_exits_2_with_one_json_line(capsys, tmp_path, argv):
     # An --out under a regular file cannot be made; for check, exit 1 would
     # read as a failed suite.
+    (tmp_path / "file").write_text("")
+    out_dir = str(tmp_path / "file" / "out")
+    rc, out, err = run(capsys, *argv, "--a", "4", "--b", "-1", "--out", out_dir)
+    assert (rc, out) == (2, "")
+    assert _one_json_line(err)["error"] == "NotADirectoryError"
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("ran before --out was made")
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["check", "clt", "--T", "2", "--paths", "20", "--seed", "1"], "suite"),
+        (["estimate", "--T", "1", "--n-steps", "20", "--paths", "2", "--seed", "7"],
+         "simulate_ensemble"),
+        (["cgf", "--mc", "--T", "1", "--n-steps", "20", "--paths", "2", "--seed", "7"],
+         "cgf_finite_T_mc"),
+    ],
+    ids=["check clt", "estimate", "cgf --mc"],
+)
+def test_unwritable_out_fails_before_the_run(capsys, tmp_path, monkeypatch, argv, target):
+    # The commands that simulate make --out first, so an --out under a
+    # regular file fails before any path is drawn.
+    if target == "suite":
+        clt = CHECK_SUITES["clt"]
+        monkeypatch.setitem(CHECK_SUITES, "clt", functools.wraps(clt)(_never))
+    else:
+        monkeypatch.setattr(cli, target, _never)
     (tmp_path / "file").write_text("")
     out_dir = str(tmp_path / "file" / "out")
     rc, out, err = run(capsys, *argv, "--a", "4", "--b", "-1", "--out", out_dir)

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from cir_ldp import (
+    CgfPoint,
     DomainError,
     InconclusiveError,
     ProcessParams,
+    cgf_finite_T_mc,
     clt_experiments,
     clt_target_covariance,
     profile_curves,
@@ -326,6 +328,25 @@ _INPUT_CHECKS = [
      DomainError("functional must be one of ['S', 'Sigma', 'V'], got 'W'")),
     ("slope empty T_grid", lambda p: slope_experiment(p, "S", 5.0, (), 10, 1),
      DomainError("T_grid must be non-empty")),
+    # A horizon that is not positive and finite, before max(2, round(k T))
+    # steps are counted from it, or when they are given.
+    ("clt T inf", lambda p: clt_experiments(p, ["mle"], math.inf, 10, 1),
+     DomainError("horizon T must be positive and finite, got inf")),
+    ("clt T nan", lambda p: clt_experiments(p, ["mle"], math.nan, 10, 1),
+     DomainError("horizon T must be positive and finite, got nan")),
+    ("clt T nan, steps given", lambda p: clt_experiments(p, ["mle"], math.nan, 10, 1, n_steps=10),
+     DomainError("horizon T must be positive and finite, got nan")),
+    ("slope T_grid inf", lambda p: slope_experiment(p, "S", 5.0, (1.0, math.inf), 10, 1),
+     DomainError("horizon T must be positive and finite, got inf")),
+    ("slope T_grid nan", lambda p: slope_experiment(p, "S", 5.0, (math.nan,), 10, 1),
+     DomainError("horizon T must be positive and finite, got nan")),
+    ("cgf MC T inf", lambda p: cgf_finite_T_mc(p, CgfPoint(0.1, 0.0, 0.0, 0.0), math.inf, 10, 1),
+     DomainError("horizon T must be positive and finite, got inf")),
+    ("cgf MC T nan", lambda p: cgf_finite_T_mc(p, CgfPoint(0.1, 0.0, 0.0, 0.0), math.nan, 10, 1),
+     DomainError("horizon T must be positive and finite, got nan")),
+    ("cgf MC T inf, steps given",
+     lambda p: cgf_finite_T_mc(p, CgfPoint(0.1, 0.0, 0.0, 0.0), math.inf, 10, 1, n_steps=10),
+     DomainError("horizon T must be positive and finite, got inf")),
     ("infinite grid range", lambda p: surface_grid(p, alpha_range=(3.0, math.inf)),
      DomainError("grid ranges must be finite")),
     # Every beta above b/3: no node on the shared branch, so no difference.
