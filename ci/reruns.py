@@ -71,6 +71,21 @@ for a, b in {SETS!r}:
             grad = str(exc)
         print(cgf_limit(p, theta).hex(), grad, flush=True)
 """
+# Every rate selector at one point that gives each its seven coordinates,
+# at each parameter set, and the --help text of the parser and of each
+# command.
+RATES_AND_HELP = f"""\
+from cir_ldp.cli import main
+point = ["--alpha", "3", "--beta", "-0.7", "--x", "4", "--y", "1.2", "--z", "0.9",
+         "--t", "-0.3", "--v", "1.5"]
+for a, b in {SETS!r}:
+    for which in ("J", "K", "I", "Ja", "Jb", "Ka", "Kb", "Ia", "Ib", "S", "Sigma", "V",
+                  "pair", "triplet_x", "triplet_L"):
+        argv = ["rate", "--a", a, "--b", b, "--which", which, *point]
+        print(*argv[1:], main(argv), flush=True)
+for command in ([], ["simulate"], ["estimate"], ["rate"], ["cgf"], ["check"], ["figures"]):
+    print(*command, "--help", main([*command, "--help"]), flush=True)
+"""
 PER_SET = [["check", "continuity"], ["check", "infsup"], ["check", "legendre"],
            ["figures", "--fig", "3"]]
 CHECKS = [
@@ -91,6 +106,7 @@ CHECKS = [
                                     "--n-steps", "100", "--paths", "300", "--seed", "5"]]),
     ("rate_I_infsup at the special points", [SPECIAL_POINTS]),
     ("cgf and cgf --gradient in each sector", [CGF_POINTS]),
+    ("rate: every selector; --help of every command", [RATES_AND_HELP]),
 ]
 
 

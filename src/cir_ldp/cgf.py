@@ -25,7 +25,7 @@ import numpy as np
 from . import cir_model
 from ._elementwise import _where
 from .cir_model import ProcessParams
-from .errors import BoundaryError, DomainError
+from .errors import BoundaryError
 from .functionals import functionals_from_summary
 
 __all__ = [
@@ -182,13 +182,12 @@ def cgf_finite_T_mc(
     Raises
     ------
     DomainError
-        If ``n_paths`` < 2, where no standard error exists, or T is not
-        positive and finite.
+        If ``n_paths`` is not an integer of at least 2, as a standard error
+        needs, or T is not positive and finite.
     OverflowError
         If any exponent is non-finite (extreme argument points).
     """
-    if n_paths < 2:
-        raise DomainError(f"the standard error needs n_paths >= 2, got {n_paths}")
+    cir_model._check_count("n_paths", n_paths, 2)
     if n_steps is None:
         n_steps = cir_model._steps_for(T, 200)
     ens = cir_model.simulate_ensemble(params, T, n_steps, n_paths, rng, n_workers)

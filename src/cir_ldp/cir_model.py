@@ -130,6 +130,21 @@ def stationary_law(params: ProcessParams) -> StationaryLaw:
     )
 
 
+def _check_positive(what: str, value: float) -> None:
+    # A time or a state is positive and finite; nan is neither.
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value}")
+
+
+def _check_count(what: str, value, least: int = 1) -> None:
+    # A count is an int, Python's or numpy's, of at least ``least``; a bool
+    # is not a count.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{what} must be at least {least}, got {value}")
+
+
 def conditional_moments(params: ProcessParams, t: float, x: float) -> tuple[float, float]:
     """Mean and variance of X_{s+t} given X_s = x.
 
@@ -140,12 +155,10 @@ def conditional_moments(params: ProcessParams, t: float, x: float) -> tuple[floa
     Raises
     ------
     DomainError
-        If t or x is not positive (nan included).
+        If t or x is not positive and finite.
     """
-    if not t > 0.0:
-        raise DomainError(f"horizon t must be positive, got {t}")
-    if not x > 0.0:
-        raise DomainError(f"state x must be positive, got {x}")
+    _check_positive("horizon t", t)
+    _check_positive("state x", x)
     a, b = params.a, params.b
     ebt = math.exp(b * t)
     c = math.expm1(b * t) / b
@@ -168,11 +181,15 @@ class TransitionKernel:
 
 
 def transition_kernel(params: ProcessParams, t: float, x: float) -> TransitionKernel:
-    """Kernel constants for the exact transition over horizon t from state x."""
-    if not t > 0.0:
-        raise DomainError(f"horizon t must be positive, got {t}")
-    if not x > 0.0:
-        raise DomainError(f"state x must be positive, got {x}")
+    """Kernel constants for the exact transition over horizon t from state x.
+
+    Raises
+    ------
+    DomainError
+        If t or x is not positive and finite.
+    """
+    _check_positive("horizon t", t)
+    _check_positive("state x", x)
     b = params.b
     ebt = math.exp(b * t)
     c = math.expm1(b * t) / b
@@ -192,19 +209,25 @@ def _log_iv_series(nu: float, z: float) -> float:
     # so its error does not grow with k; the terms are unimodal in k, and
     # the sum stops 50 e-folds past the largest one.  log(z/2) is taken as
     # log z - log 2, because z/2 underflows for the smallest z.
+    #
+    # Term k+1 over term k is (z/2)^2 / ((k+1)(nu+k+1)): at most 1 once
+    # k+1 >= k*, the root of k (nu + k) = (z/2)^2, and at most 1/2 once
+    # k+1 >= 2 k*.  So term 2 k* + 100 lies 69 e-folds below the largest,
+    # and the sum takes no term past it.  That bound is what stops the sum
+    # where nu is so large (past about 1e22) that a term's log, near
+    # -nu log nu, cannot resolve a step of 50.
     log_half_z = math.log(z) - _LOG2
+    k_root = z * (z / (2.0 * (nu + math.hypot(nu, z))))
     lgamma = math.lgamma
     log_terms = []
     peak = -math.inf
-    k = 0
-    while True:
+    for k in range(math.ceil(2.0 * k_root) + 101):
         lt = 2 * k * log_half_z - lgamma(k + 1.0) - lgamma(nu + k + 1.0)
         log_terms.append(lt)
         if lt > peak:
             peak = lt
         elif lt < peak - 50.0:
             break
-        k += 1
     s = math.fsum([math.exp(t - peak) for t in log_terms])
     return nu * log_half_z + peak + math.log(s)
 
@@ -224,24 +247,26 @@ def _log_iv_large(nu: float, z: float) -> float:
 
 
 def bessel_log_i(nu: float, z: float) -> float:
-    """log I_nu(z) for nu >= 0 and z > 0, stable against overflow.
+    """log I_nu(z) for finite nu >= 0 and z > 0, stable against overflow.
 
-    Arguments z <= 100 + nu^2 use the ascending power series, whose number
-    of terms grows like z/2; larger arguments use the large-argument
-    expansion, which needs about twenty terms at most.  Against mpmath the
-    error in log I is below 1e-14 max(1, |log I|) over nu in [0, 50] and z in
-    [1e-3, 1e4]; for z below ~1e-154, where z^2/4 underflows, the value is
-    the series' leading term.
+    Arguments z <= 100 + nu^2 use the ascending power series.  It stops 50
+    e-folds past its largest term, and takes at most 2 k* + 101 terms, where
+    k* <= z/2 solves k (nu + k) = (z/2)^2 and locates the largest term.
+    Larger arguments use the large-argument expansion, which needs about
+    twenty terms at most.  Against mpmath the error in log I is below
+    1e-14 max(1, |log I|) over nu in [0, 50] and z in [1e-3, 1e4]; for z
+    below ~1e-154, where z^2/4 underflows, the value is the series' leading
+    term.
 
     Raises
     ------
     DomainError
-        If z is not positive or nu not nonnegative (nan included).
+        If z is not positive and finite, or nu not nonnegative and finite.
     """
-    if not z > 0.0:
-        raise DomainError(f"Bessel argument must be positive, got z={z}")
-    if not nu >= 0.0:
-        raise DomainError(f"Bessel order must be nonnegative, got nu={nu}")
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"Bessel argument must be positive and finite, got z={z}")
+    if not 0.0 <= nu < math.inf:
+        raise DomainError(f"Bessel order must be nonnegative and finite, got nu={nu}")
     if z <= 100.0 + nu * nu:
         return _log_iv_series(nu, z)
     return _log_iv_large(nu, z)
@@ -262,10 +287,11 @@ def transition_log_density(params: ProcessParams, t: float, x: float, y: float) 
     Raises
     ------
     DomainError
-        If t, x, or y is not positive (nan included).
+        If t, x or y is not positive and finite.
     """
-    if not (t > 0.0 and x > 0.0 and y > 0.0):
-        raise DomainError(f"t, x, y must all be positive, got t={t}, x={x}, y={y}")
+    _check_positive("horizon t", t)
+    _check_positive("state x", x)
+    _check_positive("state y", y)
     a, b = params.a, params.b
     d = -b
     f = (a - 2.0) / 2.0
@@ -314,16 +340,11 @@ def _step(x, g, z, c: float, rate: float, sqrt=math.sqrt):
     return c * (2.0 * g + u * u)
 
 
-def _check_horizon(T: float) -> None:
-    # A simulated horizon is positive and finite; nan is neither.
-    if not 0.0 < T < math.inf:
-        raise DomainError(f"horizon T must be positive and finite, got {T}")
-
-
 def _steps_for(T: float, per_unit: float) -> int:
-    # The Monte Carlo experiments' default grid over horizon T:
+    # The grid over horizon T at per_unit steps per unit time:
     # max(2, round(per_unit T)) steps.
-    _check_horizon(T)
+    _check_positive("horizon T", T)
+    _check_positive("steps per unit time", per_unit)
     return max(2, round(per_unit * T))
 
 
@@ -336,9 +357,13 @@ def sample_transition(
     a > 1 it splits exactly as chi^2_{a-1} + (Z + sqrt(lam))^2, so the draw
     takes G ~ Gamma((a-1)/2), then Z ~ N(0, 1), from ``rng`` and returns
     scale * (2 G + (Z + sqrt(lam))^2), which is strictly positive.
+
+    Raises
+    ------
+    DomainError
+        If t or x is not positive and finite.
     """
-    if not x > 0.0:
-        raise DomainError(f"state x must be positive, got {x}")
+    _check_positive("state x", x)
     c, rate, shape = _step_constants(params, t)
     g = float(rng.standard_gamma(shape))
     return _step(x, g, float(rng.standard_normal()), c, rate)
@@ -396,10 +421,15 @@ def simulate_path(
     Draws all n_steps Gamma variates from ``rng``, then all n_steps normals,
     and chains the transition step of sample_transition through them, so the
     result is a deterministic function of the generator state.
+
+    Raises
+    ------
+    DomainError
+        If T is not positive and finite, or n_steps is not an integer of at
+        least 1.
     """
-    _check_horizon(T)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be at least 1, got {n_steps}")
+    _check_positive("horizon T", T)
+    _check_count("n_steps", n_steps)
     c, rate, shape = _step_constants(params, T / n_steps)
     g = rng.standard_gamma(shape, n_steps).tolist()
     z = rng.standard_normal(n_steps).tolist()
@@ -419,6 +449,8 @@ def simulate_path(
 
 
 def _coerce_seed(rng: int | np.random.Generator) -> int:
+    if isinstance(rng, bool):
+        raise DomainError(f"seed must be an unsigned 64-bit integer, got {rng}")
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
         if not 0 <= seed < 2**64:
@@ -528,11 +560,10 @@ def _simulate_horizons(
     # each has the bits of simulate_ensemble(params, T, n_steps, n_paths,
     # rng), since the paths and their draws do not depend on where they stop.
     for n_steps, T in horizons:
-        _check_horizon(T)
-        if n_steps < 1:
-            raise DomainError(f"n_steps must be at least 1, got {n_steps}")
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be at least 1, got {n_paths}")
+        _check_positive("horizon T", T)
+        _check_count("n_steps", n_steps)
+    _check_count("n_paths", n_paths)
+    _check_count("n_workers", n_workers)
     seed = _coerce_seed(rng)
     stops = sorted(set(horizons))
     dt = stops[-1][1] / stops[-1][0]
@@ -573,6 +604,12 @@ def simulate_ensemble(
     draws do not depend on T, so the first n steps of a longer run with the
     same step T / n_steps and seed are this run's paths: the harness's tail
     slopes record several horizons on one run.
+
+    Raises
+    ------
+    DomainError
+        If T is not positive and finite, n_steps, n_paths or n_workers is not
+        an integer of at least 1, or the seed is out of range or a bool.
     """
     return _simulate_horizons(params, [(n_steps, T)], n_paths, rng, n_workers)[0]
 

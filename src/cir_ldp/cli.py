@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 argparse only splits argv: ``_convert`` types each value, from a flag or a
-config file, by the same rules.  Exit codes: 0 success (and every requested
+config file, by the same rules.  What a command offers comes from the
+library: ``rate --which`` from ``rates.RATES``, ``check``'s flags from the
+suites' keyword-only parameters, and a run's total steps from
+``cir_model._steps_for``.  Exit codes: 0 success (and every requested
 check passed), 1 check failure, 2 usage, configuration or I/O error, 3 numeric
 error; every failure prints one JSON line on stderr.  +inf is "inf" in CSV and
 JSON artifacts, and identical invocations produce byte-identical artifacts.
@@ -16,7 +19,6 @@ import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from .cgf import CgfPoint, cgf_finite_T_mc, cgf_gradient, cgf_limit
 from .cir_model import (
     ProcessParams,
     _map_jobs,
+    _steps_for,
     path_rng,
     simulate_ensemble,
     simulate_path,
@@ -41,37 +44,9 @@ from .harness import (
     profile_curves,
     surface_grid,
 )
-from .rates import (
-    rate_I_mle,
-    rate_J,
-    rate_K,
-    rate_S,
-    rate_Sigma,
-    rate_V,
-    rate_marginal,
-    rate_pair,
-    rate_triplet_L,
-    rate_triplet_x,
-)
+from .rates import RATES
 
-__all__ = ["RunConfig", "build_parser", "dispatch", "main", "parse_config"]
-
-# rate --which selector -> (rate function of (params, *coords), coordinate keys).
-_RATE_SELECTORS = {
-    "J": (rate_J, ("alpha", "beta")),
-    "K": (rate_K, ("alpha", "beta")),
-    "I": (rate_I_mle, ("alpha", "beta")),
-    **{
-        m: (lambda p, v, m=m: rate_marginal(p, m, v), ("alpha" if m[1] == "a" else "beta",))
-        for m in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib")
-    },
-    "S": (rate_S, ("x",)),
-    "Sigma": (rate_Sigma, ("y",)),
-    "V": (rate_V, ("v",)),
-    "pair": (rate_pair, ("x", "y")),
-    "triplet_x": (rate_triplet_x, ("x", "y", "z")),
-    "triplet_L": (rate_triplet_L, ("y", "z", "t")),
-}
+__all__ = ["build_parser", "main", "parse_config"]
 
 # Float options that may be infinite or NaN: the rate coordinates.
 _COORDINATES = ("alpha", "beta", "x", "y", "z", "t", "v")
@@ -103,7 +78,7 @@ _OPTIONS = {
         "estimator selector (estimate: default all; check clt: default mle, "
         "and all is mle, tilde, check)",
     ),
-    "which": ("--which", tuple(_RATE_SELECTORS), None, "rate function selector"),
+    "which": ("--which", tuple(RATES), None, "rate function selector"),
     **{k: (f"--{k}", float, None, f"{k} coordinate") for k in _COORDINATES},
     "grid": ("--grid", "switch", False, "evaluate a (J, K, I) surface grid instead of a point"),
     "alpha_min": ("--alpha-min", float, FIGURE_WINDOW[0][0], None),
@@ -135,33 +110,8 @@ _OPTIONS = {
     "fig": ("--fig", int, None, "figure number: 1, 2, or 3"),
 }
 
-# Options every command takes; they are the fields of RunConfig.
+# Options every command takes.
 _COMMON = ("a", "b", "x0", "T", "n_steps", "n_paths", "seed", "out", "n_workers")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration shared by every command."""
-
-    a: float
-    b: float
-    x0: float
-    T: float
-    n_steps: int
-    n_paths: int
-    seed: int | None
-    out: str
-    n_workers: int = 1
-    settings: dict = field(default_factory=dict)
-
-    @property
-    def params(self) -> ProcessParams:
-        return ProcessParams(self.a, self.b, self.x0)
-
-    @property
-    def total_steps(self) -> int:
-        """Total grid steps for horizon T at n_steps per unit time."""
-        return int(round(self.n_steps * self.T))
 
 
 def _load_config_file(path: str) -> dict:
@@ -243,18 +193,20 @@ def _convert(key: str, value, kind=None):
     return out
 
 
-def _suite_keys(suite: str) -> set[str]:
+def _suite_keys(suite: str) -> tuple[str, ...]:
     """The settings a check suite takes: its keyword-only parameters."""
-    return set(inspect.signature(CHECK_SUITES[suite]).parameters) - {"params"}
+    parameters = inspect.signature(CHECK_SUITES[suite]).parameters.values()
+    return tuple(p.name for p in parameters if p.kind is p.KEYWORD_ONLY)
 
 
-def parse_config(source: argparse.Namespace | str | Path) -> RunConfig:
-    """Build a validated RunConfig from parsed flags or a config file path.
+def parse_config(ns: argparse.Namespace) -> tuple[ProcessParams, dict]:
+    """The process parameters and every option's value, from parsed flags.
 
     Precedence is flags > config file > defaults (x0 = 1, 200 steps per unit
-    time); every value is converted once, by its option's kind.  The range
-    checks on T, n_steps, n_paths and a missing seed apply only where the
-    command reads that option.
+    time); every value is converted once, by its option's kind, and the
+    values are keyed by option dest (``check`` adds its ``suite``).  The
+    range checks on T, n_steps, n_paths and a missing seed apply only where
+    the command reads that option.
 
     Raises
     ------
@@ -263,13 +215,7 @@ def parse_config(source: argparse.Namespace | str | Path) -> RunConfig:
     RegimeError
         From parameter validation.
     """
-    if isinstance(source, (str, Path)):
-        flags: dict = {"config": str(source)}
-    elif isinstance(source, argparse.Namespace):
-        flags = {k: v for k, v in vars(source).items() if v is not None}
-    else:
-        raise ConfigError(f"unsupported config source {type(source).__name__!r}")
-
+    flags = {k: v for k, v in vars(ns).items() if v is not None}
     merged = {k: opt[2] for k, opt in _OPTIONS.items() if opt[2] is not None}
     if flags.get("config"):
         merged.update(_load_config_file(flags["config"]))
@@ -279,12 +225,13 @@ def parse_config(source: argparse.Namespace | str | Path) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
     values = {k: _convert(k, v) for k, v in merged.items()}
 
-    ProcessParams(values["a"], values["b"], values["x0"])
+    params = ProcessParams(values["a"], values["b"], values["x0"])
     # The run options a command reads; only those are range-checked.
-    command = flags.get("command")
+    command = ns.command
     if command == "check":
-        reads = _suite_keys(flags["suite"])
-    elif command in (None, "simulate", "estimate") or (command == "cgf" and values["mc"]):
+        reads = _suite_keys(ns.suite)
+        values["suite"] = ns.suite
+    elif command in ("simulate", "estimate") or (command == "cgf" and values["mc"]):
         reads = {"T", "n_steps", "n_paths", "seed"}
     else:
         reads = set()
@@ -306,13 +253,7 @@ def parse_config(source: argparse.Namespace | str | Path) -> RunConfig:
         raise ConfigError(f"config key 'seed' must be in [0, 2^64), got {seed}")
     if values["n_workers"] < 1:
         raise ConfigError(f"config key 'n_workers' must be >= 1, got {values['n_workers']}")
-
-    core = {k: values.pop(k, None) for k in _COMMON}
-    # "suite" rides in the settings so dispatch can route `check`; it is a
-    # positional argument, not a config-file key.
-    if "suite" in flags:
-        values["suite"] = flags["suite"]
-    return RunConfig(**core, settings=values)
+    return params, values
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +284,22 @@ def _jsonable(obj):
     return obj
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg: dict) -> Path:
     # simulate, estimate, check and cgf --mc call this first, so an --out
     # that cannot be made fails before their run.
-    out_dir = Path(cfg.out)
+    out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> str:
+def _write(cfg: dict, name: str, text: str) -> str:
     """Write one artifact atomically into --out; returns its path."""
     path = _out_dir(cfg) / name
     write_text_atomic(path, text)
     return str(path)
 
 
-def _report(cfg: RunConfig, payload: dict, name: str | None = None) -> None:
+def _report(cfg: dict, payload: dict, name: str | None = None) -> None:
     """Print a JSON report, and write it to ``name`` in --out when given."""
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
     if name is not None:
@@ -375,20 +316,21 @@ def _fmt_value(v: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def _require_setting(cfg: RunConfig, key: str, context: str):
-    if key not in cfg.settings:
+def _require(cfg: dict, key: str, context: str):
+    if key not in cfg:
         raise ConfigError(f"missing required key {key!r} for {context}")
-    return cfg.settings[key]
+    return cfg[key]
 
 
-def _run_settings(cfg: RunConfig, **extra) -> dict:
-    """The report settings of a simulating command."""
-    run = {"T": cfg.T, "n_steps": cfg.total_steps, "n_paths": cfg.n_paths, "seed": cfg.seed}
+def _run_settings(cfg: dict, **extra) -> dict:
+    """The report settings of a simulating command; n_steps is the grid's total."""
+    n_steps = _steps_for(cfg["T"], cfg["n_steps"])
+    run = {"T": cfg["T"], "n_steps": n_steps, "n_paths": cfg["n_paths"], "seed": cfg["seed"]}
     return {**run, **extra}
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.
+# Command handlers: each takes the process parameters and the option values.
 # ---------------------------------------------------------------------------
 
 
@@ -408,125 +350,130 @@ def _write_paths(
         write_trajectory_csv(traj, str(Path(out_dir) / f"traj_{i:05d}.csv"))
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
+def _cmd_simulate(params: ProcessParams, cfg: dict) -> int:
     out_dir = _out_dir(cfg)
-    n_workers = min(cfg.n_workers, cfg.n_paths)
+    settings = _run_settings(cfg)
+    n_paths = cfg["n_paths"]
+    n_workers = min(cfg["n_workers"], n_paths)
     # Job w writes paths w, w + n, w + 2n, ...; the files do not depend on n.
-    run = (cfg.params, cfg.T, cfg.total_steps, cfg.seed)
-    jobs = [(*run, range(w, cfg.n_paths, n_workers), str(out_dir)) for w in range(n_workers)]
+    run = (params, cfg["T"], settings["n_steps"], cfg["seed"])
+    jobs = [(*run, range(w, n_paths, n_workers), str(out_dir)) for w in range(n_workers)]
     _map_jobs(_write_paths, jobs, n_workers)
     metrics = {"directory": str(out_dir), "pattern": "traj_#####.csv"}
-    _report(cfg, report("simulate", cfg.params, _run_settings(cfg), metrics))
+    _report(cfg, report("simulate", params, settings, metrics))
     return 0
 
 
-def _cmd_estimate(cfg: RunConfig) -> int:
+def _cmd_estimate(params: ProcessParams, cfg: dict) -> int:
     _out_dir(cfg)
-    selector = cfg.settings.get("estimator", "all")
+    selector = cfg.get("estimator", "all")
     names = list(ESTIMATORS) if selector == "all" else [selector]
+    settings = _run_settings(cfg, estimators=names)
+    n_paths = cfg["n_paths"]
     ens = simulate_ensemble(
-        cfg.params, cfg.T, cfg.total_steps, cfg.n_paths, cfg.seed, n_workers=cfg.n_workers
+        params, cfg["T"], settings["n_steps"], n_paths, cfg["seed"], n_workers=cfg["n_workers"]
     )
-    pf = functionals_from_summary(ens.T, cfg.x0, ens.x_T, ens.S, ens.Sigma)
+    pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
     columns = []
     for name in names:
         est = ESTIMATORS[name](pf)
         columns.append((name, est.alpha.tolist(), est.beta.tolist()))
     rows = (
         (i, name, alphas[i], betas[i])
-        for i in range(cfg.n_paths)
+        for i in range(n_paths)
         for name, alphas, betas in columns
     )
     path = _write(cfg, "estimates.csv", csv_text(("path_id", "estimator", "alpha", "beta"), rows))
-    metrics = {"file": path, "rows": cfg.n_paths * len(names)}
-    _report(cfg, report("estimate", cfg.params, _run_settings(cfg, estimators=names), metrics))
+    metrics = {"file": path, "rows": n_paths * len(names)}
+    _report(cfg, report("estimate", params, settings, metrics))
     return 0
 
 
-def _write_surface(cfg: RunConfig, name: str, **window):
+def _write_surface(params: ProcessParams, cfg: dict, name: str, **window):
     """Write the (J, K, I) surface over ``window`` to ``name``; returns it and its metrics."""
-    grid = surface_grid(cfg.params, **window)
+    grid = surface_grid(params, **window)
     return grid, {"file": _write(cfg, name, grid.to_csv()), "rows": grid.J.size}
 
 
-def _cmd_rate(cfg: RunConfig) -> int:
-    s = cfg.settings
-    which = _require_setting(cfg, "which", "rate")
-    if s["grid"]:
+def _cmd_rate(params: ProcessParams, cfg: dict) -> int:
+    which = _require(cfg, "which", "rate")
+    if cfg["grid"]:
         if which not in ("J", "K", "I"):
             raise ConfigError(f"grid evaluation supports which in {{J, K, I}}, got {which!r}")
-        if s["n_alpha"] < 2 or s["n_beta"] < 2:
+        if cfg["n_alpha"] < 2 or cfg["n_beta"] < 2:
             raise ConfigError("grid sizes 'n_alpha' and 'n_beta' must be >= 2")
         window = {
-            "alpha_range": (s["alpha_min"], s["alpha_max"]),
-            "beta_range": (s["beta_min"], s["beta_max"]),
-            "n_alpha": s["n_alpha"],
-            "n_beta": s["n_beta"],
+            "alpha_range": (cfg["alpha_min"], cfg["alpha_max"]),
+            "beta_range": (cfg["beta_min"], cfg["beta_max"]),
+            "n_alpha": cfg["n_alpha"],
+            "n_beta": cfg["n_beta"],
         }
-        _, metrics = _write_surface(cfg, f"rate_{which}_grid.csv", **window)
-        _report(cfg, report("rate_grid", cfg.params, {"which": which, **window}, metrics))
+        _, metrics = _write_surface(params, cfg, f"rate_{which}_grid.csv", **window)
+        _report(cfg, report("rate_grid", params, {"which": which, **window}, metrics))
         return 0
-    fn, keys = _RATE_SELECTORS[which]
-    coords = [_require_setting(cfg, k, f"rate --which {which}") for k in keys]
-    sys.stdout.write(_fmt_value(fn(cfg.params, *coords)) + "\n")
+    rate, keys = RATES[which]
+    coords = [_require(cfg, k, f"rate --which {which}") for k in keys]
+    sys.stdout.write(_fmt_value(rate(params, *coords)) + "\n")
     return 0
 
 
-def _cmd_cgf(cfg: RunConfig) -> int:
-    s = cfg.settings
-    coords = [s["lam"], s["mu"], s["nu"], s["gamma"]]
+def _cmd_cgf(params: ProcessParams, cfg: dict) -> int:
+    coords = [cfg["lam"], cfg["mu"], cfg["nu"], cfg["gamma"]]
     point = CgfPoint(*coords)
-    if s["mc"]:
+    if cfg["mc"]:
         _out_dir(cfg)
+        settings = _run_settings(cfg, point=coords)
         estimate, stderr = cgf_finite_T_mc(
-            cfg.params, point, cfg.T, cfg.n_paths, cfg.seed,
-            n_steps=cfg.total_steps, n_workers=cfg.n_workers,
+            params, point, cfg["T"], cfg["n_paths"], cfg["seed"],
+            n_steps=settings["n_steps"], n_workers=cfg["n_workers"],
         )
-        limit = cgf_limit(cfg.params, point)
+        limit = cgf_limit(params, point)
         abs_diff = abs(estimate - limit)
         metrics = {"estimate": estimate, "stderr": stderr, "limit": limit, "abs_diff": abs_diff}
         passed = bool(abs_diff <= 3.0 * stderr + 0.05)
-        payload = report("cgf_mc", cfg.params, _run_settings(cfg, point=coords), metrics, passed)
-        _report(cfg, payload, "cgf_mc_report.json")
+        _report(cfg, report("cgf_mc", params, settings, metrics, passed), "cgf_mc_report.json")
         return 0
-    if s["gradient"]:
-        grad = cgf_gradient(cfg.params, point)
+    if cfg["gradient"]:
+        grad = cgf_gradient(params, point)
         sys.stdout.write(" ".join(_fmt_value(g) for g in grad) + "\n")
         return 0
-    sys.stdout.write(_fmt_value(cgf_limit(cfg.params, point)) + "\n")
+    sys.stdout.write(_fmt_value(cgf_limit(params, point)) + "\n")
     return 0
 
 
-def _cmd_check(cfg: RunConfig) -> int:
+def _cmd_check(params: ProcessParams, cfg: dict) -> int:
     _out_dir(cfg)
-    suite = cfg.settings["suite"]
-    offered = {
-        **cfg.settings,
-        "T": cfg.T,
-        "n_steps": cfg.total_steps,
-        "n_paths": cfg.n_paths,
-        "seed": cfg.seed,
-        "n_workers": cfg.n_workers,
-    }
+    suite = cfg["suite"]
     keys = _suite_keys(suite)
-    payload = CHECK_SUITES[suite](cfg.params, **{k: v for k, v in offered.items() if k in keys})
+    # The values the suite's parameters name; n_steps is the grid's total,
+    # counted only for a suite that takes it, so an unread T stays unchecked.
+    settings = {k: cfg[k] for k in keys if k in cfg}
+    if "n_steps" in keys:
+        settings["n_steps"] = _steps_for(cfg["T"], cfg["n_steps"])
+    payload = CHECK_SUITES[suite](params, **settings)
     _report(cfg, payload, f"{suite}_report.json")
     return 0 if payload["pass"] else 1
 
 
-def _cmd_figures(cfg: RunConfig) -> int:
-    fig = _require_setting(cfg, "fig", "figures")
+def _cmd_figures(params: ProcessParams, cfg: dict) -> int:
+    fig = _require(cfg, "fig", "figures")
     if fig in (1, 2):
-        grid, metrics = _write_surface(cfg, f"fig{fig}.csv")
+        grid, metrics = _write_surface(params, cfg, f"fig{fig}.csv")
         metrics["which"] = "J" if fig == 1 else "K"
-        metrics["max_shared_branch_diff"] = grid.max_shared_diff(cfg.params)
+        metrics["max_shared_branch_diff"] = grid.max_shared_diff(params)
     elif fig == 3:
-        curves = profile_curves(cfg.params)
+        curves = profile_curves(params)
         metrics = {"file": _write(cfg, "fig3.csv", curves.to_csv()), "rows": len(curves.v)}
     else:
         raise ConfigError(f"config key 'fig' must be 1, 2, or 3, got {fig}")
-    _report(cfg, report("figures", cfg.params, {"fig": fig}, metrics))
+    _report(cfg, report("figures", params, {"fig": fig}, metrics))
     return 0
+
+
+def _check_options() -> tuple[str, ...]:
+    """check's own options: the suites' keyword-only parameters, in _OPTIONS order."""
+    taken = {k for suite in CHECK_SUITES for k in _suite_keys(suite)}
+    return tuple(k for k in _OPTIONS if k in taken and k not in _COMMON)
 
 
 # command -> (help, handler, its own options beyond _COMMON).
@@ -544,22 +491,9 @@ _COMMANDS = {
         _cmd_cgf,
         ("lam", "mu", "nu", "gamma", "gradient", "mc"),
     ),
-    "check": (
-        "run a validation suite, exit 0 iff it passes",
-        _cmd_check,
-        ("estimator", "functional", "c", "T_grid", "tolerance"),
-    ),
+    "check": ("run a validation suite, exit 0 iff it passes", _cmd_check, _check_options()),
     "figures": ("emit the figure grids as CSV", _cmd_figures, ("fig",)),
 }
-
-
-def dispatch(command: str, cfg: RunConfig) -> int:
-    """Run one command against a validated configuration; returns exit code."""
-    try:
-        handler = _COMMANDS[command][1]
-    except KeyError:
-        raise ConfigError(f"unknown command {command!r}") from None
-    return handler(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +537,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     try:
         ns = _parser().parse_args(argv)
-        return dispatch(ns.command, parse_config(ns))
+        return _COMMANDS[ns.command][1](*parse_config(ns))
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except (CirLdpError, OSError, OverflowError) as exc:

@@ -24,6 +24,7 @@ from .cgf import lambda_star, legendre_transform_numeric
 from .cir_model import (
     EnsembleSummary,
     ProcessParams,
+    _check_count,
     _coerce_seed,
     _simulate_horizons,
     _steps_for,
@@ -180,17 +181,16 @@ def clt_experiments(
     Each report compares the covariance of the scaled deviations to the
     closed-form target, entrywise within ``tolerance``.  The combined couple
     picks tilde or check per path; both are sqrt(T)-equivalent to the MLE,
-    so its limit is the same 4 C^-1.  ``n_paths`` < 2 raises DomainError: a
-    covariance needs two samples.  So does a T that is not positive and
-    finite.
+    so its limit is the same 4 C^-1.  An ``n_paths`` that is not an integer
+    of at least 2 raises DomainError: a covariance needs two samples.  So
+    does a T that is not positive and finite.
     """
     for name in estimators:
         if name not in ESTIMATORS:
             raise DomainError(
                 f"estimator must be one of {sorted(ESTIMATORS)}, got {name!r}"
             )
-    if n_paths < 2:
-        raise DomainError(f"n_paths must be at least 2 for a covariance, got {n_paths}")
+    _check_count("n_paths", n_paths, 2)
     seed = _coerce_seed(rng)
     if n_steps is None:
         n_steps = _steps_for(T, 200.0)
@@ -265,7 +265,7 @@ def slope_experiment(
     ------
     DomainError
         If c is the ergodic mean, where the rate is 0 and no slope can pass,
-        or a horizon is not positive and finite.
+        or a horizon or ``n_steps_per_unit`` is not positive and finite.
     InconclusiveError
         If the hit count at the largest T falls below 50.
     """

@@ -40,6 +40,7 @@ from .cir_model import ProcessParams
 from .errors import DomainError
 
 __all__ = [
+    "RATES",
     "RateRegionConstants",
     "marginal_inf_numeric",
     "rate_I_infsup",
@@ -632,6 +633,22 @@ def rate_marginal(params: ProcessParams, which: str, v):
     except KeyError:
         raise DomainError(f"unknown marginal selector {which!r}") from None
     return marginal(params, v)
+
+
+#: The closed-form rates by name: (rate of (params, *coordinates), the
+#: coordinates' names).  The marginals are rate_marginal's own callables.
+RATES = {
+    "J": (rate_J, ("alpha", "beta")),
+    "K": (rate_K, ("alpha", "beta")),
+    "I": (rate_I_mle, ("alpha", "beta")),
+    **{m: (fn, ("alpha" if m[1] == "a" else "beta",)) for m, fn in _MARGINALS.items()},
+    "S": (rate_S, ("x",)),
+    "Sigma": (rate_Sigma, ("y",)),
+    "V": (rate_V, ("v",)),
+    "pair": (rate_pair, ("x", "y")),
+    "triplet_x": (rate_triplet_x, ("x", "y", "z")),
+    "triplet_L": (rate_triplet_L, ("y", "z", "t")),
+}
 
 
 # ---------------------------------------------------------------------------

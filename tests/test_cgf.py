@@ -558,7 +558,7 @@ class TestFiniteTMc:
 
         monkeypatch.setattr(cir_model, "simulate_ensemble", no_simulation)
         for n_paths in (1, 0):
-            with pytest.raises(DomainError, match="n_paths >= 2"):
+            with pytest.raises(DomainError, match="n_paths must be at least 2"):
                 cgf_finite_T_mc(params44, CgfPoint(0.1, 0.0, 0.0, 0.0), 2.0, n_paths, 1)
 
 

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import cir_ldp
 from cir_ldp import (
     BLOCK_SIZE,
     CgfPoint,
@@ -602,30 +607,30 @@ class TestTrajectoryCsvReader:
 # Input checks of the model layer: (id, call on (4, -1), the error it raises).
 _INPUT_CHECKS = [
     ("kernel horizon", lambda p: transition_kernel(p, 0.0, 1.0),
-     DomainError("horizon t must be positive, got 0.0")),
+     DomainError("horizon t must be positive and finite, got 0.0")),
     ("kernel state", lambda p: transition_kernel(p, 1.0, 0.0),
-     DomainError("state x must be positive, got 0.0")),
+     DomainError("state x must be positive and finite, got 0.0")),
     ("sample state", lambda p: sample_transition(p, 1.0, -1.0, path_rng(1, 0)),
-     DomainError("state x must be positive, got -1.0")),
+     DomainError("state x must be positive and finite, got -1.0")),
     # nan where a positive value is required, and an infinite simulated horizon.
     ("kernel horizon nan", lambda p: transition_kernel(p, math.nan, 1.0),
-     DomainError("horizon t must be positive, got nan")),
+     DomainError("horizon t must be positive and finite, got nan")),
     ("kernel state nan", lambda p: transition_kernel(p, 1.0, math.nan),
-     DomainError("state x must be positive, got nan")),
+     DomainError("state x must be positive and finite, got nan")),
     ("moments horizon nan", lambda p: conditional_moments(p, math.nan, 1.0),
-     DomainError("horizon t must be positive, got nan")),
+     DomainError("horizon t must be positive and finite, got nan")),
     ("moments state nan", lambda p: conditional_moments(p, 1.0, math.nan),
-     DomainError("state x must be positive, got nan")),
+     DomainError("state x must be positive and finite, got nan")),
     ("sample state nan", lambda p: sample_transition(p, 1.0, math.nan, path_rng(1, 0)),
-     DomainError("state x must be positive, got nan")),
+     DomainError("state x must be positive and finite, got nan")),
     ("sample horizon nan", lambda p: sample_transition(p, math.nan, 1.0, path_rng(1, 0)),
-     DomainError("horizon t must be positive, got nan")),
+     DomainError("horizon t must be positive and finite, got nan")),
     ("density state nan", lambda p: transition_log_density(p, 1.0, math.nan, 1.0),
-     DomainError("t, x, y must all be positive, got t=1.0, x=nan, y=1.0")),
+     DomainError("state x must be positive and finite, got nan")),
     ("density end nan", lambda p: transition_log_density(p, 1.0, 1.0, math.nan),
-     DomainError("t, x, y must all be positive, got t=1.0, x=1.0, y=nan")),
+     DomainError("state y must be positive and finite, got nan")),
     ("Bessel argument nan", lambda p: bessel_log_i(1.0, math.nan),
-     DomainError("Bessel argument must be positive, got z=nan")),
+     DomainError("Bessel argument must be positive and finite, got z=nan")),
     ("ensemble T nan", lambda p: simulate_ensemble(p, math.nan, 10, 3, 1),
      DomainError("horizon T must be positive and finite, got nan")),
     ("ensemble T inf", lambda p: simulate_ensemble(p, math.inf, 10, 3, 1),
@@ -642,6 +647,46 @@ _INPUT_CHECKS = [
      TypeError("expected an int seed or numpy Generator, got <class 'str'>")),
     ("no steps", lambda p: simulate_ensemble(p, 1.0, 0, 2, 7),
      DomainError("n_steps must be at least 1, got 0")),
+    # One rule for a time or a state: positive and finite.  At t = inf the
+    # law would be the stationary one, and at x = inf there is none.
+    ("kernel horizon inf", lambda p: transition_kernel(p, math.inf, 1.0),
+     DomainError("horizon t must be positive and finite, got inf")),
+    ("kernel state inf", lambda p: transition_kernel(p, 1.0, math.inf),
+     DomainError("state x must be positive and finite, got inf")),
+    ("moments horizon inf", lambda p: conditional_moments(p, math.inf, 1.0),
+     DomainError("horizon t must be positive and finite, got inf")),
+    ("moments state inf", lambda p: conditional_moments(p, 1.0, math.inf),
+     DomainError("state x must be positive and finite, got inf")),
+    ("sample horizon inf", lambda p: sample_transition(p, math.inf, 1.0, path_rng(1, 0)),
+     DomainError("horizon t must be positive and finite, got inf")),
+    ("sample state inf", lambda p: sample_transition(p, 1.0, math.inf, path_rng(1, 0)),
+     DomainError("state x must be positive and finite, got inf")),
+    ("density horizon inf", lambda p: transition_log_density(p, math.inf, 1.0, 1.0),
+     DomainError("horizon t must be positive and finite, got inf")),
+    ("density state inf", lambda p: transition_log_density(p, 1.0, math.inf, 1.0),
+     DomainError("state x must be positive and finite, got inf")),
+    ("density end inf", lambda p: transition_log_density(p, 1.0, 1.0, math.inf),
+     DomainError("state y must be positive and finite, got inf")),
+    # A count is an int of at least 1 (a bool is not one), and so is a
+    # worker count; a seed is not a bool either.
+    ("path float steps", lambda p: simulate_path(p, 1.0, 10.0, path_rng(1, 0)),
+     DomainError("n_steps must be an integer, got 10.0")),
+    ("path bool steps", lambda p: simulate_path(p, 1.0, True, path_rng(1, 0)),
+     DomainError("n_steps must be an integer, got True")),
+    ("ensemble float steps", lambda p: simulate_ensemble(p, 1.0, 10.0, 5, 1),
+     DomainError("n_steps must be an integer, got 10.0")),
+    ("ensemble bool steps", lambda p: simulate_ensemble(p, 1.0, True, 5, 1),
+     DomainError("n_steps must be an integer, got True")),
+    ("ensemble float paths", lambda p: simulate_ensemble(p, 1.0, 10, 5.0, 1),
+     DomainError("n_paths must be an integer, got 5.0")),
+    ("ensemble no workers", lambda p: simulate_ensemble(p, 1.0, 10, 5, 1, n_workers=0),
+     DomainError("n_workers must be at least 1, got 0")),
+    ("ensemble negative workers", lambda p: simulate_ensemble(p, 1.0, 10, 5, 1, n_workers=-4),
+     DomainError("n_workers must be at least 1, got -4")),
+    ("ensemble float workers", lambda p: simulate_ensemble(p, 1.0, 10, 5, 1, n_workers=2.0),
+     DomainError("n_workers must be an integer, got 2.0")),
+    ("seed bool", lambda p: simulate_ensemble(p, 1.0, 10, 5, True),
+     DomainError("seed must be an unsigned 64-bit integer, got True")),
 ]
 
 
@@ -652,3 +697,39 @@ def test_input_checks(params44, call, error):
     with pytest.raises(type(error)) as info:
         call(params44)
     assert str(info.value) == str(error)
+
+
+# bessel_log_i at orders where a term's log, near -nu log nu, cannot resolve
+# the series' 50-fold stopping test, and at infinite order or argument.  An
+# infinite order once looped forever, so the calls run in a child process
+# whose timeout fails the test instead of hanging the suite.
+_HUGE_ORDER_CALLS = """
+import math
+from cir_ldp import DomainError, ProcessParams, bessel_log_i, transition_log_density
+for nu in (1e24, 1e300):
+    leading = nu * math.log(0.5) - math.lgamma(nu + 1.0)
+    assert math.isclose(bessel_log_i(nu, 1.0), leading, rel_tol=1e-15), nu
+assert -math.inf < transition_log_density(ProcessParams(1e24, -1.0), 1.0, 1.0, 1.0) < 0.0
+for nu, z in ((math.inf, 1.0), (0.0, math.inf)):
+    try:
+        bessel_log_i(nu, z)
+    except DomainError as exc:
+        print(exc)
+"""
+
+
+def test_bessel_at_huge_and_infinite_order_ends():
+    src = str(Path(cir_ldp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_ORDER_CALLS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "Bessel order must be nonnegative and finite, got nu=inf",
+        "Bessel argument must be positive and finite, got z=inf",
+    ]

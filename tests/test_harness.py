@@ -347,6 +347,24 @@ _INPUT_CHECKS = [
     ("cgf MC T inf, steps given",
      lambda p: cgf_finite_T_mc(p, CgfPoint(0.1, 0.0, 0.0, 0.0), math.inf, 10, 1, n_steps=10),
      DomainError("horizon T must be positive and finite, got inf")),
+    # Counts are ints of at least 1, or 2 paths where a covariance or a
+    # standard error is formed; a step rate is positive and finite.
+    ("clt float steps", lambda p: clt_experiments(p, ["mle"], 1.0, 10, 1, n_steps=20.0),
+     DomainError("n_steps must be an integer, got 20.0")),
+    ("clt float paths", lambda p: clt_experiments(p, ["mle"], 1.0, 10.0, 1),
+     DomainError("n_paths must be an integer, got 10.0")),
+    ("cgf MC float steps",
+     lambda p: cgf_finite_T_mc(p, CgfPoint(0.1, 0.0, 0.0, 0.0), 1.0, 10, 1, n_steps=2.5),
+     DomainError("n_steps must be an integer, got 2.5")),
+    ("cgf MC bool paths",
+     lambda p: cgf_finite_T_mc(p, CgfPoint(0.1, 0.0, 0.0, 0.0), 1.0, True, 1),
+     DomainError("n_paths must be an integer, got True")),
+    ("slope nan step rate",
+     lambda p: slope_experiment(p, "S", 5.0, (1.0,), 10, 1, n_steps_per_unit=math.nan),
+     DomainError("steps per unit time must be positive and finite, got nan")),
+    ("slope zero step rate",
+     lambda p: slope_experiment(p, "S", 5.0, (1.0,), 10, 1, n_steps_per_unit=0),
+     DomainError("steps per unit time must be positive and finite, got 0")),
     ("infinite grid range", lambda p: surface_grid(p, alpha_range=(3.0, math.inf)),
      DomainError("grid ranges must be finite")),
     # Every beta above b/3: no node on the shared branch, so no difference.

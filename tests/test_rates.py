@@ -987,3 +987,45 @@ def test_input_checks(params44, call, expected):
     with pytest.raises(type(expected)) as info:
         call(params44)
     assert str(info.value) == str(expected)
+
+
+# The public rate behind each entry of the rate table: the marginals through
+# rate_marginal, whose callables the table holds.
+_PUBLIC_RATES = {
+    "J": rate_J,
+    "K": rate_K,
+    "I": rate_I_mle,
+    **{m: partial(lambda m, p, v: rate_marginal(p, m, v), m)
+       for m in ("Ja", "Jb", "Ka", "Kb", "Ia", "Ib")},
+    "S": rate_S,
+    "Sigma": rate_Sigma,
+    "V": rate_V,
+    "pair": rate_pair,
+    "triplet_x": rate_triplet_x,
+    "triplet_L": rate_triplet_L,
+}
+
+# Four values per coordinate: inside the domain, on or near an edge, outside
+# it and infinite.
+_TABLE_POINTS = {
+    "alpha": [3.0, 2.5, -1.0, math.inf],
+    "beta": [-0.5, -2.0, 0.3, -math.inf],
+    "x": [1.0, 3.0, 0.4, math.inf],
+    "y": [3.0, 0.8, 0.2, math.inf],
+    "z": [0.8, 0.5, 2.0, math.inf],
+    "t": [-0.5, 0.0, -2.0, -math.inf],
+    "v": [1.5, 0.2, 4.0, math.inf],
+}
+
+
+@pytest.mark.parametrize("name", list(rates.RATES))
+@pytest.mark.parametrize("ab", [(4.0, -1.0), (2.5, -0.5)], ids=["4,-1", "2.5,-0.5"])
+def test_rate_table_gives_the_public_rates_bits(name, ab):
+    params = ProcessParams(*ab)
+    rate, keys = rates.RATES[name]
+    public = _PUBLIC_RATES[name]
+    columns = [_TABLE_POINTS[k] for k in keys]
+    for point in zip(*columns):
+        assert rate(params, *point).hex() == public(params, *point).hex(), point
+    arrays = [np.array(c) for c in columns]
+    assert rate(params, *arrays).tobytes() == public(params, *arrays).tobytes()
