@@ -26,7 +26,6 @@ from . import cir_model
 from ._elementwise import _where
 from .cir_model import ProcessParams
 from .errors import BoundaryError
-from .functionals import functionals_from_summary
 
 __all__ = [
     "CgfPoint",
@@ -173,8 +172,8 @@ def cgf_finite_T_mc(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the normalized CGF at horizon T.
 
-    Simulates ``n_paths`` exact paths, takes their quadruplets from
-    functionals_from_summary, forms the exponent
+    Simulates ``n_paths`` exact paths, reads their quadruplets off the
+    ensemble's observables, forms the exponent
     lam*T*sqrt(X_T/T) + gamma*T*curlyL + mu*Int(X) + nu*Int(1/X) per path,
     and returns (estimate, stderr) where the estimate is the log-sum-exp
     average divided by T and the standard error comes from the delta method.
@@ -191,14 +190,13 @@ def cgf_finite_T_mc(
     if n_steps is None:
         n_steps = cir_model._steps_for(T, 200)
     ens = cir_model.simulate_ensemble(params, T, n_steps, n_paths, rng, n_workers)
-    pf = functionals_from_summary(T, params.x0, ens.x_T, ens.S, ens.Sigma)
     # An overflow here is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         e = (
-            p.lam * T * pf.sqrt_xT_over_T
-            + p.gamma * T * pf.curlyL
-            + p.mu * T * pf.S
-            + p.nu * T * pf.Sigma
+            p.lam * T * ens.sqrt_xT_over_T
+            + p.gamma * T * ens.curlyL
+            + p.mu * T * ens.S
+            + p.nu * T * ens.Sigma
         )
     if not np.all(np.isfinite(e)):
         raise OverflowError("non-finite exponent in finite-horizon CGF estimate")

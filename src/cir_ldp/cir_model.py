@@ -13,8 +13,8 @@ Contents:
   Bessel function of the first kind),
 * one exact transition step, X' = c (chi^2_{a-1} + (Z + sqrt(lambda))^2),
   shared by the scalar draw, the stored path and large path ensembles reduced
-  on the fly to time averages; an ensemble advances a few blocks at a time
-  in lockstep, and can record several horizons on its way to the last,
+  on the fly to their observables; an ensemble advances a few blocks at a
+  time in lockstep, and can record several horizons on its way to the last,
 * deterministic SFC64 substreams keyed by (seed, namespace, index), so
   ensembles are reproducible for a given seed regardless of worker count.
 """
@@ -30,6 +30,7 @@ import numpy as np
 
 from ._io import write_text_atomic
 from .errors import DomainError, RegimeError
+from .functionals import PathFunctionals, functionals_from_summary
 
 __all__ = [
     "BLOCK_SIZE",
@@ -203,6 +204,16 @@ def transition_kernel(params: ProcessParams, t: float, x: float) -> TransitionKe
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _lgamma_order(nu: float) -> float:
+    # lgamma(nu + 1), refused where it overflows, past nu of about 2.5e305.
+    # log I_nu(z) can still be a float there (about 5.3e305 at nu = z =
+    # 1e306, DLMF 10.41.3), so the order is refused, not given a log of -inf.
+    try:
+        return math.lgamma(nu + 1.0)
+    except OverflowError:
+        raise DomainError(f"Bessel order nu={nu} is too large: lgamma(nu + 1) overflows") from None
+
+
 def _log_iv_series(nu: float, z: float) -> float:
     # Ascending series I_nu(z) = (z/2)^nu sum_k (z/2)^(2k) / (k! Gamma(nu+k+1)).
     # Each term's log is taken directly, not as a running sum of ratio logs,
@@ -221,6 +232,8 @@ def _log_iv_series(nu: float, z: float) -> float:
     lgamma = math.lgamma
     log_terms = []
     peak = -math.inf
+    # Term 0's lgamma overflows first; a later term's, only 1e304 terms in.
+    _lgamma_order(nu)
     for k in range(math.ceil(2.0 * k_root) + 101):
         lt = 2 * k * log_half_z - lgamma(k + 1.0) - lgamma(nu + k + 1.0)
         log_terms.append(lt)
@@ -261,7 +274,8 @@ def bessel_log_i(nu: float, z: float) -> float:
     Raises
     ------
     DomainError
-        If z is not positive and finite, or nu not nonnegative and finite.
+        If z is not positive and finite, or nu not nonnegative and finite,
+        or the series is due and lgamma(nu + 1) overflows (nu > ~2.5e305).
     """
     if not 0.0 < z < math.inf:
         raise DomainError(f"Bessel argument must be positive and finite, got z={z}")
@@ -287,7 +301,8 @@ def transition_log_density(params: ProcessParams, t: float, x: float, y: float) 
     Raises
     ------
     DomainError
-        If t, x or y is not positive and finite.
+        If t, x or y is not positive and finite, or the Bessel order
+        (a - 2) / 2 is too large for bessel_log_i.
     """
     _check_positive("horizon t", t)
     _check_positive("state x", x)
@@ -301,7 +316,7 @@ def transition_log_density(params: ProcessParams, t: float, x: float, y: float) 
     log_z = math.log(d) + 0.5 * (math.log(x) + math.log(y)) - _LOG2 - log_sinh_u
     if log_z < -700.0:
         # Bessel argument underflows; use the leading series term directly.
-        log_bessel = f * (log_z - _LOG2) - math.lgamma(f + 1.0)
+        log_bessel = f * (log_z - _LOG2) - _lgamma_order(f)
     else:
         log_bessel = bessel_log_i(f, math.exp(log_z))
     return (
@@ -458,7 +473,7 @@ def _coerce_seed(rng: int | np.random.Generator) -> int:
         return seed
     if isinstance(rng, np.random.Generator):
         return int(rng.integers(0, 2**64, dtype=np.uint64))
-    raise TypeError(f"expected an int seed or numpy Generator, got {type(rng)!r}")
+    raise DomainError(f"seed must be an int or a numpy Generator, got {rng!r}")
 
 
 def _substream(master_seed: int, namespace: int, index: int) -> np.random.Generator:
@@ -471,20 +486,16 @@ def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     return _substream(master_seed, 1, path_index)
 
 
-@dataclass
-class EnsembleSummary:
-    """Terminal states and trapezoid time averages for an ensemble of paths.
+@dataclass(frozen=True)
+class EnsembleSummary(PathFunctionals):
+    """The observables of an ensemble of paths, one array entry per path.
 
-    ``S`` and ``Sigma`` are the per-path trapezoid averages of X_t and 1/X_t
-    on the simulation grid (the same quadrature rule the functionals module
-    applies to stored trajectories), so estimators can be formed without ever
-    materializing the paths.
+    functionals_from_summary forms them from the terminal states ``x_T`` and
+    the per-path trapezoid averages S and Sigma on a grid of ``n_steps``
+    steps, so no path is ever stored and the estimators take it as it is.
     """
 
     x_T: np.ndarray
-    S: np.ndarray
-    Sigma: np.ndarray
-    T: float
     n_steps: int
 
 
@@ -578,9 +589,8 @@ def _simulate_horizons(
     summaries = {}
     for (n_steps, T), columns in zip(stops, zip(*parts)):
         x_T, S, Sigma = (np.concatenate(column) for column in zip(*columns))
-        summaries[n_steps, T] = EnsembleSummary(
-            x_T=x_T, S=S, Sigma=Sigma, T=float(T), n_steps=n_steps
-        )
+        pf = functionals_from_summary(float(T), params.x0, x_T, S, Sigma)
+        summaries[n_steps, T] = EnsembleSummary(**vars(pf), x_T=x_T, n_steps=n_steps)
     return [summaries[h] for h in horizons]
 
 
@@ -592,7 +602,7 @@ def simulate_ensemble(
     rng: int | np.random.Generator,
     n_workers: int = 1,
 ) -> EnsembleSummary:
-    """Simulate n_paths exact paths, reduced on the fly to (X_T, S_T, Sigma_T).
+    """Simulate n_paths exact paths, reduced on the fly to their observables.
 
     Paths are partitioned into fixed blocks of BLOCK_SIZE; block j draws from
     its own SFC64 substream keyed by (master seed, j), so the output is a
@@ -609,7 +619,8 @@ def simulate_ensemble(
     ------
     DomainError
         If T is not positive and finite, n_steps, n_paths or n_workers is not
-        an integer of at least 1, or the seed is out of range or a bool.
+        an integer of at least 1, or the seed is not an unsigned 64-bit
+        integer or a numpy Generator.
     """
     return _simulate_horizons(params, [(n_steps, T)], n_paths, rng, n_workers)[0]
 

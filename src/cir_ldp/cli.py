@@ -36,7 +36,7 @@ from .cir_model import (
     write_trajectory_csv,
 )
 from .errors import CirLdpError, ConfigError, RegimeError
-from .functionals import ESTIMATORS, functionals_from_summary
+from .functionals import ESTIMATORS
 from .harness import (
     CHECK_SUITES,
     FIGURE_WINDOW,
@@ -373,10 +373,9 @@ def _cmd_estimate(params: ProcessParams, cfg: dict) -> int:
     ens = simulate_ensemble(
         params, cfg["T"], settings["n_steps"], n_paths, cfg["seed"], n_workers=cfg["n_workers"]
     )
-    pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
     columns = []
     for name in names:
-        est = ESTIMATORS[name](pf)
+        est = ESTIMATORS[name](ens)
         columns.append((name, est.alpha.tolist(), est.beta.tolist()))
     rows = (
         (i, name, alphas[i], betas[i])

@@ -2,8 +2,8 @@
 
 A continuous-record trajectory enters estimation only through a handful of
 observables: the terminal state, the time averages of X_t and 1/X_t, and the
-terminal log.  This module reduces a trajectory to those observables
-(trapezoidal quadrature on the uniform grid) and evaluates the maximum
+terminal log.  This module reduces a stored or streamed trajectory to those
+observables (trapezoid rule on the uniform grid) and evaluates the maximum
 likelihood estimator of (a, b) together with its simplified variants.
 
 Every formula is elementwise: the observables and the estimates are floats
@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ._elementwise import _libm, _sqrt, _where
-from .cir_model import Trajectory
 from .errors import DegenerateError, GridError
+
+if TYPE_CHECKING:
+    from .cir_model import Trajectory
 
 __all__ = [
     "ESTIMATORS",
@@ -77,10 +79,10 @@ class PathFunctionals:
 def functionals_from_summary(T: float, x0: float, x_T, S, Sigma) -> PathFunctionals:
     """Assemble PathFunctionals from already-reduced path quantities.
 
-    Used by streaming simulation drivers that never materialize the path;
-    (S, Sigma) must come from the same trapezoid rule compute_functionals
-    applies to stored trajectories.  x_T, S and Sigma are floats for one
-    path or equal-length arrays for an ensemble (``EnsembleSummary`` fields).
+    The one builder of PathFunctionals: compute_functionals calls it on a
+    stored trajectory, and the ensemble sampler on the paths it never
+    stores; (S, Sigma) must come from the same trapezoid rule.  x_T, S and
+    Sigma are floats for one path or equal-length arrays for an ensemble.
     """
     log_xT = _libm(math.log, x_T)
     return PathFunctionals(

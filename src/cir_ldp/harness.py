@@ -22,7 +22,6 @@ import numpy as np
 from ._io import csv_text, report
 from .cgf import lambda_star, legendre_transform_numeric
 from .cir_model import (
-    EnsembleSummary,
     ProcessParams,
     _check_count,
     _coerce_seed,
@@ -32,7 +31,7 @@ from .cir_model import (
     simulate_ensemble,
 )
 from .errors import DomainError, InconclusiveError
-from .functionals import ESTIMATORS, PathFunctionals, functionals_from_summary
+from .functionals import ESTIMATORS
 from .rates import (
     _Ja_high,
     _Ja_low,
@@ -132,39 +131,6 @@ class CltReport(_Report):
     _metrics = ("mean", "covariance", "target", "relative_deviations")
 
 
-def _clt_report(
-    params: ProcessParams,
-    ens: EnsembleSummary,
-    pf: PathFunctionals,
-    estimator: str,
-    seed: int,
-    tolerance: float,
-) -> CltReport:
-    target = clt_target_covariance(params).target
-    est = ESTIMATORS[estimator](pf)
-    dev = math.sqrt(ens.T) * (
-        np.column_stack((est.alpha, est.beta)) - np.array([params.a, params.b])
-    )
-    mean = dev.mean(axis=0)
-    cov = np.cov(dev, rowvar=False)
-    rel = np.abs(cov - target) / np.abs(target)
-    passed = bool(np.all(rel <= tolerance))
-    return CltReport(
-        params=params,
-        estimator=estimator,
-        T=ens.T,
-        n_paths=len(ens.x_T),
-        n_steps=ens.n_steps,
-        seed=seed,
-        mean=mean,
-        covariance=cov,
-        target=target,
-        relative_deviations=rel,
-        tolerance=tolerance,
-        passed=passed,
-    )
-
-
 def clt_experiments(
     params: ProcessParams,
     estimators: Sequence[str],
@@ -183,8 +149,11 @@ def clt_experiments(
     picks tilde or check per path; both are sqrt(T)-equivalent to the MLE,
     so its limit is the same 4 C^-1.  An ``n_paths`` that is not an integer
     of at least 2 raises DomainError: a covariance needs two samples.  So
-    does a T that is not positive and finite.
+    does a T that is not positive and finite, and, before any path is
+    simulated, an empty ``estimators``.
     """
+    if len(estimators) == 0:
+        raise DomainError("estimators must be non-empty")
     for name in estimators:
         if name not in ESTIMATORS:
             raise DomainError(
@@ -195,8 +164,22 @@ def clt_experiments(
     if n_steps is None:
         n_steps = _steps_for(T, 200.0)
     ens = simulate_ensemble(params, T, n_steps, n_paths, seed, n_workers=n_workers)
-    pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
-    return [_clt_report(params, ens, pf, name, seed, tolerance) for name in estimators]
+    target = clt_target_covariance(params).target
+    truth = np.array([params.a, params.b])
+    run = {"params": params, "T": ens.T, "n_paths": n_paths, "n_steps": ens.n_steps,
+           "seed": seed, "target": target, "tolerance": tolerance}
+    reports = []
+    for name in estimators:
+        est = ESTIMATORS[name](ens)
+        dev = math.sqrt(ens.T) * (np.column_stack((est.alpha, est.beta)) - truth)
+        cov = np.cov(dev, rowvar=False)
+        rel = np.abs(cov - target) / np.abs(target)
+        passed = bool(np.all(rel <= tolerance))
+        reports.append(CltReport(
+            estimator=name, mean=dev.mean(axis=0), covariance=cov, relative_deviations=rel,
+            passed=passed, **run,
+        ))
+    return reports
 
 
 #: Functional -> (ergodic mean, closed-form rate); the functional is read as
@@ -264,8 +247,9 @@ def slope_experiment(
     Raises
     ------
     DomainError
-        If c is the ergodic mean, where the rate is 0 and no slope can pass,
-        or a horizon or ``n_steps_per_unit`` is not positive and finite.
+        If c is not finite or is the ergodic mean, where the rate is 0 and no
+        slope can pass, or a horizon or ``n_steps_per_unit`` is not positive
+        and finite.
     InconclusiveError
         If the hit count at the largest T falls below 50.
     """
@@ -275,6 +259,8 @@ def slope_experiment(
         )
     if len(T_grid) == 0:
         raise DomainError("T_grid must be non-empty")
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c}")
     seed = _coerce_seed(rng)
     ergodic_mean, rate = SLOPE_FUNCTIONALS[functional]
     mean = ergodic_mean(params)
@@ -294,8 +280,7 @@ def slope_experiment(
             n_workers,
         )
         for i, ens in zip(members, ensembles):
-            pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
-            values = getattr(pf, functional)
+            values = getattr(ens, functional)
             hit_counts[i] = int(np.count_nonzero(values >= c if upper else values <= c))
     slopes = [
         -math.log(hits / n_paths) / T if hits else math.inf
@@ -375,10 +360,14 @@ def surface_grid(
 ) -> SurfaceGrid:
     """Evaluate the J, K, I surfaces on a rectangular grid.
 
-    The default window is the figure window [3, 5] x [-4, -0.5].
+    The default window is the figure window [3, 5] x [-4, -0.5].  A range
+    that is not finite, or an ``n_alpha`` or ``n_beta`` that is not an
+    integer of at least 1, raises DomainError.
     """
     if not all(map(math.isfinite, (*alpha_range, *beta_range))):
         raise DomainError("grid ranges must be finite")
+    _check_count("n_alpha", n_alpha)
+    _check_count("n_beta", n_beta)
     alphas = np.linspace(alpha_range[0], alpha_range[1], n_alpha)
     betas = np.linspace(beta_range[0], beta_range[1], n_beta)
     J = rate_J(params, alphas[:, None], betas[None, :])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -36,7 +37,7 @@ from cir_ldp import (
     write_trajectory_csv,
 )
 from cir_ldp import cir_model
-from cir_ldp.functionals import compute_functionals
+from cir_ldp.functionals import PathFunctionals, compute_functionals, functionals_from_summary
 
 
 class TestParams:
@@ -311,7 +312,29 @@ class TestSimulatePath:
             simulate_path(params44, 1.0, 0, path_rng(0, 0))
 
 
+def _assert_is_its_observables(ens, x0: float) -> None:
+    # Every PathFunctionals field of an ensemble has the bits that
+    # functionals_from_summary forms from its terminal states and averages.
+    built = functionals_from_summary(ens.T, x0, ens.x_T, ens.S, ens.Sigma)
+    for field in dataclasses.fields(PathFunctionals):
+        np.testing.assert_array_equal(getattr(ens, field.name), getattr(built, field.name))
+
+
 class TestEnsemble:
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_ensemble_is_its_observables(self, params44, n_workers):
+        # 12 300 paths: three full blocks and one of 12.
+        n = 3 * BLOCK_SIZE + 12
+        ens = simulate_ensemble(params44, 1.0, 20, n, 7, n_workers=n_workers)
+        assert ens.x_T.shape == (n,) and ens.n_steps == 20
+        _assert_is_its_observables(ens, params44.x0)
+
+    def test_ensemble_is_a_frozen_path_functionals(self, params44):
+        ens = simulate_ensemble(params44, 1.0, 20, 5, 3)
+        assert isinstance(ens, PathFunctionals)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ens.S = ens.Sigma
+
     def test_deterministic_and_worker_invariant(self, params44):
         n = BLOCK_SIZE + 37
         e1 = simulate_ensemble(params44, 1.0, 20, n, 123, n_workers=1)
@@ -431,6 +454,15 @@ class TestHorizons:
             alone = simulate_ensemble(params44, T, n_steps, n_paths, 31, n_workers=n_workers)
             for field in ("x_T", "S", "Sigma"):
                 np.testing.assert_array_equal(getattr(ens, field), getattr(alone, field))
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    def test_every_horizon_is_its_observables(self, n_workers):
+        # x0 = 2.5 makes L differ from log(X_T) / T.
+        params = ProcessParams(4.0, -1.0, 2.5)
+        runs = cir_model._simulate_horizons(params, self.HORIZONS, 3 * BLOCK_SIZE + 12, 31,
+                                            n_workers)
+        for ens in runs:
+            _assert_is_its_observables(ens, params.x0)
 
     def test_one_run_steps_to_the_last_horizon_only(self, params44, monkeypatch):
         steps = []
@@ -644,7 +676,9 @@ _INPUT_CHECKS = [
     ("empty trajectory", lambda p: Trajectory(np.array([]), np.array([]), p),
      ValueError("trajectory needs at least one grid point")),
     ("seed type", lambda p: simulate_ensemble(p, 1.0, 10, 2, "7"),
-     TypeError("expected an int seed or numpy Generator, got <class 'str'>")),
+     DomainError("seed must be an int or a numpy Generator, got '7'")),
+    ("seed float", lambda p: simulate_ensemble(p, 1.0, 10, 2, 7.0),
+     DomainError("seed must be an int or a numpy Generator, got 7.0")),
     ("no steps", lambda p: simulate_ensemble(p, 1.0, 0, 2, 7),
      DomainError("n_steps must be at least 1, got 0")),
     # One rule for a time or a state: positive and finite.  At t = inf the
@@ -687,6 +721,20 @@ _INPUT_CHECKS = [
      DomainError("n_workers must be an integer, got 2.0")),
     ("seed bool", lambda p: simulate_ensemble(p, 1.0, 10, 5, True),
      DomainError("seed must be an unsigned 64-bit integer, got True")),
+    # An order whose lgamma(nu + 1) overflows, past about 2.5e305, in the
+    # series and in the density's leading term.
+    ("Bessel order past lgamma", lambda p: bessel_log_i(1.7e308, 1.0),
+     DomainError("Bessel order nu=1.7e+308 is too large: lgamma(nu + 1) overflows")),
+    ("Bessel order just past lgamma", lambda p: bessel_log_i(3e305, 1.0),
+     DomainError("Bessel order nu=3e+305 is too large: lgamma(nu + 1) overflows")),
+    ("Bessel order and argument past lgamma", lambda p: bessel_log_i(1e306, 1e306),
+     DomainError("Bessel order nu=1e+306 is too large: lgamma(nu + 1) overflows")),
+    ("density order past lgamma",
+     lambda p: transition_log_density(ProcessParams(5e306, -1.0), 1.0, 1.0, 1.0),
+     DomainError("Bessel order nu=2.5e+306 is too large: lgamma(nu + 1) overflows")),
+    ("density leading term past lgamma",
+     lambda p: transition_log_density(ProcessParams(5e306, -1.0), 1.0, 1e-305, 1e-305),
+     DomainError("Bessel order nu=2.5e+306 is too large: lgamma(nu + 1) overflows")),
 ]
 
 

@@ -195,6 +195,14 @@ class TestArrayFunctionals:
         np.testing.assert_array_equal(est.alpha, alphas)
         np.testing.assert_array_equal(est.beta, betas)
 
+    @pytest.mark.parametrize("name", ["mle", "tilde", "check", "combined"])
+    def test_estimators_take_the_ensemble(self, ens, params44, name):
+        # The ensemble is a PathFunctionals: no caller converts it.
+        built = functionals_from_summary(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma)
+        direct, converted = ESTIMATORS[name](ens), ESTIMATORS[name](built)
+        np.testing.assert_array_equal(direct.alpha, converted.alpha)
+        np.testing.assert_array_equal(direct.beta, converted.beta)
+
     def test_registry_order(self):
         assert list(ESTIMATORS) == ["mle", "tilde", "check", "combined"]
 

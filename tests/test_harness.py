@@ -91,6 +91,14 @@ class TestCltExperiment:
         with pytest.raises(DomainError):
             clt_experiments(params44, ["median"], T=2.0, n_paths=50, rng=0, n_steps=100)
 
+    def test_no_estimators_are_rejected_before_simulating(self, params44, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(harness, "simulate_ensemble", no_simulation)
+        with pytest.raises(DomainError, match="estimators must be non-empty"):
+            clt_experiments(params44, [], T=1.0, n_paths=10, rng=1, n_steps=20)
+
     def test_one_path_is_rejected_before_simulating(self, params44, monkeypatch):
         # One sample has no covariance: numpy would warn and give NaN.
         def no_simulation(*args, **kwargs):
@@ -328,6 +336,15 @@ _INPUT_CHECKS = [
      DomainError("functional must be one of ['S', 'Sigma', 'V'], got 'W'")),
     ("slope empty T_grid", lambda p: slope_experiment(p, "S", 5.0, (), 10, 1),
      DomainError("T_grid must be non-empty")),
+    ("clt no estimators", lambda p: clt_experiments(p, [], 1.0, 10, 1),
+     DomainError("estimators must be non-empty")),
+    # A threshold is finite: no path reaches an infinite one.
+    ("slope c nan", lambda p: slope_experiment(p, "S", math.nan, (1.0,), 200, 3),
+     DomainError("c must be finite, got nan")),
+    ("slope c inf", lambda p: slope_experiment(p, "S", math.inf, (1.0,), 200, 3),
+     DomainError("c must be finite, got inf")),
+    ("slope c -inf", lambda p: slope_experiment(p, "Sigma", -math.inf, (1.0,), 200, 3),
+     DomainError("c must be finite, got -inf")),
     # A horizon that is not positive and finite, before max(2, round(k T))
     # steps are counted from it, or when they are given.
     ("clt T inf", lambda p: clt_experiments(p, ["mle"], math.inf, 10, 1),
@@ -367,6 +384,14 @@ _INPUT_CHECKS = [
      DomainError("steps per unit time must be positive and finite, got 0")),
     ("infinite grid range", lambda p: surface_grid(p, alpha_range=(3.0, math.inf)),
      DomainError("grid ranges must be finite")),
+    ("grid no alphas", lambda p: surface_grid(p, n_alpha=0),
+     DomainError("n_alpha must be at least 1, got 0")),
+    ("grid bool alphas", lambda p: surface_grid(p, n_alpha=True),
+     DomainError("n_alpha must be an integer, got True")),
+    ("grid float alphas", lambda p: surface_grid(p, n_alpha=2.5),
+     DomainError("n_alpha must be an integer, got 2.5")),
+    ("grid negative betas", lambda p: surface_grid(p, n_beta=-1),
+     DomainError("n_beta must be at least 1, got -1")),
     # Every beta above b/3: no node on the shared branch, so no difference.
     ("no shared branch", lambda p: surface_grid(p, beta_range=(-0.2, -0.1), n_alpha=2,
                                                 n_beta=2).max_shared_diff(p), 0.0),

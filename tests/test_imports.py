@@ -84,3 +84,59 @@ def test_modules_import_only_the_standard_library_numpy_and_the_package():
                 continue
             foreign += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
     assert foreign == []
+
+
+# The package's modules, lowest first: each imports at run time only the
+# modules before it, so the ensemble sampler in cir_model reduces its paths
+# into functionals' record, and functionals needs nothing from the sampler.
+_LAYERS = (
+    "errors", "_elementwise", "_io", "_simplex", "functionals",
+    "cir_model", "cgf", "rates", "harness", "cli",
+)
+
+
+def _runtime_nodes(tree: ast.Module):
+    # Every node of a module but the bodies of ``if TYPE_CHECKING:``.
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        test = getattr(node, "test", None)
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in (
+            getattr(test, "id", None), getattr(test, "attr", None)
+        ):
+            stack.extend(node.orelse)
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _package_imports(node) -> list[str]:
+    # The package modules an import statement names, as relative or
+    # absolute imports; "from . import x" names x.
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("cir_ldp.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level == 0 and node.module is not None and node.module.startswith("cir_ldp"):
+        module = node.module.removeprefix("cir_ldp").lstrip(".")
+    elif node.level == 1:
+        module = node.module or ""
+    else:
+        return []
+    if module:
+        return [module.split(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+def test_modules_import_only_lower_layers():
+    package = Path(cir_ldp.__file__).parent
+    assert {p.stem for p in package.glob("*.py")} == {*_LAYERS, "__init__"}
+    upward = []
+    for i, name in enumerate(_LAYERS):
+        path = package / f"{name}.py"
+        for node in _runtime_nodes(ast.parse(path.read_text(), str(path))):
+            for imported in _package_imports(node):
+                allowed = imported in _LAYERS[:i] or (name, imported) == ("cli", "__version__")
+                if not allowed:
+                    upward.append((name, imported))
+    assert upward == []
