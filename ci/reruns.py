@@ -86,6 +86,37 @@ for a, b in {SETS!r}:
 for command in ([], ["simulate"], ["estimate"], ["rate"], ["cgf"], ["check"], ["figures"]):
     print(*command, "--help", main([*command, "--help"]), flush=True)
 """
+# The path record's fields and its four estimates as hex: of a seeded
+# ensemble (its terminal states too), and of the paths cir-ldp simulate
+# writes, read back, at x0 = 1 and at x0 = 2.5.
+PATH_RECORD = f"""\
+import glob
+import numpy as np
+from cir_ldp import (ESTIMATORS, ProcessParams, compute_functionals, read_trajectory_csv,
+                     simulate_ensemble)
+from cir_ldp.cli import main
+
+def show(pf, names):
+    for name in names:
+        print(name, [v.hex() for v in np.atleast_1d(getattr(pf, name)).tolist()])
+    for name, fn in ESTIMATORS.items():
+        est = fn(pf)
+        print(name, [v.hex() for v in np.atleast_1d([est.alpha, est.beta]).ravel().tolist()])
+
+fields = ("T", "xT_over_T", "sqrt_xT_over_T", "S", "Sigma", "L", "curlyL", "V")
+for a, b in {SETS!r}:
+    for x0 in ("1", "2.5"):
+        p = ProcessParams(float(a), float(b), float(x0))
+        print(a, b, x0, flush=True)
+        show(simulate_ensemble(p, 2.5, 37, 300, 7), (*fields, "x_T"))
+        out = f"out_{{a}}_{{b}}_{{x0}}"
+        argv = ["simulate", "--a", a, "--b", b, "--x0", x0, "--T", "2.5", "--n-steps", "37",
+                "--paths", "3", "--seed", "7", "--out", out]
+        print(*argv, main(argv), flush=True)
+        for path in sorted(glob.glob(out + "/*.csv")):
+            print(path)
+            show(compute_functionals(read_trajectory_csv(path, p)), fields)
+"""
 PER_SET = [["check", "continuity"], ["check", "infsup"], ["check", "legendre"],
            ["figures", "--fig", "3"]]
 CHECKS = [
@@ -107,6 +138,7 @@ CHECKS = [
     ("rate_I_infsup at the special points", [SPECIAL_POINTS]),
     ("cgf and cgf --gradient in each sector", [CGF_POINTS]),
     ("rate: every selector; --help of every command", [RATES_AND_HELP]),
+    ("path record bits", [PATH_RECORD]),
 ]
 
 

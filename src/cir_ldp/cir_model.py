@@ -13,8 +13,8 @@ Contents:
   Bessel function of the first kind),
 * one exact transition step, X' = c (chi^2_{a-1} + (Z + sqrt(lambda))^2),
   shared by the scalar draw, the stored path and large path ensembles reduced
-  on the fly to their observables; an ensemble advances a few blocks at a
-  time in lockstep, and can record several horizons on its way to the last,
+  on the fly to a PathFunctionals of per-path arrays; an ensemble steps a few
+  blocks in lockstep, and records several horizons on its way to the last,
 * deterministic SFC64 substreams keyed by (seed, namespace, index), so
   ensembles are reproducible for a given seed regardless of worker count.
 """
@@ -30,11 +30,10 @@ import numpy as np
 
 from ._io import write_text_atomic
 from .errors import DomainError, RegimeError
-from .functionals import PathFunctionals, functionals_from_summary
+from .functionals import PathFunctionals
 
 __all__ = [
     "BLOCK_SIZE",
-    "EnsembleSummary",
     "ProcessParams",
     "StationaryLaw",
     "Trajectory",
@@ -131,8 +130,15 @@ def stationary_law(params: ProcessParams) -> StationaryLaw:
     )
 
 
+def _check_real(what: str, value) -> None:
+    # An int or a float, Python's or numpy's, is a real number; a bool is not.
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+
+
 def _check_positive(what: str, value: float) -> None:
-    # A time or a state is positive and finite; nan is neither.
+    # A time or a state is a real number, positive and finite; nan is neither.
+    _check_real(what, value)
     if not 0.0 < value < math.inf:
         raise DomainError(f"{what} must be positive and finite, got {value}")
 
@@ -156,7 +162,7 @@ def conditional_moments(params: ProcessParams, t: float, x: float) -> tuple[floa
     Raises
     ------
     DomainError
-        If t or x is not positive and finite.
+        If t or x is not a positive finite number.
     """
     _check_positive("horizon t", t)
     _check_positive("state x", x)
@@ -187,7 +193,7 @@ def transition_kernel(params: ProcessParams, t: float, x: float) -> TransitionKe
     Raises
     ------
     DomainError
-        If t or x is not positive and finite.
+        If t or x is not a positive finite number.
     """
     _check_positive("horizon t", t)
     _check_positive("state x", x)
@@ -274,11 +280,13 @@ def bessel_log_i(nu: float, z: float) -> float:
     Raises
     ------
     DomainError
-        If z is not positive and finite, or nu not nonnegative and finite,
-        or the series is due and lgamma(nu + 1) overflows (nu > ~2.5e305).
+        If z is not a positive finite number, nu not a nonnegative finite
+        one, or the series is due and lgamma(nu + 1) overflows (nu > ~2.5e305).
     """
+    _check_real("Bessel argument z", z)
     if not 0.0 < z < math.inf:
         raise DomainError(f"Bessel argument must be positive and finite, got z={z}")
+    _check_real("Bessel order nu", nu)
     if not 0.0 <= nu < math.inf:
         raise DomainError(f"Bessel order must be nonnegative and finite, got nu={nu}")
     if z <= 100.0 + nu * nu:
@@ -301,7 +309,7 @@ def transition_log_density(params: ProcessParams, t: float, x: float, y: float) 
     Raises
     ------
     DomainError
-        If t, x or y is not positive and finite, or the Bessel order
+        If t, x or y is not a positive finite number, or the Bessel order
         (a - 2) / 2 is too large for bessel_log_i.
     """
     _check_positive("horizon t", t)
@@ -376,7 +384,7 @@ def sample_transition(
     Raises
     ------
     DomainError
-        If t or x is not positive and finite.
+        If t or x is not a positive finite number.
     """
     _check_positive("state x", x)
     c, rate, shape = _step_constants(params, t)
@@ -440,8 +448,8 @@ def simulate_path(
     Raises
     ------
     DomainError
-        If T is not positive and finite, or n_steps is not an integer of at
-        least 1.
+        If T is not a positive finite number, or n_steps is not an integer
+        of at least 1.
     """
     _check_positive("horizon T", T)
     _check_count("n_steps", n_steps)
@@ -484,19 +492,6 @@ def _substream(master_seed: int, namespace: int, index: int) -> np.random.Genera
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """Independent generator for one standalone path of a keyed family."""
     return _substream(master_seed, 1, path_index)
-
-
-@dataclass(frozen=True)
-class EnsembleSummary(PathFunctionals):
-    """The observables of an ensemble of paths, one array entry per path.
-
-    functionals_from_summary forms them from the terminal states ``x_T`` and
-    the per-path trapezoid averages S and Sigma on a grid of ``n_steps``
-    steps, so no path is ever stored and the estimators take it as it is.
-    """
-
-    x_T: np.ndarray
-    n_steps: int
 
 
 def _simulate_blocks(
@@ -564,10 +559,10 @@ def _simulate_horizons(
     n_paths: int,
     rng: int | np.random.Generator,
     n_workers: int = 1,
-) -> list[EnsembleSummary]:
+) -> list[PathFunctionals]:
     # One ensemble of n_paths paths stepped to the longest of the horizons,
     # (n_steps, T) pairs that share one step T / n_steps, in any order and
-    # possibly repeated.  Returns one summary per horizon, in their order;
+    # possibly repeated.  Returns one record per horizon, in their order;
     # each has the bits of simulate_ensemble(params, T, n_steps, n_paths,
     # rng), since the paths and their draws do not depend on where they stop.
     for n_steps, T in horizons:
@@ -586,12 +581,11 @@ def _simulate_horizons(
     edges = [min(n_paths, j * n_blocks // n_jobs * BLOCK_SIZE) for j in range(n_jobs + 1)]
     jobs = [(params, dt, stops, seed, lo, hi) for lo, hi in zip(edges, edges[1:])]
     parts = _map_jobs(_simulate_blocks, jobs, n_workers)
-    summaries = {}
+    records = {}
     for (n_steps, T), columns in zip(stops, zip(*parts)):
         x_T, S, Sigma = (np.concatenate(column) for column in zip(*columns))
-        pf = functionals_from_summary(float(T), params.x0, x_T, S, Sigma)
-        summaries[n_steps, T] = EnsembleSummary(**vars(pf), x_T=x_T, n_steps=n_steps)
-    return [summaries[h] for h in horizons]
+        records[n_steps, T] = PathFunctionals(float(T), params.x0, x_T, S, Sigma)
+    return [records[h] for h in horizons]
 
 
 def simulate_ensemble(
@@ -601,9 +595,10 @@ def simulate_ensemble(
     n_paths: int,
     rng: int | np.random.Generator,
     n_workers: int = 1,
-) -> EnsembleSummary:
+) -> PathFunctionals:
     """Simulate n_paths exact paths, reduced on the fly to their observables.
 
+    The result is a PathFunctionals of per-path arrays; no path is stored.
     Paths are partitioned into fixed blocks of BLOCK_SIZE; block j draws from
     its own SFC64 substream keyed by (master seed, j), so the output is a
     deterministic function of the seed alone.  Each step, every block draws
@@ -618,9 +613,9 @@ def simulate_ensemble(
     Raises
     ------
     DomainError
-        If T is not positive and finite, n_steps, n_paths or n_workers is not
-        an integer of at least 1, or the seed is not an unsigned 64-bit
-        integer or a numpy Generator.
+        If T is not a positive finite number, n_steps, n_paths or n_workers
+        is not an integer of at least 1, or the seed is not an unsigned
+        64-bit integer or a numpy Generator.
     """
     return _simulate_horizons(params, [(n_steps, T)], n_paths, rng, n_workers)[0]
 

@@ -14,7 +14,7 @@ names the four couples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "estimate_combined",
     "estimate_mle",
     "estimate_tilde",
-    "functionals_from_summary",
     "ito_log_integral",
 ]
 
@@ -45,18 +44,24 @@ EPS_V = 1e-12
 class PathFunctionals:
     """Observables over the horizon T of one path (floats) or many (arrays).
 
+    PathFunctionals(T, x0, x_T, S, Sigma) forms the other five fields from
+    a stored trajectory's reduced quantities (compute_functionals) or an
+    ensemble's (the sampler); S and Sigma come from one trapezoid rule.
+
     Attributes
     ----------
     T : float
         Horizon.
-    xT_over_T : float
-        X_T / T.
-    sqrt_xT_over_T : float
-        sqrt(X_T / T).
+    x0, x_T : float
+        Starting and terminal states.
     S : float
         Time average of X_t (trapezoid).
     Sigma : float
         Time average of 1/X_t (trapezoid).
+    xT_over_T : float
+        X_T / T.
+    sqrt_xT_over_T : float
+        sqrt(X_T / T).
     L : float
         (log X_T - log x0) / T.
     curlyL : float
@@ -67,34 +72,27 @@ class PathFunctionals:
     """
 
     T: float
-    xT_over_T: float
-    sqrt_xT_over_T: float
+    x0: float
+    x_T: float
     S: float
     Sigma: float
-    L: float
-    curlyL: float
-    V: float
+    xT_over_T: float = field(init=False)
+    sqrt_xT_over_T: float = field(init=False)
+    L: float = field(init=False)
+    curlyL: float = field(init=False)
+    V: float = field(init=False)
 
-
-def functionals_from_summary(T: float, x0: float, x_T, S, Sigma) -> PathFunctionals:
-    """Assemble PathFunctionals from already-reduced path quantities.
-
-    The one builder of PathFunctionals: compute_functionals calls it on a
-    stored trajectory, and the ensemble sampler on the paths it never
-    stores; (S, Sigma) must come from the same trapezoid rule.  x_T, S and
-    Sigma are floats for one path or equal-length arrays for an ensemble.
-    """
-    log_xT = _libm(math.log, x_T)
-    return PathFunctionals(
-        T=T,
-        xT_over_T=x_T / T,
-        sqrt_xT_over_T=_sqrt(x_T / T),
-        S=S,
-        Sigma=Sigma,
-        L=(log_xT - math.log(x0)) / T,
-        curlyL=_where(x_T < 1.0, -_sqrt(abs(log_xT) / T), log_xT / T),
-        V=S * Sigma - 1.0,
-    )
+    def __post_init__(self) -> None:
+        T, x_T = self.T, self.x_T
+        log_xT = _libm(math.log, x_T)
+        for name, value in (
+            ("xT_over_T", x_T / T),
+            ("sqrt_xT_over_T", _sqrt(x_T / T)),
+            ("L", (log_xT - math.log(self.x0)) / T),
+            ("curlyL", _where(x_T < 1.0, -_sqrt(abs(log_xT) / T), log_xT / T)),
+            ("V", self.S * self.Sigma - 1.0),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def compute_functionals(traj: Trajectory) -> PathFunctionals:
@@ -122,7 +120,7 @@ def compute_functionals(traj: Trajectory) -> PathFunctionals:
     w[-1] = 0.5
     S = float(np.dot(w, values)) * dt / T
     Sigma = float(np.dot(w, 1.0 / values)) * dt / T
-    return functionals_from_summary(T, float(values[0]), float(values[-1]), S, Sigma)
+    return PathFunctionals(T, float(values[0]), float(values[-1]), S, Sigma)
 
 
 def ito_log_integral(pf: PathFunctionals) -> float:
@@ -186,8 +184,8 @@ def estimate_check(pf: PathFunctionals) -> EstimatePair:
 def estimate_combined(pf: PathFunctionals) -> EstimatePair:
     """Tilde estimator where X_T >= 1, check estimator elsewhere.
 
-    X_T >= 1 is read as curlyL >= 0, the test functionals_from_summary makes:
-    X_T / T times T can round below 1 at X_T = 1.
+    X_T >= 1 is read as curlyL >= 0, the test PathFunctionals makes: X_T / T
+    times T can round below 1 at X_T = 1.
     """
     upper = pf.curlyL >= 0.0
     tilde = estimate_tilde(pf)

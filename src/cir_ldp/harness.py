@@ -24,6 +24,7 @@ from .cgf import lambda_star, legendre_transform_numeric
 from .cir_model import (
     ProcessParams,
     _check_count,
+    _check_real,
     _coerce_seed,
     _simulate_horizons,
     _steps_for,
@@ -166,7 +167,7 @@ def clt_experiments(
     ens = simulate_ensemble(params, T, n_steps, n_paths, seed, n_workers=n_workers)
     target = clt_target_covariance(params).target
     truth = np.array([params.a, params.b])
-    run = {"params": params, "T": ens.T, "n_paths": n_paths, "n_steps": ens.n_steps,
+    run = {"params": params, "T": ens.T, "n_paths": n_paths, "n_steps": n_steps,
            "seed": seed, "target": target, "tolerance": tolerance}
     reports = []
     for name in estimators:
@@ -247,9 +248,9 @@ def slope_experiment(
     Raises
     ------
     DomainError
-        If c is not finite or is the ergodic mean, where the rate is 0 and no
-        slope can pass, or a horizon or ``n_steps_per_unit`` is not positive
-        and finite.
+        If c is not a finite number or is the ergodic mean, where the rate is
+        0 and no slope can pass, or a horizon or ``n_steps_per_unit`` is not
+        a positive finite number.
     InconclusiveError
         If the hit count at the largest T falls below 50.
     """
@@ -259,6 +260,7 @@ def slope_experiment(
         )
     if len(T_grid) == 0:
         raise DomainError("T_grid must be non-empty")
+    _check_real("c", c)
     if not math.isfinite(c):
         raise DomainError(f"c must be finite, got {c}")
     seed = _coerce_seed(rng)
@@ -361,9 +363,11 @@ def surface_grid(
     """Evaluate the J, K, I surfaces on a rectangular grid.
 
     The default window is the figure window [3, 5] x [-4, -0.5].  A range
-    that is not finite, or an ``n_alpha`` or ``n_beta`` that is not an
-    integer of at least 1, raises DomainError.
+    whose ends are not finite numbers, or an ``n_alpha`` or ``n_beta`` that
+    is not an integer of at least 1, raises DomainError.
     """
+    for end in (*alpha_range, *beta_range):
+        _check_real("a grid range's end", end)
     if not all(map(math.isfinite, (*alpha_range, *beta_range))):
         raise DomainError("grid ranges must be finite")
     _check_count("n_alpha", n_alpha)

@@ -70,7 +70,8 @@ def _total(rate):
     overflow and gives +inf.  If the float arithmetic divides by zero, or any
     coordinate is an array, a numpy scalar, an int or not finite, the body
     runs on numpy arrays under errstate, where the policy is applied
-    elementwise; an int gives the value of its float there.
+    elementwise; an int gives the value of its float there, and a coordinate
+    whose dtype is neither an integer nor a float kind raises DomainError.
     """
 
     @functools.wraps(rate)
@@ -85,7 +86,13 @@ def _total(rate):
                 pass
             else:
                 return value if value > -INF else INF
-        xs = [np.asarray(c, dtype=float) for c in coords]
+        xs = []
+        for c in coords:
+            x = np.asarray(c)
+            # A Python int past int64 is an object array, and still a number.
+            if x.dtype.kind not in "iuf" and type(c) is not int:
+                raise DomainError(f"rate coordinate must be a real number, got {c!r}")
+            xs.append(x.astype(float, copy=False))
         # max |x_i| is NaN where some coordinate is NaN, else +inf where some
         # is infinite: the policy's value wherever it is not finite.
         out = functools.reduce(np.maximum, map(np.abs, xs))

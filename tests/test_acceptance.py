@@ -32,7 +32,7 @@ from scipy import integrate, stats
 from conftest import record_criterion
 from cir_ldp import (
     CgfPoint,
-    EnsembleSummary,
+    PathFunctionals,
     ProcessParams,
     bessel_log_i,
     cgf_finite_T_mc,
@@ -41,7 +41,6 @@ from cir_ldp import (
     clt_experiments,
     estimate_combined,
     estimate_mle,
-    functionals_from_summary,
     lambda_star,
     legendre_transform_numeric,
     marginal_inf_numeric,
@@ -310,7 +309,7 @@ def test_c08_clt_covariance():
 
 
 def _girsanov_log_ratio(
-    p: ProcessParams, q: ProcessParams, ens: EnsembleSummary
+    p: ProcessParams, q: ProcessParams, ens: PathFunctionals
 ) -> np.ndarray:
     """log dQ/dP on [0, T] for each path of ``ens``, from the same x0.
 
@@ -415,7 +414,7 @@ def test_c11_exponential_equivalence():
         ens = simulate_ensemble(P44, T, int(200 * T), 100, 5)
         dists = []
         for i in range(100):
-            pf = functionals_from_summary(
+            pf = PathFunctionals(
                 ens.T, P44.x0, float(ens.x_T[i]), float(ens.S[i]), float(ens.Sigma[i])
             )
             mle = estimate_mle(pf)

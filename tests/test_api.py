@@ -40,8 +40,9 @@ def test_every_public_function_and_class_is_declared(module):
 # Names removed in version 0.3.0: the alias of ProcessParams, the
 # one-estimator wrapper of clt_experiments and the reader of the worker
 # environment variable; in 0.4.0, the record of cgf's dual variables and its
-# wrapper.  Spelt in parts, so that a search of the sources for them finds no
-# use left.
+# wrapper; in 0.7.0, the function that assembled PathFunctionals and the
+# ensemble's subclass of it.  Spelt in parts, so that a search of the
+# sources for them finds no use left.
 _REMOVED = [
     "".join(parts)
     for parts in (
@@ -50,6 +51,8 @@ _REMOVED = [
         ("default_", "workers"),
         ("Dual", "Vars"),
         ("dual_", "vars"),
+        ("functionals_from_", "summary"),
+        ("Ensemble", "Summary"),
     )
 ]
 

@@ -16,7 +16,6 @@ from cir_ldp import (
     cgf_finite_T_mc,
     cgf_gradient,
     cgf_limit,
-    functionals_from_summary,
     lambda_star,
     legendre_transform_numeric,
     rate_pair,
@@ -535,13 +534,12 @@ class TestFiniteTMc:
             cgf_finite_T_mc(params44, CgfPoint(0.0, 1e308, 0.0, 0.0), 2.0, 50, 1, n_steps=20)
 
     def test_estimate_is_that_of_the_ensembles_quadruplets(self, params44):
-        # The same seed's ensemble through functionals_from_summary: the
-        # exponent is T <theta, (sqrt(X_T/T), S, Sigma, curlyL)>, term by term.
+        # The same seed's ensemble: the exponent is
+        # T <theta, (sqrt(X_T/T), S, Sigma, curlyL)>, term by term.
         p = CgfPoint(0.1, -0.1, -0.1, -0.1)
         T, n = 2.0, 500
         est, se = cgf_finite_T_mc(params44, p, T, n, 11, n_steps=100)
-        ens = simulate_ensemble(params44, T, 100, n, 11)
-        pf = functionals_from_summary(T, params44.x0, ens.x_T, ens.S, ens.Sigma)
+        pf = simulate_ensemble(params44, T, 100, n, 11)
         e = (
             p.lam * T * pf.sqrt_xT_over_T
             + p.gamma * T * pf.curlyL

@@ -37,7 +37,7 @@ from cir_ldp import (
     write_trajectory_csv,
 )
 from cir_ldp import cir_model
-from cir_ldp.functionals import PathFunctionals, compute_functionals, functionals_from_summary
+from cir_ldp.functionals import PathFunctionals, compute_functionals
 
 
 class TestParams:
@@ -314,8 +314,9 @@ class TestSimulatePath:
 
 def _assert_is_its_observables(ens, x0: float) -> None:
     # Every PathFunctionals field of an ensemble has the bits that
-    # functionals_from_summary forms from its terminal states and averages.
-    built = functionals_from_summary(ens.T, x0, ens.x_T, ens.S, ens.Sigma)
+    # PathFunctionals forms from its horizon, x0, terminal states and averages.
+    assert ens.x0 == x0
+    built = PathFunctionals(ens.T, x0, ens.x_T, ens.S, ens.Sigma)
     for field in dataclasses.fields(PathFunctionals):
         np.testing.assert_array_equal(getattr(ens, field.name), getattr(built, field.name))
 
@@ -326,7 +327,7 @@ class TestEnsemble:
         # 12 300 paths: three full blocks and one of 12.
         n = 3 * BLOCK_SIZE + 12
         ens = simulate_ensemble(params44, 1.0, 20, n, 7, n_workers=n_workers)
-        assert ens.x_T.shape == (n,) and ens.n_steps == 20
+        assert ens.x_T.shape == (n,) and ens.T == 1.0
         _assert_is_its_observables(ens, params44.x0)
 
     def test_ensemble_is_a_frozen_path_functionals(self, params44):
@@ -449,7 +450,7 @@ class TestHorizons:
         # one worker.
         assert {T / n for n, T in self.HORIZONS} == {0.1}
         runs = cir_model._simulate_horizons(params44, self.HORIZONS, n_paths, 31, n_workers)
-        assert [(e.n_steps, e.T) for e in runs] == self.HORIZONS
+        assert [e.T for e in runs] == [T for _, T in self.HORIZONS]
         for (n_steps, T), ens in zip(self.HORIZONS, runs):
             alone = simulate_ensemble(params44, T, n_steps, n_paths, 31, n_workers=n_workers)
             for field in ("x_T", "S", "Sigma"):
@@ -735,6 +736,30 @@ _INPUT_CHECKS = [
     ("density leading term past lgamma",
      lambda p: transition_log_density(ProcessParams(5e306, -1.0), 1.0, 1e-305, 1e-305),
      DomainError("Bessel order nu=2.5e+306 is too large: lgamma(nu + 1) overflows")),
+    # A time, a state, a Bessel order or argument is a real number: an int
+    # or a float, Python's or numpy's, and not a bool.
+    ("ensemble T string", lambda p: simulate_ensemble(p, "1", 10, 2, 7),
+     DomainError("horizon T must be a real number, got '1'")),
+    ("ensemble T bool", lambda p: simulate_ensemble(p, True, 10, 2, 7),
+     DomainError("horizon T must be a real number, got True")),
+    ("path T string", lambda p: simulate_path(p, "1", 10, path_rng(1, 0)),
+     DomainError("horizon T must be a real number, got '1'")),
+    ("kernel horizon None", lambda p: transition_kernel(p, None, 1.0),
+     DomainError("horizon t must be a real number, got None")),
+    ("kernel horizon numpy bool", lambda p: transition_kernel(p, np.bool_(True), 1.0),
+     DomainError("horizon t must be a real number, got np.True_")),
+    ("moments state bool", lambda p: conditional_moments(p, 1.0, True),
+     DomainError("state x must be a real number, got True")),
+    ("sample state string", lambda p: sample_transition(p, 1.0, "1", path_rng(1, 0)),
+     DomainError("state x must be a real number, got '1'")),
+    ("density end string", lambda p: transition_log_density(p, 1.0, 1.0, "2"),
+     DomainError("state y must be a real number, got '2'")),
+    ("Bessel order string", lambda p: bessel_log_i("1", 1.0),
+     DomainError("Bessel order nu must be a real number, got '1'")),
+    ("Bessel order bool", lambda p: bessel_log_i(False, 1.0),
+     DomainError("Bessel order nu must be a real number, got False")),
+    ("Bessel argument None", lambda p: bessel_log_i(1.0, None),
+     DomainError("Bessel argument z must be a real number, got None")),
 ]
 
 

@@ -17,8 +17,8 @@ import pytest
 import cir_ldp
 from cir_ldp import (
     ESTIMATORS,
+    PathFunctionals,
     ProcessParams,
-    functionals_from_summary,
     rate_I_mle,
     rate_J,
     rate_K,
@@ -379,7 +379,7 @@ class TestSimulateEstimate:
         ens = simulate_ensemble(ProcessParams(4.0, -1.0), 2.0, 100, 3, 8)
         expected = ["path_id,estimator,alpha,beta"]
         for i in range(3):
-            pf = functionals_from_summary(
+            pf = PathFunctionals(
                 ens.T, 1.0, float(ens.x_T[i]), float(ens.S[i]), float(ens.Sigma[i])
             )
             for name, fn in ESTIMATORS.items():

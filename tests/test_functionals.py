@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from cir_ldp import (
     ESTIMATORS,
     DegenerateError,
     GridError,
+    PathFunctionals,
     ProcessParams,
     Trajectory,
     compute_functionals,
@@ -19,11 +20,12 @@ from cir_ldp import (
     estimate_combined,
     estimate_mle,
     estimate_tilde,
-    functionals_from_summary,
     ito_log_integral,
     path_rng,
+    read_trajectory_csv,
     simulate_ensemble,
     simulate_path,
+    write_trajectory_csv,
 )
 
 
@@ -61,10 +63,76 @@ class TestComputeFunctionals:
             compute_functionals(bad)
 
     def test_curly_l_definition(self, params44):
-        low = functionals_from_summary(4.0, 1.0, 0.5, 3.0, 0.6)
+        low = PathFunctionals(4.0, 1.0, 0.5, 3.0, 0.6)
         assert low.curlyL == pytest.approx(-math.sqrt(-math.log(0.5) / 4.0), rel=1e-14)
-        high = functionals_from_summary(4.0, 1.0, 2.5, 3.0, 0.6)
+        high = PathFunctionals(4.0, 1.0, 2.5, 3.0, 0.6)
         assert high.curlyL == pytest.approx(math.log(2.5) / 4.0, rel=1e-14)
+
+
+# PathFunctionals(T, x0, x_T, S, Sigma) and the hex of the five fields it
+# forms (xT_over_T, sqrt_xT_over_T, L, curlyL, V), as version 0.6.0
+# formed them: at X_T = 1, where curlyL switches, below 1 with
+# x0 = 1.3, and above 1 with x0 = 2.5.
+_FLOAT_GOLDENS = [
+    ((4.0, 1.0, 1.0, 3.0, 0.6),
+     ("0x1.0000000000000p-2", "0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0",
+      "0x1.9999999999998p-1")),
+    ((7.0, 1.3, 0.37, 2.9, 0.52),
+     ("0x1.b101767dce435p-5", "0x1.d6d9622625a4fp-3", "-0x1.6fa66caadf182p-3",
+      "-0x1.81ebf67f36443p-2", "0x1.04189374bc6a8p-1")),
+    ((49.0, 2.5, 2.4829177990687783, 4.1, 0.55),
+     ("0x1.9f1a7315fad9ep-5", "0x1.cd034dc7a5decp-3", "-0x1.2571bb79f258dp-13",
+      "0x1.3015cd8d005eep-6", "0x1.4147ae147ae14p+0")),
+]
+
+# The same for one array record at T = 7, x0 = 2.5: X_T = 1, below 1, above
+# 1, one half-ulp below 1 and far above 1.
+_ARRAY_ARGS = (
+    [1.0, 0.37, 2.4829177990687783, 1.0 - 2**-53, 13.7],
+    [3.0, 2.9, 4.1, 3.6, 6.2],
+    [0.6, 0.52, 0.55, 0.41, 0.36],
+)
+_ARRAY_GOLDENS = {
+    "xT_over_T": ["0x1.2492492492492p-3", "0x1.b101767dce435p-5", "0x1.6b3724b33b7eap-2",
+                  "0x1.2492492492492p-3", "0x1.f507507507507p+0"],
+    "sqrt_xT_over_T": ["0x1.83091e6a7f7e6p-2", "0x1.d6d9622625a4fp-3", "0x1.30ee6e94d06ebp-1",
+                       "0x1.83091e6a7f7e6p-2", "0x1.6623808c61631p+0"],
+    "L": ["-0x1.0c149ae375bb2p-3", "-0x1.177c32ac01e57p-2", "-0x1.00c3840ab40dbp-10",
+          "-0x1.0c149ae375bb3p-3", "0x1.f1b1db1b10932p-3"],
+    "curlyL": ["0x0.0p+0", "-0x1.81ebf67f36443p-2", "0x1.0a1313db60531p-3",
+               "-0x1.11acee560242ap-28", "0x1.7ee33aff43272p-2"],
+    "V": ["0x1.9999999999998p-1", "0x1.04189374bc6a8p-1", "0x1.4147ae147ae14p+0",
+          "0x1.e76c8b4395810p-2", "0x1.3b645a1cac082p+0"],
+}
+
+
+class TestRecord:
+    @pytest.mark.parametrize("args, want", _FLOAT_GOLDENS, ids=["X_T=1", "X_T<1", "X_T>1"])
+    def test_float_fields_are_frozen(self, args, want):
+        pf = PathFunctionals(*args)
+        assert (pf.T, pf.x0, pf.x_T, pf.S, pf.Sigma) == args
+        assert tuple(getattr(pf, name).hex() for name in _ARRAY_GOLDENS) == want
+
+    def test_array_fields_are_frozen(self):
+        x_T, S, Sigma = map(np.array, _ARRAY_ARGS)
+        pf = PathFunctionals(7.0, 2.5, x_T, S, Sigma)
+        got = {name: [v.hex() for v in getattr(pf, name).tolist()] for name in _ARRAY_GOLDENS}
+        assert got == _ARRAY_GOLDENS
+
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            PathFunctionals(1.0, 1.0, 1.0, 1.0, 1.0, L=0.0)
+
+    def test_stored_path_keeps_its_ends(self, tmp_path):
+        # Both ends bit for bit, at x0 = 2.5, simulated and read back.
+        params = ProcessParams(4.0, -1.0, 2.5)
+        traj = simulate_path(params, 3.0, 90, path_rng(1, 5))
+        write_trajectory_csv(traj, str(tmp_path / "path.csv"))
+        for t in (traj, read_trajectory_csv(str(tmp_path / "path.csv"), params)):
+            pf = compute_functionals(t)
+            assert type(pf.x_T) is float and type(pf.x0) is float
+            assert pf.x_T.hex() == t.values[-1].hex()
+            assert pf.x0.hex() == t.values[0].hex()
 
 
 class TestEstimators:
@@ -94,30 +162,33 @@ class TestEstimators:
         assert est.alpha == pytest.approx(alpha_raw, rel=1e-12)
         assert est.beta == pytest.approx(beta_raw, rel=1e-12)
 
+    # A derived field is not an argument of PathFunctionals, so a record with
+    # one field changed is a namespace of its fields: the estimators only
+    # read attributes.
     def test_tilde_drops_the_log_term(self, pf):
-        no_log = replace(pf, L=0.0)
+        no_log = SimpleNamespace(**{**vars(pf), "L": 0.0})
         tilde = estimate_tilde(pf)
         assert tilde == estimate_mle(no_log)
 
     def test_check_drops_the_terminal_term(self, pf):
-        no_term = replace(pf, xT_over_T=0.0)
+        no_term = SimpleNamespace(**{**vars(pf), "xT_over_T": 0.0})
         check = estimate_check(pf)
         assert check == estimate_mle(no_term)
 
     def test_combined_selects_by_terminal_state(self):
-        above = functionals_from_summary(10.0, 1.0, 1.2, 4.1, 0.55)
-        below = functionals_from_summary(10.0, 1.0, 0.8, 4.1, 0.55)
+        above = PathFunctionals(10.0, 1.0, 1.2, 4.1, 0.55)
+        below = PathFunctionals(10.0, 1.0, 0.8, 4.1, 0.55)
         assert estimate_combined(above) == estimate_tilde(above)
         assert estimate_combined(below) == estimate_check(below)
         # X_T = 1 is on the tilde side, though X_T / T * T rounds below 1 at
         # T = 49; X_T within two ulps of 1, on T = 1, ..., 1000.
-        at_one = functionals_from_summary(49.0, 1.0, 1.0, 4.1, 0.55)
+        at_one = PathFunctionals(49.0, 1.0, 1.0, 4.1, 0.55)
         assert at_one.xT_over_T * at_one.T < 1.0
         assert estimate_combined(at_one) == estimate_tilde(at_one)
         x_T = np.array([1.0 - 2**-52, 1.0 - 2**-53, 1.0, 1.0 + 2**-52, 1.0 + 2**-51])
         ones = np.ones_like(x_T)
         for T in range(1, 1001):
-            pf = functionals_from_summary(float(T), 1.0, x_T, 4.1 * ones, 0.55 * ones)
+            pf = PathFunctionals(float(T), 1.0, x_T, 4.1 * ones, 0.55 * ones)
             combined, tilde, check = (
                 fn(pf) for fn in (estimate_combined, estimate_tilde, estimate_check)
             )
@@ -126,7 +197,7 @@ class TestEstimators:
                 np.testing.assert_array_equal(getattr(combined, field), want, err_msg=str(T))
 
     def test_degenerate_path_raises(self, params44):
-        flat = functionals_from_summary(1.0, 1.0, 1.0, 1.0, 1.0)
+        flat = PathFunctionals(1.0, 1.0, 1.0, 1.0, 1.0)
         assert flat.V == 0.0
         for est in (estimate_mle, estimate_tilde, estimate_check, estimate_combined):
             with pytest.raises(DegenerateError):
@@ -163,15 +234,15 @@ class TestArrayFunctionals:
     """Ensemble arrays in, the per-path scalar results out, to the bit."""
 
     def test_log_terms_use_libm(self, ens, params44):
-        pf = functionals_from_summary(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma)
+        pf = PathFunctionals(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma)
         x0, T = params44.x0, ens.T
         for i, x in enumerate(ens.x_T.tolist()):
             assert pf.L[i] == (math.log(x) - math.log(x0)) / T
 
     def test_fields_match_per_path(self, ens, params44):
-        pf = functionals_from_summary(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma)
+        pf = PathFunctionals(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma)
         for i in range(len(ens.x_T)):
-            one = functionals_from_summary(
+            one = PathFunctionals(
                 ens.T, params44.x0, float(ens.x_T[i]), float(ens.S[i]), float(ens.Sigma[i])
             )
             for field in ("xT_over_T", "sqrt_xT_over_T", "L", "curlyL", "V"):
@@ -182,11 +253,11 @@ class TestArrayFunctionals:
         # X_T sits on both sides of 1, so combined takes both branches.
         assert np.any(ens.x_T < 1.0) and np.any(ens.x_T >= 1.0)
         fn = ESTIMATORS[name]
-        est = fn(functionals_from_summary(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma))
+        est = fn(PathFunctionals(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma))
         alphas, betas = [], []
         for i in range(len(ens.x_T)):
             one = fn(
-                functionals_from_summary(
+                PathFunctionals(
                     ens.T, params44.x0, float(ens.x_T[i]), float(ens.S[i]), float(ens.Sigma[i])
                 )
             )
@@ -198,7 +269,7 @@ class TestArrayFunctionals:
     @pytest.mark.parametrize("name", ["mle", "tilde", "check", "combined"])
     def test_estimators_take_the_ensemble(self, ens, params44, name):
         # The ensemble is a PathFunctionals: no caller converts it.
-        built = functionals_from_summary(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma)
+        built = PathFunctionals(ens.T, params44.x0, ens.x_T, ens.S, ens.Sigma)
         direct, converted = ESTIMATORS[name](ens), ESTIMATORS[name](built)
         np.testing.assert_array_equal(direct.alpha, converted.alpha)
         np.testing.assert_array_equal(direct.beta, converted.beta)
@@ -208,7 +279,7 @@ class TestArrayFunctionals:
 
     def test_scalar_inputs_give_scalars(self):
         for kind in (float, np.float64):
-            pf = functionals_from_summary(10.0, 1.0, kind(0.8), kind(4.1), kind(0.55))
+            pf = PathFunctionals(10.0, 1.0, kind(0.8), kind(4.1), kind(0.55))
             for value in (pf.L, pf.curlyL, pf.sqrt_xT_over_T):
                 assert not isinstance(value, np.ndarray)
             for fn in ESTIMATORS.values():
@@ -237,12 +308,12 @@ class TestArrayFunctionals:
                 *tilde, *check, *(tilde if x >= 1.0 else check),
             ])
         if kind == "array":
-            pf = functionals_from_summary(T, x0, np.array(x_T), np.array(S), np.array(Sigma))
+            pf = PathFunctionals(T, x0, np.array(x_T), np.array(S), np.array(Sigma))
             pfs = [pf]
         else:
             to = float if kind == "float" else np.float64
             pfs = [
-                functionals_from_summary(T, x0, to(x), to(s), to(sg))
+                PathFunctionals(T, x0, to(x), to(s), to(sg))
                 for x, s, sg in zip(x_T, S, Sigma)
             ]
         got = []
@@ -256,7 +327,7 @@ class TestArrayFunctionals:
         np.testing.assert_array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
     def test_one_degenerate_path_raises(self):
-        pf = functionals_from_summary(
+        pf = PathFunctionals(
             1.0, 1.0, np.array([1.2, 1.0, 0.7]), np.array([1.3, 1.0, 0.9]),
             np.array([0.9, 1.0, 1.4]),
         )
@@ -266,7 +337,7 @@ class TestArrayFunctionals:
                 fn(pf)
 
     def test_nan_v_passes(self):
-        pf = functionals_from_summary(
+        pf = PathFunctionals(
             1.0, 1.0, np.array([1.2, 0.7]), np.array([1.3, math.nan]), np.array([0.9, 1.4])
         )
         est = estimate_mle(pf)

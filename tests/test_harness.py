@@ -27,7 +27,6 @@ from cir_ldp import (
 )
 from cir_ldp import harness, simulate_ensemble
 from cir_ldp.cir_model import _substream
-from cir_ldp.functionals import functionals_from_summary
 from cir_ldp.harness import SurfaceGrid
 
 
@@ -169,8 +168,7 @@ class TestSlopeExperiment:
         # seeded as slope_experiment seeds grid index seed_index (seed 17).
         rng = _substream(17, 2, seed_index)
         ens = simulate_ensemble(params, T, n_steps, 2000, rng)
-        pf = functionals_from_summary(ens.T, params.x0, ens.x_T, ens.S, ens.Sigma)
-        return int(np.count_nonzero(pf.S >= 4.5))
+        return int(np.count_nonzero(ens.S >= 4.5))
 
     @pytest.mark.parametrize("T_grid", [(1.0, 2.0, 4.0), (4.0, 1.0, 2.0), (2.0, 4.0, 4.0, 1.0)])
     def test_one_ensemble_records_every_horizon(self, params44, monkeypatch, T_grid):
@@ -392,6 +390,28 @@ _INPUT_CHECKS = [
      DomainError("n_alpha must be an integer, got 2.5")),
     ("grid negative betas", lambda p: surface_grid(p, n_beta=-1),
      DomainError("n_beta must be at least 1, got -1")),
+    # A threshold, a horizon, a step rate and a grid range's end are real
+    # numbers: an int or a float, and not a bool.
+    ("slope c string", lambda p: slope_experiment(p, "S", "5", (1.0,), 200, 3),
+     DomainError("c must be a real number, got '5'")),
+    ("slope c bool", lambda p: slope_experiment(p, "S", True, (1.0,), 200, 3),
+     DomainError("c must be a real number, got True")),
+    ("slope T_grid string", lambda p: slope_experiment(p, "S", 5.0, ("1",), 10, 1),
+     DomainError("horizon T must be a real number, got '1'")),
+    ("slope string step rate",
+     lambda p: slope_experiment(p, "S", 5.0, (1.0,), 10, 1, n_steps_per_unit="50"),
+     DomainError("steps per unit time must be a real number, got '50'")),
+    ("clt T string", lambda p: clt_experiments(p, ["mle"], "1", 10, 1),
+     DomainError("horizon T must be a real number, got '1'")),
+    ("clt T bool, steps given", lambda p: clt_experiments(p, ["mle"], True, 10, 1, n_steps=10),
+     DomainError("horizon T must be a real number, got True")),
+    ("cgf MC T None",
+     lambda p: cgf_finite_T_mc(p, CgfPoint(0.1, 0.0, 0.0, 0.0), None, 10, 1),
+     DomainError("horizon T must be a real number, got None")),
+    ("grid string range", lambda p: surface_grid(p, ("3", "5")),
+     DomainError("a grid range's end must be a real number, got '3'")),
+    ("grid None range end", lambda p: surface_grid(p, beta_range=(-4.0, None)),
+     DomainError("a grid range's end must be a real number, got None")),
     # Every beta above b/3: no node on the shared branch, so no difference.
     ("no shared branch", lambda p: surface_grid(p, beta_range=(-0.2, -0.1), n_alpha=2,
                                                 n_beta=2).max_shared_diff(p), 0.0),

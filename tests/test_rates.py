@@ -232,6 +232,18 @@ _NON_FINITE_CASES = [
     # beta_b is not a rate: at alpha = (a^2 + 32)/8 = 6 its root is exactly 0,
     # and it gives b alpha / 0 = -inf.
     (beta_b, (6.0,), -INF),
+    # A coordinate is a number: one whose dtype is not an integer or a float
+    # kind, such as a bool, a string or None, is refused.
+    (rate_S, (None,), DomainError("rate coordinate must be a real number, got None")),
+    (rate_S, ("2",), DomainError("rate coordinate must be a real number, got '2'")),
+    (rate_S, (True,), DomainError("rate coordinate must be a real number, got True")),
+    (rate_pair, (np.bool_(True), 1.0),
+     DomainError("rate coordinate must be a real number, got np.True_")),
+    (rate_J, (3.0, np.array([True, False])),
+     DomainError("rate coordinate must be a real number, got array([ True, False])")),
+    (rate_marginal, ("Ja", None), DomainError("rate coordinate must be a real number, got None")),
+    (rate_I_infsup, (None, -1.0),
+     DomainError("rate coordinate must be a real number, got None")),
 ]
 
 
@@ -242,11 +254,23 @@ class TestNonFinitePolicy:
         ids=[f"{fn.__name__}{coords}" for fn, coords, _ in _NON_FINITE_CASES],
     )
     def test_policy(self, params44, fn, coords, expected):
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as info:
+                fn(params44, *coords)
+            assert str(info.value) == str(expected)
+            return
         value = fn(params44, *coords)
         if math.isnan(expected):
             assert math.isnan(value)
         else:
             assert value == expected
+
+    def test_int_coordinates_are_their_floats(self, params44):
+        # Past int64 a Python int makes an object array, and is still a number.
+        for x in (2, 2**70):
+            assert rate_S(params44, x) == rate_S(params44, float(x))
+        ints = np.array([1, 2, 7], dtype=np.int32)
+        np.testing.assert_array_equal(rate_pair(params44, ints, 1), rate_pair(params44, ints * 1.0, 1.0))
 
     def test_unknown_marginal_selector_raises_before_the_guard(self, params44):
         with pytest.raises(DomainError):
@@ -912,8 +936,9 @@ class TestArrays:
 
     def test_non_finite_table_as_arrays(self, params44):
         groups = defaultdict(list)
-        for fn, coords, _ in _NON_FINITE_CASES:
-            if fn is rate_I_infsup:  # it takes floats only
+        for fn, coords, expected in _NON_FINITE_CASES:
+            # rate_I_infsup takes floats only; a refused row has no value.
+            if fn is rate_I_infsup or isinstance(expected, Exception):
                 continue
             key = (fn, coords[0]) if fn is rate_marginal else (fn,)
             groups[key].append(coords[len(key) - 1:])

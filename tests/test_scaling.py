@@ -29,7 +29,6 @@ from cir_ldp import (
     CgfPoint,
     ProcessParams,
     cgf_limit,
-    functionals_from_summary,
     lambda_star,
     legendre_transform_numeric,
     rate_I_infsup,
@@ -158,12 +157,10 @@ def test_sampler_and_estimators_scale():
     assert np.array_equal(Y.x_T, X.x_T / 2.0)
     assert np.array_equal(Y.S, X.S / 2.0)
     assert np.array_equal(Y.Sigma, 2.0 * X.Sigma)
-    fy = functionals_from_summary(Y.T, 0.5, Y.x_T, Y.S, Y.Sigma)
-    fx = functionals_from_summary(X.T, 1.0, X.x_T, X.S, X.Sigma)
     # Measured worst: 4.1e-16 relative.  combined is left out: its switch on
     # X_T >= 1 is not scale-covariant (Y_T >= 1 is X_T >= 2), and its
     # estimates differ by up to 0.1 relative.
     for name in ("mle", "tilde", "check"):
-        ey, ex = ESTIMATORS[name](fy), ESTIMATORS[name](fx)
+        ey, ex = ESTIMATORS[name](Y), ESTIMATORS[name](X)
         assert np.allclose(ey.alpha, ex.alpha, rtol=1e-15, atol=0.0)
         assert np.allclose(ey.beta, 2.0 * ex.beta, rtol=1e-15, atol=0.0)
