@@ -117,8 +117,12 @@ for a, b in {SETS!r}:
             print(path)
             show(compute_functionals(read_trajectory_csv(path, p)), fields)
 """
+# The last grid takes both branches of J and of K at every set, so it holds
+# the branch seams byte for byte.
 PER_SET = [["check", "continuity"], ["check", "infsup"], ["check", "legendre"],
-           ["figures", "--fig", "3"]]
+           ["figures", "--fig", "3"],
+           ["rate", "--which", "I", "--grid", "--alpha-min", "-1", "--alpha-max", "5",
+            "--beta-min", "-4", "--beta-max", "1"]]
 CHECKS = [
     *((f"{' '.join(c)} ({a}, {b})", [[*c, "--a", a, "--b", b]]) for a, b in SETS for c in PER_SET),
     ("figures --fig 1", [["figures", "--fig", "1", *AB]]),

@@ -80,8 +80,9 @@ class ProcessParams:
     Raises
     ------
     RegimeError
-        If a value is not a finite real, or a <= 2, b >= 0 or x0 <= 0: outside
-        the regime where the large-deviation theory of this package applies.
+        If a value is not a finite real (an int or a float, Python's or
+        numpy's, and not a bool), or a <= 2, b >= 0 or x0 <= 0: outside the
+        regime where the large-deviation theory of this package applies.
     """
 
     a: float
@@ -91,7 +92,7 @@ class ProcessParams:
     def __post_init__(self) -> None:
         for name in ("a", "b", "x0"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not _is_real(v) or not math.isfinite(v):
                 raise RegimeError(f"{name} must be a finite real, got {v!r}")
             object.__setattr__(self, name, float(v))
         if self.a <= 2.0:
@@ -130,9 +131,13 @@ def stationary_law(params: ProcessParams) -> StationaryLaw:
     )
 
 
-def _check_real(what: str, value) -> None:
+def _is_real(value) -> bool:
     # An int or a float, Python's or numpy's, is a real number; a bool is not.
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _check_real(what: str, value) -> None:
+    if not _is_real(value):
         raise DomainError(f"{what} must be a real number, got {value!r}")
 
 
@@ -319,7 +324,7 @@ def transition_log_density(params: ProcessParams, t: float, x: float, y: float) 
     d = -b
     f = (a - 2.0) / 2.0
     u = 0.5 * d * t
-    log_sinh_u = u + math.log1p(-math.exp(-2.0 * u)) - _LOG2
+    log_sinh_u = u + math.log(-math.expm1(-2.0 * u)) - _LOG2
     coth_u = 1.0 / math.tanh(u)
     log_z = math.log(d) + 0.5 * (math.log(x) + math.log(y)) - _LOG2 - log_sinh_u
     if log_z < -700.0:
@@ -411,24 +416,24 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         if self.times.ndim != 1 or self.values.ndim != 1:
-            raise ValueError("times and values must be one-dimensional")
+            raise DomainError("times and values must be one-dimensional")
         if self.times.shape != self.values.shape:
-            raise ValueError(
+            raise DomainError(
                 f"times and values must have equal length, "
                 f"got {self.times.size} and {self.values.size}"
             )
         if self.times.size < 1:
-            raise ValueError("trajectory needs at least one grid point")
+            raise DomainError("trajectory needs at least one grid point")
         if self.times[0] != 0.0:
-            raise ValueError(f"grid must start at 0, got times[0]={self.times[0]}")
+            raise DomainError(f"grid must start at 0, got times[0]={self.times[0]}")
         # Written so that nan fails them; times[0] = 0 and increasing times
         # are finite when the last one is.
         if not (np.all(np.diff(self.times) > 0.0) and self.times[-1] < np.inf):
-            raise ValueError("grid times must be finite and strictly increasing")
+            raise DomainError("grid times must be finite and strictly increasing")
         if not np.all((self.values > 0.0) & (self.values < np.inf)):
-            raise ValueError("all states must be finite and strictly positive")
+            raise DomainError("all states must be finite and strictly positive")
         if self.values[0] != self.params.x0:
-            raise ValueError(
+            raise DomainError(
                 f"values[0]={self.values[0]} does not match x0={self.params.x0}"
             )
 
@@ -661,20 +666,23 @@ def read_trajectory_csv(path: str, params: ProcessParams) -> Trajectory:
     exactly two comma-separated numbers; each parses to the float that
     ``float`` gives for its text, bit for bit.  Empty lines are skipped, and
     CRLF line ends read as LF.  A line of another shape, such as one or three
-    fields or only blanks, raises ValueError, as does a file with no rows.
+    fields or only blanks, raises DomainError, as does a file with no rows.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if header.rstrip("\n") != "t,x":
-            raise ValueError(f"unexpected trajectory CSV header: {header!r}")
+            raise DomainError(f"unexpected trajectory CSV header: {header!r}")
         with warnings.catch_warnings():
-            # A file with no rows raises the ValueError below, not a warning.
+            # A file with no rows raises the DomainError below, not a warning.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+            try:
+                data = np.loadtxt(fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+            except ValueError as exc:
+                raise DomainError(f"trajectory CSV {path!r}: {exc}") from None
     if data.size == 0:
-        raise ValueError(f"trajectory CSV {path!r} has no rows")
+        raise DomainError(f"trajectory CSV {path!r} has no rows")
     if data.shape[1] != 2:
-        raise ValueError(f"trajectory CSV rows need 2 fields t,x, got {data.shape[1]}")
+        raise DomainError(f"trajectory CSV rows need 2 fields t,x, got {data.shape[1]}")
     # Contiguous copies: the functionals' dot products then see the same
     # memory layout, and so give the same bits, as for a simulated path.
     return Trajectory(times=data[:, 0].copy(), values=data[:, 1].copy(), params=params)

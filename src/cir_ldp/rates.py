@@ -267,37 +267,28 @@ def _J_first_term(a: float, b: float, alpha, beta):
     return _where(sq < INF, k * sq, (k * u) * u)
 
 
-def _rate_J_branch_A(params: ProcessParams, alpha, beta, first=None):
-    # first is _J_first_term(a, b, alpha, beta), where the caller has it.
-    a, b = params.a, params.b
-    if first is None:
-        first = _J_first_term(a, b, alpha, beta)
-    return first + 2.0 * beta - b
+def _rate_J_branch_A(params: ProcessParams, alpha, beta):
+    return _J_first_term(params.a, params.b, alpha, beta) + 2.0 * beta - params.b
 
 
-def _rate_J_branch_B(params: ProcessParams, alpha, beta, first=None):
-    a, b = params.a, params.b
-    if first is None:
-        first = _J_first_term(a, b, alpha, beta)
-    return first - 0.25 * beta * _sq(1.0 - b / beta)
+def _rate_J_branch_B(params: ProcessParams, alpha, beta):
+    b = params.b
+    return _J_first_term(params.a, b, alpha, beta) - 0.25 * beta * _sq(1.0 - b / beta)
 
 
 @_total
 def rate_J(params: ProcessParams, alpha, beta):
     """Rate function of the tilde estimator couple; zero at (a, b)."""
-    a, b = params.a, params.b
+    b = params.b
     branch_A = (alpha > 2.0) & (b / 3.0 <= beta) & (beta < 0.0) | (alpha < 2.0) & (beta > 0.0)
     branch_B = (alpha > 2.0) & (beta <= b / 3.0)
     value = _where((alpha == 2.0) & (beta == 0.0), -b, INF)
     # A branch is evaluated only where some point takes it, A over B where
     # both do (beta = b/3); np.where picks elementwise, so this keeps the bits.
-    take_A, take_B = _any(branch_A), _any(branch_B)
-    if take_A or take_B:
-        first = _J_first_term(a, b, alpha, beta)
-        if take_B:
-            value = _where(branch_B, _rate_J_branch_B(params, alpha, beta, first), value)
-        if take_A:
-            value = _where(branch_A, _rate_J_branch_A(params, alpha, beta, first), value)
+    if _any(branch_B):
+        value = _where(branch_B, _rate_J_branch_B(params, alpha, beta), value)
+    if _any(branch_A):
+        value = _where(branch_A, _rate_J_branch_A(params, alpha, beta), value)
     return value
 
 
@@ -305,18 +296,14 @@ def _K_common(a: float, b: float, alpha, beta):
     return 0.25 * a * (b - beta) - (alpha / (8.0 * beta)) * (b * b - beta * beta)
 
 
-def _rate_K_branch_1(params: ProcessParams, alpha, beta, common=None):
-    # common is _K_common(a, b, alpha, beta), where the caller has it.
-    if common is None:
-        common = _K_common(params.a, params.b, alpha, beta)
+def _rate_K_branch_1(params: ProcessParams, alpha, beta):
+    common = _K_common(params.a, params.b, alpha, beta)
     return common - (beta / alpha) * _sq(_SQRT2 + region_constants(params)._sqrt_C(alpha))
 
 
-def _rate_K_branch_2(params: ProcessParams, alpha, beta, common=None):
+def _rate_K_branch_2(params: ProcessParams, alpha, beta):
     a = params.a
-    if common is None:
-        common = _K_common(a, params.b, alpha, beta)
-    return common - beta * _sq(a - alpha) / (8.0 * (alpha - 2.0))
+    return _K_common(a, params.b, alpha, beta) - beta * _sq(a - alpha) / (8.0 * (alpha - 2.0))
 
 
 def _rate_K_combined(params: ProcessParams, alpha, beta, branch_1, branch_2):
@@ -357,13 +344,10 @@ def rate_K(params: ProcessParams, alpha, beta):
     branch_2 = (beta < 0.0) & (alpha >= alpha_a)
     value = _where((alpha == 0.0) & (beta == 0.0), _K_apex(a, b), INF)
     # As in rate_J, a branch is evaluated only where some point takes it.
-    take_1, take_2 = _any(branch_1), _any(branch_2)
-    if take_1 or take_2:
-        common = _K_common(a, b, alpha, beta)
-        if take_2:
-            value = _where(branch_2, _rate_K_branch_2(params, alpha, beta, common), value)
-        if take_1:
-            value = _where(branch_1, _rate_K_branch_1(params, alpha, beta, common), value)
+    if _any(branch_2):
+        value = _where(branch_2, _rate_K_branch_2(params, alpha, beta), value)
+    if _any(branch_1):
+        value = _where(branch_1, _rate_K_branch_1(params, alpha, beta), value)
     # _K_common and the branch terms each hold alpha beta / 8, which cancel,
     # so the forms above lose about eps |alpha beta| / 8: all of K once
     # |alpha beta| nears K / eps, and they go negative.  _rate_K_combined

@@ -18,6 +18,7 @@ import cir_ldp
 from cir_ldp import (
     BLOCK_SIZE,
     CgfPoint,
+    CirLdpError,
     ProcessParams,
     RegimeError,
     DomainError,
@@ -58,6 +59,9 @@ class TestParams:
             (4.0, -1.0, -2.0),
             (math.nan, -1.0, 1.0),
             (4.0, -math.inf, 1.0),
+            # A bool is not a real number, as for a time or a state.
+            (4.0, -1.0, True),
+            (np.True_, -1.0, 1.0),
         ],
     )
     def test_regime_rejections(self, a, b, x0):
@@ -67,6 +71,11 @@ class TestParams:
     def test_params_are_frozen(self, params44):
         with pytest.raises(Exception):
             params44.a = 5.0
+
+    def test_numpy_reals_load_as_floats(self):
+        p = ProcessParams(np.float32(4), np.int64(-1), np.float64(2.5))
+        assert (p.a, p.b, p.x0) == (4.0, -1.0, 2.5)
+        assert all(type(v) is float for v in (p.a, p.b, p.x0))
 
 
 class TestStationaryLaw:
@@ -217,6 +226,23 @@ class TestTransitionDensity:
         law = stationary_law(params44)
         ref = stats.gamma.logpdf(1e-3, law.shape, scale=law.scale)
         assert val == pytest.approx(ref, rel=1e-12)
+
+    # log p(t, 1, 1) of the scaled noncentral chi-squared law, in 60-digit
+    # mpmath.  At short horizons the sinh term's log must not amplify the
+    # rounding of exp(-d t) by 1/(d t).
+    @pytest.mark.parametrize(
+        "a, b, t, ref",
+        [
+            (4.0, -1.0, 1e-6, 5.295670065217310689971917),
+            (4.0, -1.0, 1e-4, 2.993134470139962853570476),
+            (4.0, -1.0, 1e-2, 0.6954783665088006468696267),
+            (2.5, -0.5, 1e-6, 5.295669940217560690198486),
+            (2.5, -0.5, 1e-4, 2.993121972640189446283674),
+        ],
+    )
+    def test_short_horizons_match_mpmath(self, a, b, t, ref):
+        val = transition_log_density(ProcessParams(a, b), t, 1.0, 1.0)
+        assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
 
     def test_domain_errors(self, params44):
         for bad in [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -0.5)]:
@@ -546,31 +572,31 @@ class TestTrajectoryCsvReader:
         path.write_bytes(text.replace("\n", newline).encode("ascii"))
         return read_trajectory_csv(str(path), params)
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "0.0,1.0\n0.5\n1.0,2.0\n",
-            "0.0,1.0\n0.5,2.0,3.0\n1.0,2.0\n",
-            "0.0,1.0,9.0\n0.5,2.0,9.0\n",
-            "0.0\n0.5\n",
-            "0.0,1.0\n   \n0.5,2.0\n",
-            "0.0,1.0\n0.5,\n",
-        ],
-    )
+    _BAD_SHAPES = [
+        "0.0,1.0\n0.5\n1.0,2.0\n",
+        "0.0,1.0\n0.5,2.0,3.0\n1.0,2.0\n",
+        "0.0,1.0,9.0\n0.5,2.0,9.0\n",
+        "0.0\n0.5\n",
+        "0.0,1.0\n   \n0.5,2.0\n",
+        "0.0,1.0\n0.5,\n",
+    ]
+    _NON_FINITE = [
+        ("0.0,1.0\n0.5,nan\n1.0,2.0\n", "all states must be finite and strictly positive"),
+        ("0.0,1.0\n0.5,inf\n1.0,2.0\n", "all states must be finite and strictly positive"),
+        ("0.0,1.0\n0.5,-inf\n", "all states must be finite and strictly positive"),
+        ("0.0,1.0\nnan,2.0\n1.0,3.0\n", "grid times must be finite and strictly increasing"),
+        ("0.0,1.0\n0.5,2.0\nnan,3.0\n", "grid times must be finite and strictly increasing"),
+        ("0.0,1.0\n0.5,2.0\ninf,3.0\n", "grid times must be finite and strictly increasing"),
+    ]
+
+    @pytest.mark.parametrize("body", _BAD_SHAPES)
     def test_rows_need_exactly_two_fields(self, params44, tmp_path, body):
         with pytest.raises(ValueError):
             self._read(tmp_path, params44, "t,x\n" + body)
 
     @pytest.mark.parametrize(
         "body, message",
-        [
-            ("0.0,1.0\n0.5,nan\n1.0,2.0\n", "all states must be finite and strictly positive"),
-            ("0.0,1.0\n0.5,inf\n1.0,2.0\n", "all states must be finite and strictly positive"),
-            ("0.0,1.0\n0.5,-inf\n", "all states must be finite and strictly positive"),
-            ("0.0,1.0\nnan,2.0\n1.0,3.0\n", "grid times must be finite and strictly increasing"),
-            ("0.0,1.0\n0.5,2.0\nnan,3.0\n", "grid times must be finite and strictly increasing"),
-            ("0.0,1.0\n0.5,2.0\ninf,3.0\n", "grid times must be finite and strictly increasing"),
-        ],
+        _NON_FINITE,
         ids=["nan state", "inf state", "-inf state", "nan time", "nan last time", "inf time"],
     )
     def test_non_finite_rows_raise(self, params44, tmp_path, body, message):
@@ -588,6 +614,18 @@ class TestTrajectoryCsvReader:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="has no rows"):
                     self._read(tmp_path, params44, "t,x\n" + body)
+
+    # Every bad file raises the package's own error: a bad header, no rows,
+    # a row of another shape (numpy's error, wrapped) and a non-finite row.
+    @pytest.mark.parametrize(
+        "text",
+        ["time,state\n0.0,1.0\n", "t,x\n", "t,x\n0.0,one\n"]
+        + ["t,x\n" + body for body in _BAD_SHAPES]
+        + ["t,x\n" + body for body, _ in _NON_FINITE],
+    )
+    def test_bad_files_raise_the_package_error(self, params44, tmp_path, text):
+        with pytest.raises(CirLdpError):
+            self._read(tmp_path, params44, text)
 
     def test_crlf_reads_as_lf(self, params44, tmp_path):
         traj = simulate_path(params44, 2.5, 92, path_rng(8, 4))
@@ -673,9 +711,9 @@ _INPUT_CHECKS = [
     ("path T nan", lambda p: simulate_path(p, math.nan, 10, path_rng(1, 0)),
      DomainError("horizon T must be positive and finite, got nan")),
     ("2-D trajectory", lambda p: Trajectory(np.zeros((2, 2)), np.ones((2, 2)), p),
-     ValueError("times and values must be one-dimensional")),
+     DomainError("times and values must be one-dimensional")),
     ("empty trajectory", lambda p: Trajectory(np.array([]), np.array([]), p),
-     ValueError("trajectory needs at least one grid point")),
+     DomainError("trajectory needs at least one grid point")),
     ("seed type", lambda p: simulate_ensemble(p, 1.0, 10, 2, "7"),
      DomainError("seed must be an int or a numpy Generator, got '7'")),
     ("seed float", lambda p: simulate_ensemble(p, 1.0, 10, 2, 7.0),
