@@ -3,6 +3,9 @@
 Each helper sends a Python float to math or to a conditional expression and
 anything else to numpy.  On floats it returns numpy's bits, inf and NaN
 included (a NaN's sign aside), without a warning.
+
+The package's one rule for reading an argument as a real number lives here
+too, below every module that checks one.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import DomainError
 
 
 def _where(cond, x, y):
@@ -65,3 +70,30 @@ def _libm(fn, x):
     if isinstance(x, np.ndarray):
         return np.array(list(map(fn, x.ravel().tolist())), dtype=float).reshape(x.shape)
     return fn(x)
+
+
+def _is_real(value) -> bool:
+    # An int or a float, Python's or numpy's, is a real number; a bool is not.
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _real(value) -> float:
+    # float(value), where an int past float range reads as +-inf, as the
+    # literal 1e400 does.
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_real(what: str, value) -> float:
+    # value as a float, once it is known to be a real number.
+    if not _is_real(value):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    return _real(value)
+
+
+def _check_positive(what: str, value) -> None:
+    # A time or a state is a real number, positive and finite; nan is neither.
+    if not 0.0 < _check_real(what, value) < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value}")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._elementwise import _check_positive, _check_real, _is_real, _real
 from ._io import write_text_atomic
 from .errors import DomainError, RegimeError
 from .functionals import PathFunctionals
@@ -92,9 +93,10 @@ class ProcessParams:
     def __post_init__(self) -> None:
         for name in ("a", "b", "x0"):
             v = getattr(self, name)
-            if not _is_real(v) or not math.isfinite(v):
+            f = _real(v) if _is_real(v) else math.nan
+            if not math.isfinite(f):
                 raise RegimeError(f"{name} must be a finite real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, f)
         if self.a <= 2.0:
             raise RegimeError(f"a must exceed 2 (ergodic regime), got a={self.a}")
         if self.b >= 0.0:
@@ -129,23 +131,6 @@ def stationary_law(params: ProcessParams) -> StationaryLaw:
         mean_inverse=-b / (a - 2.0),
         variance=2.0 * a / (b * b),
     )
-
-
-def _is_real(value) -> bool:
-    # An int or a float, Python's or numpy's, is a real number; a bool is not.
-    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-
-
-def _check_real(what: str, value) -> None:
-    if not _is_real(value):
-        raise DomainError(f"{what} must be a real number, got {value!r}")
-
-
-def _check_positive(what: str, value: float) -> None:
-    # A time or a state is a real number, positive and finite; nan is neither.
-    _check_real(what, value)
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{what} must be positive and finite, got {value}")
 
 
 def _check_count(what: str, value, least: int = 1) -> None:
@@ -288,11 +273,9 @@ def bessel_log_i(nu: float, z: float) -> float:
         If z is not a positive finite number, nu not a nonnegative finite
         one, or the series is due and lgamma(nu + 1) overflows (nu > ~2.5e305).
     """
-    _check_real("Bessel argument z", z)
-    if not 0.0 < z < math.inf:
+    if not 0.0 < _check_real("Bessel argument z", z) < math.inf:
         raise DomainError(f"Bessel argument must be positive and finite, got z={z}")
-    _check_real("Bessel order nu", nu)
-    if not 0.0 <= nu < math.inf:
+    if not 0.0 <= _check_real("Bessel order nu", nu) < math.inf:
         raise DomainError(f"Bessel order must be nonnegative and finite, got nu={nu}")
     if z <= 100.0 + nu * nu:
         return _log_iv_series(nu, z)

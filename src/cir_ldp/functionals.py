@@ -8,19 +8,22 @@ likelihood estimator of (a, b) together with its simplified variants.
 
 Every formula is elementwise: the observables and the estimates are floats
 for one path, or equal-length arrays for an ensemble, and ``ESTIMATORS``
-names the four couples.
+names the four couples.  A record holds five observables and forms each of
+the other five once, on first read, so a reader of S, Sigma or X_T alone
+pays for no log.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ._elementwise import _libm, _sqrt, _where
-from .errors import DegenerateError, GridError
+from ._elementwise import _check_positive, _libm, _sqrt, _where
+from .errors import DegenerateError, DomainError, GridError
 
 if TYPE_CHECKING:
     from .cir_model import Trajectory
@@ -44,9 +47,12 @@ EPS_V = 1e-12
 class PathFunctionals:
     """Observables over the horizon T of one path (floats) or many (arrays).
 
-    PathFunctionals(T, x0, x_T, S, Sigma) forms the other five fields from
-    a stored trajectory's reduced quantities (compute_functionals) or an
-    ensemble's (the sampler); S and Sigma come from one trapezoid rule.
+    PathFunctionals(T, x0, x_T, S, Sigma) holds a stored trajectory's
+    reduced quantities (compute_functionals) or an ensemble's (the sampler);
+    S and Sigma come from one trapezoid rule.  The other five fields are
+    formed once, on first read, and L and curlyL share one log of X_T.
+    Until then they are absent from the instance's ``__dict__``; they are
+    never dataclass fields, so ``repr`` and ``==`` see the five arguments.
 
     Attributes
     ----------
@@ -69,6 +75,12 @@ class PathFunctionals:
     V : float
         S * Sigma - 1; nonnegative by the Cauchy-Schwarz inequality on the
         quadrature weights, and zero only for constant paths.
+
+    Raises
+    ------
+    DomainError
+        If T or x0 is not a positive, finite real, or an X_T is not
+        positive (a NaN is not).
     """
 
     T: float
@@ -76,23 +88,41 @@ class PathFunctionals:
     x_T: float
     S: float
     Sigma: float
-    xT_over_T: float = field(init=False)
-    sqrt_xT_over_T: float = field(init=False)
-    L: float = field(init=False)
-    curlyL: float = field(init=False)
-    V: float = field(init=False)
 
     def __post_init__(self) -> None:
-        T, x_T = self.T, self.x_T
-        log_xT = _libm(math.log, x_T)
-        for name, value in (
-            ("xT_over_T", x_T / T),
-            ("sqrt_xT_over_T", _sqrt(x_T / T)),
-            ("L", (log_xT - math.log(self.x0)) / T),
-            ("curlyL", _where(x_T < 1.0, -_sqrt(abs(log_xT) / T), log_xT / T)),
-            ("V", self.S * self.Sigma - 1.0),
-        ):
-            object.__setattr__(self, name, value)
+        _check_positive("horizon T", self.T)
+        _check_positive("starting state x0", self.x0)
+        try:
+            positive = np.all(self.x_T > 0.0)
+        except TypeError:
+            positive = False
+        if not positive:
+            raise DomainError(f"terminal state x_T must be positive, got {self.x_T!r}")
+
+    @cached_property
+    def _log_x_T(self):
+        return _libm(math.log, self.x_T)
+
+    @cached_property
+    def xT_over_T(self):
+        return self.x_T / self.T
+
+    @cached_property
+    def sqrt_xT_over_T(self):
+        return _sqrt(self.xT_over_T)
+
+    @cached_property
+    def L(self):
+        return (self._log_x_T - math.log(self.x0)) / self.T
+
+    @cached_property
+    def curlyL(self):
+        log_x_T, T = self._log_x_T, self.T
+        return _where(self.x_T < 1.0, -_sqrt(abs(log_x_T) / T), log_x_T / T)
+
+    @cached_property
+    def V(self):
+        return self.S * self.Sigma - 1.0
 
 
 def compute_functionals(traj: Trajectory) -> PathFunctionals:

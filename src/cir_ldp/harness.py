@@ -19,12 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._elementwise import _check_real
 from ._io import csv_text, report
 from .cgf import lambda_star, legendre_transform_numeric
 from .cir_model import (
     ProcessParams,
     _check_count,
-    _check_real,
     _coerce_seed,
     _simulate_horizons,
     _steps_for,
@@ -260,8 +260,7 @@ def slope_experiment(
         )
     if len(T_grid) == 0:
         raise DomainError("T_grid must be non-empty")
-    _check_real("c", c)
-    if not math.isfinite(c):
+    if not math.isfinite(_check_real("c", c)):
         raise DomainError(f"c must be finite, got {c}")
     seed = _coerce_seed(rng)
     ergodic_mean, rate = SLOPE_FUNCTIONALS[functional]
@@ -366,9 +365,8 @@ def surface_grid(
     whose ends are not finite numbers, or an ``n_alpha`` or ``n_beta`` that
     is not an integer of at least 1, raises DomainError.
     """
-    for end in (*alpha_range, *beta_range):
-        _check_real("a grid range's end", end)
-    if not all(map(math.isfinite, (*alpha_range, *beta_range))):
+    ends = [_check_real("a grid range's end", end) for end in (*alpha_range, *beta_range)]
+    if not all(map(math.isfinite, ends)):
         raise DomainError("grid ranges must be finite")
     _check_count("n_alpha", n_alpha)
     _check_count("n_beta", n_beta)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._elementwise import _any, _libm, _maximum, _minimum, _pow, _sq, _sqrt, _where
+from ._elementwise import _any, _libm, _maximum, _minimum, _pow, _real, _sq, _sqrt, _where
 from ._simplex import minimize_bounded
 from .cgf import _lambda_star_array, lambda_star
 from .cir_model import ProcessParams
@@ -70,8 +70,9 @@ def _total(rate):
     overflow and gives +inf.  If the float arithmetic divides by zero, or any
     coordinate is an array, a numpy scalar, an int or not finite, the body
     runs on numpy arrays under errstate, where the policy is applied
-    elementwise; an int gives the value of its float there, and a coordinate
-    whose dtype is neither an integer nor a float kind raises DomainError.
+    elementwise; an int gives the value of its float there (+-inf past
+    float range, as 1e400 does), and a coordinate whose dtype is neither an
+    integer nor a float kind raises DomainError.
     """
 
     @functools.wraps(rate)
@@ -88,9 +89,9 @@ def _total(rate):
                 return value if value > -INF else INF
         xs = []
         for c in coords:
-            x = np.asarray(c)
-            # A Python int past int64 is an object array, and still a number.
-            if x.dtype.kind not in "iuf" and type(c) is not int:
+            # A Python int is read as its float, +-inf past float range.
+            x = np.asarray(_real(c) if type(c) is int else c)
+            if x.dtype.kind not in "iuf":
                 raise DomainError(f"rate coordinate must be a real number, got {c!r}")
             xs.append(x.astype(float, copy=False))
         # max |x_i| is NaN where some coordinate is NaN, else +inf where some
@@ -762,7 +763,7 @@ def rate_I_infsup(params: ProcessParams, alpha: float, beta: float) -> float:
         At a finite point outside D1, D2, D3 and the two special points.
     """
     # lambda_star runs on Python floats.
-    alpha, beta = float(alpha), float(beta)
+    alpha, beta = _real(alpha), _real(beta)
     in_d1 = alpha <= 0.0 and beta > 0.0
     in_d2 = 0.0 < alpha < 2.0
     in_d3 = alpha >= 2.0 and beta < 0.0

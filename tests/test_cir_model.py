@@ -62,6 +62,10 @@ class TestParams:
             # A bool is not a real number, as for a time or a state.
             (4.0, -1.0, True),
             (np.True_, -1.0, 1.0),
+            # An int past float range reads as +-inf, as 1e400 does.
+            pytest.param(10**400, -1.0, 1.0, id="huge a"),
+            pytest.param(4.0, -(10**400), 1.0, id="huge negative b"),
+            pytest.param(4.0, -1.0, 10**400, id="huge x0"),
         ],
     )
     def test_regime_rejections(self, a, b, x0):
@@ -338,13 +342,19 @@ class TestSimulatePath:
             simulate_path(params44, 1.0, 0, path_rng(0, 0))
 
 
+# A record's ten observables: the five it is built from and the five it forms.
+_OBSERVABLES = (
+    "T", "x0", "x_T", "S", "Sigma", "xT_over_T", "sqrt_xT_over_T", "L", "curlyL", "V",
+)
+
+
 def _assert_is_its_observables(ens, x0: float) -> None:
-    # Every PathFunctionals field of an ensemble has the bits that
-    # PathFunctionals forms from its horizon, x0, terminal states and averages.
+    # Every observable of an ensemble has the bits that PathFunctionals
+    # forms from its horizon, x0, terminal states and averages.
     assert ens.x0 == x0
     built = PathFunctionals(ens.T, x0, ens.x_T, ens.S, ens.Sigma)
-    for field in dataclasses.fields(PathFunctionals):
-        np.testing.assert_array_equal(getattr(ens, field.name), getattr(built, field.name))
+    for name in _OBSERVABLES:
+        np.testing.assert_array_equal(getattr(ens, name), getattr(built, name))
 
 
 class TestEnsemble:
@@ -798,6 +808,23 @@ _INPUT_CHECKS = [
      DomainError("Bessel order nu must be a real number, got False")),
     ("Bessel argument None", lambda p: bessel_log_i(1.0, None),
      DomainError("Bessel argument z must be a real number, got None")),
+    # An int past float range reads as +-inf, as 1e400 does, so it is not
+    # finite.
+    ("ensemble T huge int", lambda p: simulate_ensemble(p, 10**400, 10, 3, 1),
+     DomainError(f"horizon T must be positive and finite, got {10**400}")),
+    ("kernel horizon huge int", lambda p: transition_kernel(p, 10**400, 1.0),
+     DomainError(f"horizon t must be positive and finite, got {10**400}")),
+    ("sample state huge negative int",
+     lambda p: sample_transition(p, 1.0, -(10**400), path_rng(1, 0)),
+     DomainError(f"state x must be positive and finite, got {-(10**400)}")),
+    ("steps for a huge int rate", lambda p: cir_model._steps_for(1.0, 10**400),
+     DomainError(f"steps per unit time must be positive and finite, got {10**400}")),
+    ("Bessel order huge int", lambda p: bessel_log_i(10**400, 1.0),
+     DomainError(f"Bessel order must be nonnegative and finite, got nu={10**400}")),
+    ("Bessel argument huge int", lambda p: bessel_log_i(1.0, 10**400),
+     DomainError(f"Bessel argument must be positive and finite, got z={10**400}")),
+    ("Bessel argument huge negative int", lambda p: bessel_log_i(1.0, -(10**400)),
+     DomainError(f"Bessel argument must be positive and finite, got z={-(10**400)}")),
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import pytest
 from cir_ldp import (
     ESTIMATORS,
     DegenerateError,
+    DomainError,
     GridError,
     PathFunctionals,
     ProcessParams,
@@ -27,6 +29,7 @@ from cir_ldp import (
     simulate_path,
     write_trajectory_csv,
 )
+from cir_ldp import functionals
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,45 @@ _ARRAY_GOLDENS = {
 }
 
 
+# The five fields a record is built from, and the five it forms from them.
+_ARGUMENTS = ("T", "x0", "x_T", "S", "Sigma")
+_DERIVED = ("xT_over_T", "sqrt_xT_over_T", "L", "curlyL", "V")
+
+
+def _observables(pf) -> dict:
+    return {name: getattr(pf, name) for name in (*_ARGUMENTS, *_DERIVED)}
+
+
+# Records that fail at construction: (id, arguments, message).  T and x0 are
+# positive finite reals, as a horizon and a state are everywhere; every X_T
+# is positive, and a NaN is not.
+_BAD_RECORDS = [
+    ("T string", ("a", 1.0, 1.0, 1.0, 1.0), "horizon T must be a real number, got 'a'"),
+    ("T bool", (True, 1.0, 1.0, 1.0, 1.0), "horizon T must be a real number, got True"),
+    ("T zero", (0.0, 1.0, 1.0, 1.0, 1.0), "horizon T must be positive and finite, got 0.0"),
+    ("T negative", (-2.0, 1.0, 1.0, 1.0, 1.0), "horizon T must be positive and finite, got -2.0"),
+    ("T nan", (math.nan, 1.0, 1.0, 1.0, 1.0), "horizon T must be positive and finite, got nan"),
+    ("T inf", (math.inf, 1.0, 1.0, 1.0, 1.0), "horizon T must be positive and finite, got inf"),
+    ("T huge int", (10**400, 1.0, 1.0, 1.0, 1.0),
+     f"horizon T must be positive and finite, got {10**400}"),
+    ("x0 None", (1.0, None, 1.0, 1.0, 1.0), "starting state x0 must be a real number, got None"),
+    ("x0 zero", (1.0, 0.0, 1.0, 1.0, 1.0),
+     "starting state x0 must be positive and finite, got 0.0"),
+    ("x0 negative", (1.0, -1.0, 1.0, 1.0, 1.0),
+     "starting state x0 must be positive and finite, got -1.0"),
+    ("x0 nan", (1.0, math.nan, 1.0, 1.0, 1.0),
+     "starting state x0 must be positive and finite, got nan"),
+    ("x_T zero", (1.0, 1.0, 0.0, 1.0, 1.0), "terminal state x_T must be positive, got 0.0"),
+    ("x_T negative", (1.0, 1.0, -0.5, 1.0, 1.0), "terminal state x_T must be positive, got -0.5"),
+    ("x_T nan", (1.0, 1.0, math.nan, 1.0, 1.0), "terminal state x_T must be positive, got nan"),
+    ("x_T string", (1.0, 1.0, "2", 1.0, 1.0), "terminal state x_T must be positive, got '2'"),
+    ("x_T array with a zero", (1.0, 1.0, np.array([1.0, 0.0]), 1.0, 1.0),
+     "terminal state x_T must be positive, got array([1., 0.])"),
+    ("x_T array with a nan", (1.0, 1.0, np.array([1.0, math.nan]), 1.0, 1.0),
+     "terminal state x_T must be positive, got array([ 1., nan])"),
+]
+
+
 class TestRecord:
     @pytest.mark.parametrize("args, want", _FLOAT_GOLDENS, ids=["X_T=1", "X_T<1", "X_T>1"])
     def test_float_fields_are_frozen(self, args, want):
@@ -123,6 +165,14 @@ class TestRecord:
         with pytest.raises(TypeError):
             PathFunctionals(1.0, 1.0, 1.0, 1.0, 1.0, L=0.0)
 
+    @pytest.mark.parametrize(
+        "args, message", [c[1:] for c in _BAD_RECORDS], ids=[c[0] for c in _BAD_RECORDS]
+    )
+    def test_bad_records_fail_at_construction(self, args, message):
+        with pytest.raises(DomainError) as info:
+            PathFunctionals(*args)
+        assert str(info.value) == message
+
     def test_stored_path_keeps_its_ends(self, tmp_path):
         # Both ends bit for bit, at x0 = 2.5, simulated and read back.
         params = ProcessParams(4.0, -1.0, 2.5)
@@ -133,6 +183,54 @@ class TestRecord:
             assert type(pf.x_T) is float and type(pf.x0) is float
             assert pf.x_T.hex() == t.values[-1].hex()
             assert pf.x0.hex() == t.values[0].hex()
+
+
+class TestLazyRecord:
+    """The five derived fields are formed once, on first read."""
+
+    def test_log_is_taken_on_first_read_of_L_or_curlyL(self, params44, monkeypatch):
+        calls = []
+        libm = functionals._libm
+
+        def counted(fn, x):
+            calls.append(fn)
+            return libm(fn, x)
+
+        monkeypatch.setattr(functionals, "_libm", counted)
+        ens = simulate_ensemble(params44, 1.0, 20, 50, 3)
+        for name in ("x_T", "S", "Sigma", "V", "xT_over_T", "sqrt_xT_over_T"):
+            getattr(ens, name)
+        assert calls == []
+        ens.L, ens.curlyL, ens.L
+        assert calls == [math.log]
+
+    def test_derived_fields_are_absent_until_read(self):
+        args = (7.0, 1.3, 0.37, 2.9, 0.52)
+        pf = PathFunctionals(*args)
+        assert tuple(f.name for f in dataclasses.fields(pf)) == _ARGUMENTS
+        assert tuple(vars(pf)) == _ARGUMENTS
+        for name in _DERIVED:
+            getattr(pf, name)
+        assert set(vars(pf)) == {*_ARGUMENTS, *_DERIVED, "_log_x_T"}
+        assert repr(pf) == "PathFunctionals(T=7.0, x0=1.3, x_T=0.37, S=2.9, Sigma=0.52)"
+        assert pf == PathFunctionals(*args)
+
+    @pytest.mark.parametrize("kind", ["float", "array"])
+    def test_a_second_read_returns_the_same_object(self, kind):
+        to = float if kind == "float" else (lambda v: np.array([v, 2.0 * v]))
+        pf = PathFunctionals(7.0, 1.3, to(0.37), to(2.9), to(0.52))
+        for name in _DERIVED:
+            assert getattr(pf, name) is getattr(pf, name), name
+
+    @pytest.mark.parametrize("name", _DERIVED)
+    def test_derived_fields_are_frozen(self, name):
+        pf = PathFunctionals(7.0, 1.3, 0.37, 2.9, 0.52)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pf, name, 0.0)
+        first = getattr(pf, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pf, name, 0.0)
+        assert getattr(pf, name) is first
 
 
 class TestEstimators:
@@ -163,15 +261,15 @@ class TestEstimators:
         assert est.beta == pytest.approx(beta_raw, rel=1e-12)
 
     # A derived field is not an argument of PathFunctionals, so a record with
-    # one field changed is a namespace of its fields: the estimators only
+    # one field changed is a namespace of its ten fields: the estimators only
     # read attributes.
     def test_tilde_drops_the_log_term(self, pf):
-        no_log = SimpleNamespace(**{**vars(pf), "L": 0.0})
+        no_log = SimpleNamespace(**{**_observables(pf), "L": 0.0})
         tilde = estimate_tilde(pf)
         assert tilde == estimate_mle(no_log)
 
     def test_check_drops_the_terminal_term(self, pf):
-        no_term = SimpleNamespace(**{**vars(pf), "xT_over_T": 0.0})
+        no_term = SimpleNamespace(**{**_observables(pf), "xT_over_T": 0.0})
         check = estimate_check(pf)
         assert check == estimate_mle(no_term)
 

@@ -382,6 +382,14 @@ _INPUT_CHECKS = [
      DomainError("steps per unit time must be positive and finite, got 0")),
     ("infinite grid range", lambda p: surface_grid(p, alpha_range=(3.0, math.inf)),
      DomainError("grid ranges must be finite")),
+    # An int past float range reads as +-inf, as 1e400 does.
+    ("huge int grid range", lambda p: surface_grid(p, beta_range=(-(10**400), -0.5)),
+     DomainError("grid ranges must be finite")),
+    ("slope c huge int", lambda p: slope_experiment(p, "S", 10**400, (1.0,), 200, 3),
+     DomainError(f"c must be finite, got {10**400}")),
+    ("slope c huge negative int",
+     lambda p: slope_experiment(p, "Sigma", -(10**400), (1.0,), 200, 3),
+     DomainError(f"c must be finite, got {-(10**400)}")),
     ("grid no alphas", lambda p: surface_grid(p, n_alpha=0),
      DomainError("n_alpha must be at least 1, got 0")),
     ("grid bool alphas", lambda p: surface_grid(p, n_alpha=True),

@@ -266,9 +266,13 @@ class TestNonFinitePolicy:
             assert value == expected
 
     def test_int_coordinates_are_their_floats(self, params44):
-        # Past int64 a Python int makes an object array, and is still a number.
-        for x in (2, 2**70):
-            assert rate_S(params44, x) == rate_S(params44, float(x))
+        # A Python int is still a number past int64, and past float range it
+        # reads as +-inf, as 1e400 does.
+        for x, f in ((2, 2.0), (2**70, float(2**70)), (10**400, INF), (-(10**400), -INF)):
+            assert rate_S(params44, x) == rate_S(params44, f)
+            assert rate_J(params44, x, -1) == rate_J(params44, f, -1.0)
+            assert rate_marginal(params44, "Kb", x) == rate_marginal(params44, "Kb", f)
+            assert rate_I_infsup(params44, x, -1) == rate_I_infsup(params44, f, -1.0)
         ints = np.array([1, 2, 7], dtype=np.int32)
         np.testing.assert_array_equal(rate_pair(params44, ints, 1), rate_pair(params44, ints * 1.0, 1.0))
 
