@@ -8,7 +8,7 @@ The public API is each module's ``__all__``; the package re-exports them all.
 
 from __future__ import annotations
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from . import cgf, cir_model, errors, functionals, harness, rates
 from .errors import *

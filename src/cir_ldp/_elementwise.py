@@ -88,6 +88,8 @@ def _real(value) -> float:
 
 def _check_real(what: str, value) -> float:
     # value as a float, once it is known to be a real number.
+    if type(value) is float:  # the common case, checked first: it is hot
+        return value
     if not _is_real(value):
         raise DomainError(f"{what} must be a real number, got {value!r}")
     return _real(value)

@@ -18,12 +18,12 @@ Newton solve in (mu, nu) on Lambda's smooth sectors).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import cir_model
-from ._elementwise import _where
+from ._elementwise import _check_real, _where
 from .cir_model import ProcessParams
 from .errors import BoundaryError
 
@@ -48,13 +48,18 @@ class CgfPoint:
     """Argument (lam, mu, nu, gamma) of the limiting CGF.
 
     lam multiplies sqrt(T) * sqrt(X_T), mu the integral of X, nu the integral
-    of 1/X, and gamma multiplies T * curlyL_T.
+    of 1/X, and gamma multiplies T * curlyL_T.  Each is stored as a float; a
+    bool or a non-number raises DomainError, an int past float range is +-inf.
     """
 
     lam: float
     mu: float
     nu: float
     gamma: float
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _check_real(f.name, getattr(self, f.name)))
 
 
 def _dual_floats(
@@ -186,7 +191,7 @@ def cgf_finite_T_mc(
     OverflowError
         If any exponent is non-finite (extreme argument points).
     """
-    cir_model._check_count("n_paths", n_paths, 2)
+    cir_model._check_count("n_paths", n_paths, cir_model._SAMPLE_PATHS)
     if n_steps is None:
         n_steps = cir_model._steps_for(T, 200)
     ens = cir_model.simulate_ensemble(params, T, n_steps, n_paths, rng, n_workers)
@@ -534,10 +539,10 @@ def legendre_transform_numeric(
     or after 200 steps.  The value returned is <theta*, (x, y, z, t)> -
     Lambda(theta*), with Lambda evaluated by cgf_limit's own arithmetic.
 
-    Non-finite policy: nan when any coordinate is nan; otherwise +inf when
-    any coordinate is infinite, when x < 0 or t > 0 (Lambda does not change
-    along -lam or +gamma), and when the objective exceeds
-    UNBOUNDED_OBJECTIVE during the solve (outside the cone y > 0, z > 0,
-    y z > 1).
+    Non-finite policy: a bool or a non-number raises DomainError; nan when
+    any coordinate is nan; otherwise +inf when any coordinate is infinite (an
+    int past float range is), when x < 0 or t > 0 (Lambda does not change
+    along -lam or +gamma), and when the objective exceeds UNBOUNDED_OBJECTIVE
+    during the solve (outside the cone y > 0, z > 0, y z > 1).
     """
-    return _legendre_solve(params.a, params.b, x, y, z, t)[0]
+    return _legendre_solve(params.a, params.b, *map(_check_real, "xyzt", (x, y, z, t)))[0]

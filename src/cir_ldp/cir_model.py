@@ -21,7 +21,6 @@ Contents:
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._elementwise import _check_positive, _check_real, _is_real, _real
-from ._io import write_text_atomic
+from ._io import csv_text, write_text_atomic
 from .errors import DomainError, RegimeError
 from .functionals import PathFunctionals
 
@@ -131,6 +130,9 @@ def stationary_law(params: ProcessParams) -> StationaryLaw:
         mean_inverse=-b / (a - 2.0),
         variance=2.0 * a / (b * b),
     )
+
+
+_SAMPLE_PATHS = 2  # the fewest paths of a sample covariance or standard error
 
 
 def _check_count(what: str, value, least: int = 1) -> None:
@@ -613,33 +615,14 @@ def simulate_ensemble(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def _time_column(times: bytes) -> tuple[str, ...]:
-    # The "\nt," prefix of every row of a grid, keyed by the grid's bytes:
-    # equal bytes give equal reprs.  The paths of one simulate call share
-    # their grid, so it is formatted once per grid, not once per path.
-    return tuple(["\n" + repr(t) + "," for t in np.frombuffer(times).tolist()])
-
-
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Write the skeleton, atomically, as a CSV file.
+    """Write the skeleton atomically: the csv_text table of columns ``t,x``.
 
-    The file has the header line ``t,x`` and then one row ``t,x`` per grid
-    point, each value written as its shortest round-trip ``repr``, with LF
-    line ends.  So read_trajectory_csv gives back the same floats, and a
-    trajectory always gives the same bytes: ``cir-ldp simulate`` writes the
-    same files for a seed whatever ``--workers`` is.
-
-    The time column of the last grid written is kept, so paths on one grid
-    format it once; for 4 001 rows it holds about 300 KB.
+    read_trajectory_csv gives back the same floats, and a trajectory always
+    gives the same bytes, so ``cir-ldp simulate`` writes the same files for a
+    seed whatever ``--workers`` is.
     """
-    column = _time_column(traj.times.tobytes())
-    # The row prefixes and values interleaved, then one join: no string per
-    # row is built in between.
-    parts = [""] * (2 * len(column))
-    parts[::2] = column
-    parts[1::2] = map(repr, traj.values.tolist())
-    write_text_atomic(path, "t,x" + "".join(parts) + "\n")
+    write_text_atomic(path, csv_text(("t", "x"), (traj.times, traj.values)))
 
 
 def read_trajectory_csv(path: str, params: ProcessParams) -> Trajectory:

@@ -24,10 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._elementwise import _real
 from ._io import csv_text, report, write_text_atomic
 from .cgf import CgfPoint, cgf_finite_T_mc, cgf_gradient, cgf_limit
 from .cir_model import (
     ProcessParams,
+    _SAMPLE_PATHS,
     _map_jobs,
     _steps_for,
     path_rng,
@@ -182,10 +184,8 @@ def _convert(key: str, value, kind=None):
                 break
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    try:
-        out = kind(value)
-    except OverflowError:  # an integer beyond float range reads as 1e400 does
-        out = math.inf if value > 0 else -math.inf
+    try:  # an integer beyond float range reads as 1e400 does
+        out = _real(value) if kind is float else kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
     if declared is float and not math.isfinite(out) and key not in _COORDINATES:
@@ -242,8 +242,10 @@ def parse_config(ns: argparse.Namespace) -> tuple[ProcessParams, dict]:
         raise ConfigError(f"config key 'n_steps' must be >= 1, got {n_steps}")
     if "n_steps" in reads and round(n_steps * T) < 2:
         raise ConfigError(f"n_steps*T = {n_steps * T} gives fewer than 2 grid steps")
-    if "n_paths" in reads and n_paths < 1:
-        raise ConfigError(f"config key 'n_paths' must be >= 1, got {n_paths}")
+    # A covariance (check clt) or a standard error (cgf --mc) takes more paths.
+    least = _SAMPLE_PATHS if command == "cgf" or values.get("suite") == "clt" else 1
+    if "n_paths" in reads and n_paths < least:
+        raise ConfigError(f"config key 'n_paths' must be >= {least}, got {n_paths}")
 
     seed = values.get("seed")
     if seed is None:
@@ -274,13 +276,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if v == math.inf:
-            return "inf"
-        if v == -math.inf:
-            return "-inf"
-        return v
+        return v if math.isfinite(v) else repr(v)  # nan, inf and -inf as words
     return obj
 
 
@@ -308,11 +304,7 @@ def _report(cfg: dict, payload: dict, name: str | None = None) -> None:
 
 
 def _fmt_value(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    s = f"{v:.6f}"
+    s = f"{v:.6f}"  # inf, -inf and nan are those words
     return "0.000000" if s == "-0.000000" else s
 
 
@@ -339,11 +331,8 @@ def _write_paths(
 ) -> None:
     """Simulate paths ``indices`` of one simulate call and write their CSVs.
 
-    Path i draws from path_rng(seed, i), wherever it runs.  Every path
-    shares the grid simulate_path builds from (T, n_steps), and
-    write_trajectory_csv keeps the time column of the last grid it wrote, so
-    the column is formatted once per process and grid (about 300 KB kept for
-    4 001 rows).
+    Path i draws from path_rng(seed, i), wherever it runs.  The paths share
+    one grid, whose time column csv_text formats once per process.
     """
     for i in indices:
         traj = simulate_path(params, T, n_steps, path_rng(seed, i))
@@ -373,17 +362,12 @@ def _cmd_estimate(params: ProcessParams, cfg: dict) -> int:
     ens = simulate_ensemble(
         params, cfg["T"], settings["n_steps"], n_paths, cfg["seed"], n_workers=cfg["n_workers"]
     )
-    columns = []
-    for name in names:
-        est = ESTIMATORS[name](ens)
-        columns.append((name, est.alpha.tolist(), est.beta.tolist()))
-    rows = (
-        (i, name, alphas[i], betas[i])
-        for i in range(n_paths)
-        for name, alphas, betas in columns
-    )
-    path = _write(cfg, "estimates.csv", csv_text(("path_id", "estimator", "alpha", "beta"), rows))
-    metrics = {"file": path, "rows": n_paths * len(names)}
+    # One row per path and estimator, path outermost.
+    ests = [ESTIMATORS[name](ens) for name in names]
+    alpha, beta = np.stack([(e.alpha, e.beta) for e in ests], axis=2).reshape(2, -1)
+    columns = (np.repeat(np.arange(n_paths), len(names)), names * n_paths, alpha, beta)
+    text = csv_text(("path_id", "estimator", "alpha", "beta"), columns)
+    metrics = {"file": _write(cfg, "estimates.csv", text), "rows": n_paths * len(names)}
     _report(cfg, report("estimate", params, settings, metrics))
     return 0
 

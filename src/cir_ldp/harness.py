@@ -24,6 +24,7 @@ from ._io import csv_text, report
 from .cgf import lambda_star, legendre_transform_numeric
 from .cir_model import (
     ProcessParams,
+    _SAMPLE_PATHS,
     _check_count,
     _coerce_seed,
     _simulate_horizons,
@@ -160,7 +161,7 @@ def clt_experiments(
             raise DomainError(
                 f"estimator must be one of {sorted(ESTIMATORS)}, got {name!r}"
             )
-    _check_count("n_paths", n_paths, 2)
+    _check_count("n_paths", n_paths, _SAMPLE_PATHS)
     seed = _coerce_seed(rng)
     if n_steps is None:
         n_steps = _steps_for(T, 200.0)
@@ -344,7 +345,7 @@ class SurfaceGrid:
         """``alpha,beta,J,K,I`` rows, alpha outermost."""
         al, be = np.meshgrid(self.alphas, self.betas, indexing="ij")
         cols = (al, be, self.J, self.K, self.I)
-        return csv_text(("alpha", "beta", "J", "K", "I"), zip(*(c.ravel().tolist() for c in cols)))
+        return csv_text(("alpha", "beta", "J", "K", "I"), [c.ravel() for c in cols])
 
 
 #: The figure window, surface_grid's default: (alpha_range, beta_range,
@@ -392,7 +393,7 @@ class ProfileCurves:
     def to_csv(self) -> str:
         """One row per grid point, one column per field."""
         names = [f.name for f in fields(self)]
-        return csv_text(names, zip(*(getattr(self, n).tolist() for n in names)))
+        return csv_text(names, [getattr(self, n) for n in names])
 
 
 def profile_curves(

@@ -91,6 +91,27 @@ _NUMERIC_NON_FINITE_CASES = [
     ((0.8, 2.0, 0.4, -0.5), INF),
     ((0.0, 2.0, 0.5, 0.0), INF),
     ((0.8, 2.0, 0.5, -0.5), INF),
+    # An int past float range reads as +-inf.
+    ((10**400, 1.0, 1.0, 0.0), INF),
+    ((0.8, 10**400, 1.0, -0.5), INF),
+    ((0.8, 2.0, -(10**400), -0.5), INF),
+    ((0.8, 2.0, 1.0, -(10**400)), INF),
+    ((10**400, 2.0, NAN, -1.0), NAN),
+]
+
+#: Coordinates that are no real number: CgfPoint and
+#: legendre_transform_numeric raise DomainError at each position.
+_NOT_REAL = ["a", True, False, np.bool_(True), None, 1j, [1.0]]
+
+#: Points with an int past float range, and cgf_limit there at (4, -1): the
+#: value at the same point with +-inf.
+_HUGE_INT_POINTS = [
+    ((10**400, 0, 0, 0), INF),
+    ((-(10**400), 0, 0, 0), 0.0),
+    ((0, 10**400, 0, 0), INF),
+    ((0, -(10**400), 0, 0), -INF),
+    ((0, 0, -(10**400), 0), -INF),
+    ((0, 0, 0, -(10**400)), INF),
 ]
 
 #: ((a, b), (x, y, z, t), float.hex of lambda_star).  On the faces x = 0 and
@@ -209,6 +230,27 @@ class TestCgfLimit:
         inner = cgf_limit(params44, CgfPoint(lam, -0.4, -0.7, gam + eps))
         outer = cgf_limit(params44, CgfPoint(lam, -0.4, -0.7, gam - eps))
         assert inner == pytest.approx(outer, abs=1e-7)
+
+    @pytest.mark.parametrize(("coords", "expected"), _HUGE_INT_POINTS)
+    def test_huge_ints_read_as_inf(self, params44, coords, expected):
+        point = CgfPoint(*coords)
+        assert point == CgfPoint(*[INF if c == 10**400 else -INF if c == -(10**400) else c for c in coords])
+        assert cgf_limit(params44, point) == expected
+
+    @pytest.mark.parametrize("bad", _NOT_REAL, ids=repr)
+    @pytest.mark.parametrize("i", range(4))
+    def test_non_real_coordinates_raise(self, i, bad):
+        coords = [0.0] * 4
+        coords[i] = bad
+        with pytest.raises(DomainError, match="must be a real number"):
+            CgfPoint(*coords)
+
+    def test_coordinates_are_floats(self, params44):
+        point = CgfPoint(1, np.float64(-0.5), np.int64(-1), np.float32(0.25))
+        assert point == CgfPoint(1.0, -0.5, -1.0, 0.25)
+        assert all(type(v) is float for v in (point.lam, point.mu, point.nu, point.gamma))
+        # Before, CgfPoint(True, 0, 0, 0) read as lam = 1.
+        assert cgf_limit(params44, CgfPoint(1, 0, 0, 0)) == 0.5
 
     def test_monotone_in_mu_and_nu(self, params44):
         vals = [cgf_limit(params44, CgfPoint(0.3, m, -0.2, -0.1)) for m in (-2.0, -1.0, -0.3)]
@@ -438,6 +480,18 @@ class TestNumericTransform:
             assert math.isnan(got)
         else:
             assert got == expected
+
+    @pytest.mark.parametrize("bad", _NOT_REAL, ids=repr)
+    @pytest.mark.parametrize("i", range(4))
+    def test_non_real_coordinates_raise(self, params44, i, bad):
+        coords = [0.8, 2.0, 1.5, -0.5]
+        coords[i] = bad
+        with pytest.raises(DomainError, match=f"{'xyzt'[i]} must be a real number"):
+            legendre_transform_numeric(params44, *coords)
+
+    def test_int_and_numpy_coordinates_are_their_floats(self, params44):
+        floats = legendre_transform_numeric(params44, 1.0, 2.0, 1.5, -1.0)
+        assert legendre_transform_numeric(params44, 1, np.float64(2.0), 1.5, np.int64(-1)) == floats
 
     def test_golden_bits(self):
         got = [

@@ -552,7 +552,7 @@ class TestTrajectoryValidation:
         assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
 
     def test_csv_bytes_when_grids_alternate(self, params44, tmp_path):
-        # The writer keeps the last grid's time column: grid A, then B, then
+        # csv_text keeps the last grid's time column: grid A, then B, then
         # A again, then A one ulp off at one node, and A once more, must each
         # give the per-row formula's bytes.
         a = simulate_path(params44, 1.0, 40, path_rng(8, 3))

@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,15 +236,6 @@ class TestCgfCommand:
         payload = json.loads((tmp_path / "cgf_mc_report.json").read_text())
         assert payload["experiment"] == "cgf_mc"
         assert "estimate" in payload["metrics"]
-
-    def test_mc_on_one_path_is_a_numeric_error(self, capsys, tmp_path):
-        rc, out, err = run(
-            capsys, "cgf", "--a", "4", "--b", "-1", "--mc", "--T", "1", "--n-steps", "20",
-            "--paths", "1", "--seed", "1", "--out", str(tmp_path),
-        )
-        assert (rc, out) == (3, "")
-        assert json.loads(err)["error"] == "DomainError"
-        assert not (tmp_path / "cgf_mc_report.json").exists()
 
 
 class TestAtomicArtifacts:
@@ -514,18 +504,6 @@ class TestCheckSuites:
         assert rc in (0, 1)
         assert payload["settings"]["c"] == 2.0
         assert payload["metrics"]["target_rate"] > 0.0
-
-    def test_clt_on_one_path_is_a_numeric_error(self, capsys, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rc, out, err = run(
-                capsys, "check", "clt", "--a", "4", "--b", "-1", "--T", "1",
-                "--n-steps", "20", "--paths", "1", "--seed", "1", "--out", str(tmp_path),
-            )
-        assert (rc, out) == (3, "")
-        assert err.count("\n") == 1
-        assert json.loads(err)["error"] == "DomainError"
-        assert not (tmp_path / "clt_report.json").exists()
 
     def test_check_requires_seed_only_for_mc_suites(self, capsys, tmp_path):
         rc, _, err = run(capsys, "check", "clt", "--a", "4", "--b", "-1", "--out", str(tmp_path))
@@ -938,6 +916,11 @@ _CLI_INPUT_CHECKS = [
      "config key 'n_steps' must be >= 1, got 0"),
     ("workers below 1", ["figures", "--fig", "3", "--workers", "0"], None,
      "config key 'n_workers' must be >= 1, got 0"),
+    # A covariance and a standard error need two paths.
+    ("clt one path", ["check", "clt", "--paths", "1", "--seed", "1"], None,
+     "config key 'n_paths' must be >= 2, got 1"),
+    ("cgf mc one path", ["cgf", "--mc", "--seed", "1"], '{"n_paths": 1}',
+     "config key 'n_paths' must be >= 2, got 1"),
     ("grid selector", ["rate", "--which", "S", "--grid"], None,
      "grid evaluation supports which in {J, K, I}, got 'S'"),
     ("grid size", ["rate", "--which", "J", "--grid", "--n-alpha", "1"], None,
